@@ -290,9 +290,8 @@ def _young_from_name(name, line):
 # ---------------------------------------------------------------------------
 
 
-def _bound_reports(sc):
+def _bound_reports(sc, cmap, rho, quad):
     """(method, BoundReport-or-error-string) pairs in method order."""
-    cmap, rho, quad = sc.build()
     params = sc.params()
     out = []
     for method in sc.methods:
@@ -327,7 +326,7 @@ def _bound_reports(sc):
 
 def _rows_bound(sc, corrupt=1.0):
     rows = []
-    for method, rep in _bound_reports(sc):
+    for method, rep in _bound_reports(sc, *sc.build()):
         if isinstance(rep, str):
             rows.append([sc.sid, method, "nan", "nan", "", rep])
             continue
@@ -353,13 +352,13 @@ def _rows_verify(sc, tol, corrupt=1.0):
     rows = []
     unsound = False
     try:
-        cmap, rho, _ = sc.build()
+        cmap, rho, quad = sc.build()
         mu_ref = fem_oracle.mu_fem_richardson(cmap, rho, sc.fem_level)
     except NeumannBoundsError as exc:
         for method in sc.methods:
             rows.append([sc.sid, method, "nan", "nan", "nan", "false", f"error:{exc}"])
         return rows, True
-    for method, rep in _bound_reports(sc):
+    for method, rep in _bound_reports(sc, cmap, rho, quad):
         if isinstance(rep, str):
             rows.append([sc.sid, method, "nan", fmt(mu_ref), "nan", "false", rep])
             unsound = True

@@ -5,8 +5,8 @@ eigenvalue of  -div grad u = mu * rho * u  on the image domain?  It is kept
 deliberately independent of the bound pipeline: the mesh is a structured
 concentric-ring triangulation of the disk pushed through the conformal map,
 the matrices are exact P1 stiffness and centroid-sampled mass, and the
-generalized eigenproblem is solved densely below 2000 unknowns (bit-stable)
-and by shift-invert Lanczos above.
+generalized eigenproblem is solved at every level by shift-invert Lanczos
+from a fixed seeded start vector, so repeated runs give identical numbers.
 
 For the unit disk itself the exact answer is the squared first positive
 root of J1', which ``mu_disk_reference`` computes from scratch with series
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -40,7 +39,6 @@ __all__ = [
     "b_m2_disk_estimate",
 ]
 
-_DENSE_LIMIT = 2000
 _EIG_SEED = 20240615
 
 
@@ -105,12 +103,15 @@ class TriMesh:
             fh.write(self.dumps())
 
 
+@lru_cache(maxsize=None)
 def _disk_rings(level):
     """Structured triangulation of the unit disk: ring k has 6k vertices.
 
     ``level`` controls 2^level concentric rings, so each level quarters the
     triangle count of the next (24 triangles at level 1, 4x per level) and
-    the mesh size h halves.
+    the mesh size h halves.  The result depends on ``level`` alone, so it is
+    cached and shared by every mesh; the arrays are read-only for that
+    reason.
     """
     rings = 2**level
     verts = [0.0 + 0.0j]
@@ -137,6 +138,8 @@ def _disk_rings(level):
     tris = np.asarray(tris, dtype=int)
     boundary = np.zeros(len(verts), dtype=bool)
     boundary[ring_start[rings]:] = True
+    for arr in (verts, tris, boundary):
+        arr.flags.writeable = False
     return verts, tris, boundary
 
 
@@ -204,23 +207,17 @@ def first_nonzero_neumann(a_mat, m_mat):
     """Smallest nonzero eigenvalue of A u = mu M u, with solver residual.
 
     The Neumann kernel (constants) is skipped rather than projected out:
-    dense solves below 2000 unknowns take the second-smallest eigenvalue of
-    the pencil; larger problems run shift-invert Lanczos around a negative
-    shift with a deterministic seeded start vector, which retrieves the zero
-    mode and the first nonzero mode together.
+    shift-invert Lanczos around a negative shift, from a deterministic
+    seeded start vector, retrieves the zero mode and the first nonzero mode
+    together, and the larger of the two is returned.
     """
-    n = a_mat.shape[0]
-    if n <= _DENSE_LIMIT:
-        w, v = scipy.linalg.eigh(a_mat.toarray(), m_mat.toarray())
-        mu, u = float(w[1]), v[:, 1]
-    else:
-        v0 = np.random.default_rng(_EIG_SEED).standard_normal(n)
-        try:
-            w, v = spla.eigsh(a_mat, k=2, M=m_mat, sigma=-1.0, which="LM", v0=v0, tol=0)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"shift-invert Lanczos failed to converge: {exc}") from exc
-        order = np.argsort(w)
-        mu, u = float(w[order[1]]), v[:, order[1]]
+    v0 = np.random.default_rng(_EIG_SEED).standard_normal(a_mat.shape[0])
+    try:
+        w, v = spla.eigsh(a_mat, k=2, M=m_mat, sigma=-1.0, which="LM", v0=v0, tol=0)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(f"shift-invert Lanczos failed to converge: {exc}") from exc
+    order = np.argsort(w)
+    mu, u = float(w[order[1]]), v[:, order[1]]
     resid = np.linalg.norm(a_mat @ u - mu * (m_mat @ u)) / np.linalg.norm(u)
     if not np.isfinite(mu) or mu <= 0:
         raise SolverError(f"eigensolver returned mu={mu}")

@@ -33,3 +33,14 @@ def rho_one():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(711)
+
+
+@pytest.fixture()
+def stalled_eigsh(monkeypatch):
+    """Make every shift-invert Lanczos call fail to converge."""
+    import scipy.sparse.linalg as spla
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", stalled)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neumann_bounds import cli
+from neumann_bounds import cli, fem_oracle
 from neumann_bounds.errors import ConfigError
 
 BASIC = """\
@@ -36,6 +36,18 @@ def write(tmp_path, text, name="cfg.ini"):
 
 def run(argv):
     return cli.main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv", [["bound"], ["verify", "--fem-level", "3"]], ids=lambda argv: argv[0]
+)
+def test_determinism_across_jobs(tmp_path, argv):
+    cfg = write(tmp_path, BASIC)
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run([*argv, "--config", cfg, "--out", str(out1)]) == 0
+    fem_oracle._disk_rings.cache_clear()  # the threads fill the shared cache
+    assert run([*argv, "--config", cfg, "--jobs", "4", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestConfigParsing:
@@ -96,13 +108,6 @@ class TestBoundCommand:
         )
         tight = by_method[("pp-tight", "esssup")]
         assert float(tight[2]) == pytest.approx(3.3899577166718888, rel=1e-9)
-
-    def test_determinism_across_jobs(self, tmp_path):
-        cfg = write(tmp_path, BASIC)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(["bound", "--config", cfg, "--out", str(out1)]) == 0
-        assert run(["bound", "--config", cfg, "--jobs", "4", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_gaussian_sweep_method_rows(self, tmp_path):
         text = (
@@ -171,6 +176,19 @@ class TestVerifyCommand:
         assert code == 1
         rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
         assert any(r[5] == "false" for r in rows)
+
+    def test_solver_failure_becomes_error_rows(self, tmp_path, stalled_eigsh, capsys):
+        out = tmp_path / "v.csv"
+        argv = ["verify", "--config", write(tmp_path, BASIC), "--fem-level", "3"]
+        assert run([*argv, "--out", str(out)]) == 1
+        rows = [line.split(",", 6) for line in out.read_text().splitlines()[3:]]
+        assert [(r[0], r[1]) for r in rows] == [
+            ("disk-one", "esssup"),
+            ("disk-one", "lq"),
+            ("pp-tight", "esssup"),
+        ]
+        assert all(r[5] == "false" and r[6].startswith("error:") for r in rows)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSweepCommand:

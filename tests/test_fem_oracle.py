@@ -5,7 +5,7 @@ from neumann_bounds import conformal as cf
 from neumann_bounds import densities as dn
 from neumann_bounds import fem_oracle as fo
 from neumann_bounds import orlicz as ol
-from neumann_bounds.errors import MeshError, ParameterError
+from neumann_bounds.errors import MeshError, ParameterError, SolverError
 
 
 class TestMesh:
@@ -56,6 +56,12 @@ class TestMesh:
 
         with pytest.raises(MeshError):
             fo.mesh_from_map(Collapse(), 2)
+
+    def test_shared_triangulation_read_only(self, identity_map, pp_map):
+        mesh = fo.mesh_from_map(pp_map, 3)
+        assert mesh.triangles is fo.mesh_from_map(identity_map, 3).triangles
+        with pytest.raises(ValueError):
+            mesh.triangles[0, 0] = 1
 
     def test_dump_roundtrip(self, identity_map, tmp_path):
         mesh = fo.mesh_from_map(identity_map, 2)
@@ -140,14 +146,28 @@ class TestEigenvalue:
         ones = np.ones(mesh.num_vertices)
         assert abs(u @ (m_mat @ ones)) <= 1e-8 * np.linalg.norm(u) * np.linalg.norm(ones)
 
-    def test_sparse_path_matches_dense(self, identity_map, rho_one, monkeypatch):
-        mesh = fo.mesh_from_map(identity_map, 4)
-        a_mat, m_mat = fo.assemble(mesh, rho_one)
-        mu_dense, _ = fo.first_nonzero_neumann(a_mat, m_mat)
-        monkeypatch.setattr(fo, "_DENSE_LIMIT", 10)
-        mu_sparse, resid = fo.first_nonzero_neumann(a_mat, m_mat)
-        assert mu_sparse == pytest.approx(mu_dense, rel=1e-10)
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "cmap",
+        [cf.IdentityMap(), cf.PerturbedPowerMap(0.5, 3), cf.MoebiusDiskMap(0.3 + 0.2j)],
+        ids=lambda m: m.name,
+    )
+    @pytest.mark.parametrize(
+        "rho", [dn.ConstantDensity(1.0), dn.GaussianDensity(1.0)], ids=lambda r: r.name
+    )
+    def test_lanczos_matches_dense_reference(self, cmap, rho, level):
+        import scipy.linalg
+
+        a_mat, m_mat = fo.assemble(fo.mesh_from_map(cmap, level), rho)
+        mu, resid = fo.first_nonzero_neumann(a_mat, m_mat)
+        w = scipy.linalg.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True)
+        assert mu == pytest.approx(w[1], rel=1e-10)
         assert resid <= 1e-8
+
+    def test_no_convergence_raises_solver_error(self, identity_map, rho_one, stalled_eigsh):
+        a_mat, m_mat = fo.assemble(fo.mesh_from_map(identity_map, 2), rho_one)
+        with pytest.raises(SolverError, match="failed to converge"):
+            fo.first_nonzero_neumann(a_mat, m_mat)
 
     def test_pullback_density_on_mesh(self, pp_map):
         # canceling density: mu equals the disk reference up to O(h^2)
