@@ -25,6 +25,7 @@ Flags used in reports:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ from .youngfn import (
     NumericComplement,
     PsiAlpha,
     PsiEpsAlpha,
+    _mpf_absorbs,
     probe_nabla_prime,
 )
 
@@ -171,11 +173,17 @@ class BoundReport:
         return not self.validity_flags
 
 
+# log of 2^-1076, a quarter of float64's smallest subnormal: exp of an mpf
+# below it converts to 0.0, with a bit of margin for the rounding of exp
+_LOG_FLOAT_UNDERFLOW = (sys.float_info.min_exp - sys.float_info.mant_dig - 2) * math.log(2.0)
+
+
 def _finish(method, bound_log, intermediates, flags, params):
     import mpmath as mp
 
     if isinstance(bound_log, mp.mpf):
-        bound = float(mp.exp(bound_log))
+        # below _LOG_FLOAT_UNDERFLOW float() rounds exp to 0.0 anyway
+        bound = 0.0 if bound_log < _LOG_FLOAT_UNDERFLOW else float(mp.exp(bound_log))
     else:
         bound_log = float(bound_log)
         bound = math.exp(bound_log) if bound_log > -745.0 else 0.0
@@ -543,7 +551,11 @@ def _log_phi_inv_tiny(log_s, phi_eps_exponent=1.0):
 
     log_s = mp.mpf(log_s) if not hasattr(log_s, "_mpf_") else log_s
     # log(u+e) = 1 + log1p(u/e);  log PhiInv(s) = log s - eps*log(log(u+e))
-    u_over_e = mp.exp(log_s - 1)
+    log_u_over_e = log_s - 1
+    # log1p(u/e) <= u/e: once 1 + u/e rounds to 1 the log is exactly 0
+    if _mpf_absorbs(mp.mpf(1), log_u_over_e):
+        return log_s
+    u_over_e = mp.exp(log_u_over_e)
     return log_s - phi_eps_exponent * mp.log(1 + mp.log1p(u_over_e))
 
 

@@ -14,8 +14,11 @@ compositions built from them), together with
 * probes for the submultiplicativity / supermultiplicativity growth
   conditions and for "essentially greater growth" ratios.
 
-All evaluation functions accept scalars or numpy arrays and are pure;
-instances are immutable after construction and safe to share across threads.
+All evaluation functions accept scalars or numpy arrays.  Instances are
+immutable after construction, except that ``NumericComplement`` may enlarge
+its cached grid during evaluation; it swaps the whole grid state in one
+assignment, so threads sharing an instance never read a torn grid (see the
+class docstring for what the enlargement means for results).
 Exponential kinds carry a log-space twin (``log_eval``) because downstream
 constants are composed entirely in log space.
 """
@@ -23,6 +26,7 @@ constants are composed entirely in log space.
 from __future__ import annotations
 
 import logging
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +54,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _E = float(np.e)
+_EPS = float(np.finfo(float).eps)
 
 
 def _checked(u, name="u"):
@@ -82,6 +87,36 @@ def _log_exp_plus_e(x):
     """log(e^x + e) without overflow, for any float x (elementwise)."""
     x = np.asarray(x, dtype=float)
     return np.maximum(x, 1.0) + np.log1p(np.exp(-np.abs(x - 1.0)))
+
+
+def _mpf_absorbs(total, log_bound):
+    """True when adding any term of magnitude below exp(log_bound) to the mpf
+    ``total`` rounds back to ``total`` at the current mpmath precision.
+
+    |total| >= 2^(mag-1), so neighbouring mpfs lie at least 2^(mag-1-prec)
+    apart and round-to-nearest discards anything below half of that; one
+    more bit of margin covers the rounding of exp, log1p and of this test.
+    Callers use it to skip an exp of an astronomically large argument whose
+    result rounding would throw away.
+    """
+    import mpmath as mp
+
+    return log_bound < (mp.mag(total) - mp.mp.prec - 3) * mp.ln2
+
+
+def _log_inner(x, y):
+    """log(w * (e^y - e)) = log w + 1 + (y-1) + log1p(-exp(1-y)), w = e^x.
+
+    For y > 2, |log1p(-exp(1-y))| < 2 exp(1-y) < exp(2-y); once that is
+    below what rounding discards from the partial sum, the term is skipped,
+    which gives the same mpf without an exp of a huge negative argument.
+    """
+    import mpmath as mp
+
+    partial = mp.mpf(x) + 1 + (y - 1)
+    if y > 2 and _mpf_absorbs(partial, 2 - y):
+        return partial
+    return partial + mp.log1p(-mp.exp(1 - y))
 
 
 class YoungFunction:
@@ -450,9 +485,7 @@ class PsiAlpha(YoungFunction):
         y = w if self.eps is None else mp.exp(x / self.eps)
         if y <= 1:
             return mp.mpf("-inf")
-        # log(w * (e^y - e)) = log w + 1 + (y-1) + log1p(-exp(1-y))
-        log_inner = mp.mpf(x) + 1 + (y - 1) + mp.log1p(-mp.exp(1 - y))
-        return mp.log(mp.mpf(2.0) / self.alpha) + half * log_inner
+        return mp.log(mp.mpf(2.0) / self.alpha) + half * _log_inner(x, y)
 
 
 class PsiEpsAlpha(PsiAlpha):
@@ -465,6 +498,81 @@ class PsiEpsAlpha(PsiAlpha):
         super().__init__(alpha, eps=eps)
 
 
+class _ConjugateGrid(NamedTuple):
+    """One consistent state of a ``NumericComplement`` grid."""
+
+    u: np.ndarray  # geometric grid on [u_lo, u_hi]
+    m: np.ndarray  # M on the grid (may hold inf at the top)
+    hull: np.ndarray  # grid indices of the lower convex hull's vertices
+    slopes: np.ndarray  # slopes of the hull's edges, strictly increasing
+    u_hi: float
+
+
+def _lower_hull(u, m):
+    """Lower convex hull of the finite points (u_j, m_j), u increasing.
+
+    A vertex whose incoming slope is not below its outgoing slope lies on or
+    above the chord of its neighbours, so it is not a hull vertex; removing
+    every such vertex until none is left gives the hull.  Slopes too steep
+    for float64 become inf, which keeps their order.
+    """
+    idx = np.flatnonzero(np.isfinite(m))
+    with np.errstate(over="ignore", under="ignore"):
+        slopes = np.diff(m[idx]) / np.diff(u[idx])
+        while len(slopes) > 1:
+            keep = np.ones(len(idx), dtype=bool)
+            keep[1:-1] = slopes[:-1] < slopes[1:]
+            if keep.all():
+                break
+            idx = idx[keep]
+            slopes = np.diff(m[idx]) / np.diff(u[idx])
+    return idx, slopes
+
+
+_WINDOW = 4  # grid points on each side of the hull maximiser
+
+
+def _conjugate_argmax(grid, v):
+    """First index of max_j v*u_j - M(u_j) and that max, for each v.
+
+    Along the hull the objective rises to the vertex found by the slope
+    search and falls after it, and a point off the hull scores no more
+    than the hull vertices around it.  So a window around that vertex
+    holds the first maximum of the float objective unless the maximum
+    sits on the window's edge or the nearest hull vertex outside comes
+    within rounding of it (a near-collinear run); such rows widen.
+    """
+    n = len(grid.u)
+    centre = grid.hull[np.searchsorted(grid.slopes, v)]
+    idx = np.empty(len(v), dtype=np.intp)
+    best = np.empty(len(v))
+    rows = np.arange(len(v))
+    half = _WINDOW
+    while len(rows):
+        width = min(2 * half + 1, n)
+        start = np.clip(centre[rows] - half, 0, n - width)
+        cols = start[:, None] + np.arange(width)
+        vr = v[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj = vr[:, None] * grid.u[cols] - grid.m[cols]
+        obj = np.where(np.isnan(obj), -np.inf, obj)
+        at = np.argmax(obj, axis=1)
+        b = obj[np.arange(len(rows)), at]
+        idx[rows], best[rows] = start + at, b
+        widen = ((at == 0) & (start > 0)) | ((at == width - 1) & (start + width < n))
+        left = np.searchsorted(grid.hull, start) - 1
+        right = np.searchsorted(grid.hull, start + width)
+        for k, ok in ((left, left >= 0), (right, right < len(grid.hull))):
+            j = grid.hull[np.where(ok, k, 0)]
+            with np.errstate(over="ignore"):
+                vu = vr * grid.u[j]
+                slack = 8.0 * _EPS * (vu + grid.m[j] + np.abs(b))
+                widen |= ok & (vu - grid.m[j] >= b - slack)
+        rows = rows[widen]
+        half *= 2
+    return idx, best
+
+
 class NumericComplement(YoungFunction):
     """One-sided numeric convex conjugate sup_u {uv - M(u)}.
 
@@ -472,22 +580,37 @@ class NumericComplement(YoungFunction):
     golden-section ascent (the objective is concave in u).  The result never
     exceeds the true conjugate; the deficit is controlled by the grid density
     and refinement.
+
+    The discrete supremum is found through the lower convex hull of the grid
+    points (u_j, M(u_j)), built once per grid: a binary search on the hull's
+    edge slopes gives the maximising vertex for each v, and the float
+    objective v*u_j - M(u_j) is then evaluated on a few grid points around
+    it (see ``_conjugate_argmax``).  So the value and the first maximising
+    index are those of the full grid scan, at O(log G) per v after an O(G)
+    hull per grid, and the result stays one-sided low.
+
+    Evaluation enlarges the grid (by 64x, up to 1e120) while maximisers
+    press against its top, and later calls reuse the enlarged grid, so a
+    value can depend on what was evaluated before.  Each enlargement
+    replaces the grid state in one assignment and every evaluation reads
+    one consistent state, so sharing an instance across threads is safe.
     """
 
     def __init__(self, of, u_lo=1e-8, u_hi=1e4, n_grid=2048, refine=True):
         self.of = of
         self.name = f"conjugate({of.name})"
         self._u_lo = float(u_lo)
-        self._u_hi = float(u_hi)
         self._n = int(n_grid)
         self._refine_default = bool(refine)
-        self._build_grid(self._u_hi)
+        self._build_grid(float(u_hi))
 
     def _build_grid(self, u_hi):
-        self._grid = np.geomspace(self._u_lo, u_hi, self._n)
+        u = np.geomspace(self._u_lo, u_hi, self._n)
         with np.errstate(over="ignore"):
-            self._m_grid = np.asarray(self.of.eval(self._grid))
-        self._u_hi = u_hi
+            m = np.asarray(self.of.eval(u))
+        hull, slopes = _lower_hull(u, m)
+        self._grid_state = _ConjugateGrid(u, m, hull, slopes, u_hi)
+        return self._grid_state
 
     def _objective(self, u, v):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -506,25 +629,19 @@ class NumericComplement(YoungFunction):
         return _ret(out[0] if scalar else out.reshape(np.shape(v)), scalar)
 
     def _sup(self, v, refine):
-        def grid_argmax():
-            with np.errstate(over="ignore", invalid="ignore"):
-                obj = v[:, None] * self._grid[None, :] - self._m_grid[None, :]
-            obj = np.where(np.isnan(obj), -np.inf, obj)
-            return obj, np.argmax(obj, axis=1)
-
         # expand the grid while the argmax presses against the top; entries
         # whose maximizer stays beyond the cap remain one-sided low
-        obj, idx = grid_argmax()
+        grid = self._grid_state
+        idx, best = _conjugate_argmax(grid, v)
         for _ in range(12):
-            if idx.max() < self._n - 2 or self._u_hi >= 1e120:
+            if idx.max() < self._n - 2 or grid.u_hi >= 1e120:
                 break
-            self._build_grid(self._u_hi * 64.0)
-            obj, idx = grid_argmax()
-        best = obj[np.arange(len(v)), idx]
+            grid = self._build_grid(grid.u_hi * 64.0)
+            idx, best = _conjugate_argmax(grid, v)
         if not refine:
             return np.maximum(best, 0.0)
-        lo = self._grid[np.maximum(idx - 1, 0)]
-        hi = self._grid[np.minimum(idx + 1, self._n - 1)]
+        lo = grid.u[np.maximum(idx - 1, 0)]
+        hi = grid.u[np.minimum(idx + 1, self._n - 1)]
         invphi = (np.sqrt(5.0) - 1.0) / 2.0
         c = hi - invphi * (hi - lo)
         d = lo + invphi * (hi - lo)

@@ -44,3 +44,23 @@ def stalled_eigsh(monkeypatch):
         raise spla.ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(spla, "eigsh", stalled)
+
+
+@pytest.fixture()
+def exp_args(monkeypatch):
+    """Record the argument of every mpmath.exp call, as an mpf.
+
+    Compare the recorded values, never print them: formatting an mpf of
+    exp(-1e127510) scale does not finish.
+    """
+    import mpmath as mp
+
+    seen = []
+    real_exp = mp.exp
+
+    def exp(x):
+        seen.append(mp.mpf(x))
+        return real_exp(x)
+
+    monkeypatch.setattr(mp, "exp", exp)
+    return seen

@@ -340,6 +340,54 @@ class TestOrliczQuasidisc:
         assert inter["log_t"] == pytest.approx(expected, rel=1e-14)
 
 
+class TestMpmathShortcuts:
+    """Each huge-argument shortcut returns the full formula's exact mpf."""
+
+    @pytest.mark.parametrize("prec", [53, 120])
+    @pytest.mark.parametrize("eps_exponent", [1.0, 2.0])
+    def test_log_phi_inv_tiny(self, exp_args, prec, eps_exponent):
+        grid = np.arange(-100.0, -20.0, 0.125)
+        skipped = 0
+        with mp.workprec(prec):
+            for log_s in grid:
+                calls = len(exp_args)
+                got = bd._log_phi_inv_tiny(log_s, eps_exponent)
+                skipped += len(exp_args) == calls
+                s = mp.mpf(log_s)
+                full = s - eps_exponent * mp.log(1 + mp.log1p(mp.exp(s - 1)))
+                assert got._mpf_ == full._mpf_, log_s
+        assert 0 < skipped < len(grid)
+
+    def test_finish_underflow(self, exp_args):
+        grid = np.arange(-760.0, -730.0, 0.0625)
+        skipped = 0
+        for bound_log in grid:
+            calls = len(exp_args)
+            rep = bd._finish("m", mp.mpf(bound_log), {}, [], {})
+            skipped += len(exp_args) == calls
+            assert rep.bound == float(mp.exp(mp.mpf(bound_log))), bound_log
+            assert (bd.FLAG_UNDERFLOW in rep.validity_flags) == (rep.bound == 0.0)
+        assert 0 < skipped < len(grid)
+
+    def test_chain_passes_no_huge_exp_argument(self, exp_args):
+        # the full chain at alpha=12, K=1.05 has log Psi(T) ~ 6e127510; an
+        # exp of such an argument costs seconds, and none may come back
+        params = bd.ScenarioParams(p=1.5, q=4.0, alpha=12.0, K=1.05, eps=2.0)
+        rep = bd.mu_lower_orlicz_quasidisc(
+            cf.PerturbedPowerMap(0.3, 2),
+            dn.GaussianDensity(4.0),
+            params,
+            b_m_eps=0.6,
+            quad=cf.build_disk_quadrature(48, 32),
+        )
+        assert exp_args
+        huge = [abs(x) > 2**64 for x in exp_args]
+        assert not any(huge)
+        double_exponential = rep.intermediates["log_psi_of_t"] > mp.mpf(10) ** 127510
+        assert double_exponential
+        assert rep.bound == 0.0
+
+
 class TestHomogeneityAcrossMethods:
     def test_minus_one_homogeneity_of_bounds(self, pp_map, quad64):
         c = 4.2

@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,18 @@ def test_determinism_across_jobs(tmp_path, argv):
     fem_oracle._disk_rings.cache_clear()  # the threads fill the shared cache
     assert run([*argv, "--config", cfg, "--jobs", "4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_quasidisk_chain_matches_reference(tmp_path, monkeypatch):
+    # end to end over the numeric conjugate and the mpmath chain: the CSV
+    # must stay byte-identical to the committed benchmark reference
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    cfg = write(tmp_path, workloads.config_text("quasidisk-chain", 0))
+    out = tmp_path / "out.csv"
+    assert run(["bound", "--config", cfg, "--jobs", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (bench / "reference" / "quasidisk-chain.csv").read_bytes()
 
 
 class TestConfigParsing:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -175,6 +178,198 @@ class TestComplementary:
         assert np.max(np.abs(got - orig) / np.maximum(orig, 1e-30)) < 1e-4
 
 
+def dense_conjugate(of, v, refine, u_lo=1e-8, u_hi=1e4, n=2048):
+    """Reference for ``NumericComplement``: the full-grid scan.
+
+    Builds the (v, grid) objective array, takes the first argmax per row,
+    expands the grid while maximisers press against its top, then refines
+    by golden section exactly as ``NumericComplement`` does.
+    """
+
+    def build(top):
+        grid = np.geomspace(u_lo, top, n)
+        with np.errstate(over="ignore"):
+            return grid, np.asarray(of.eval(grid))
+
+    def scan(grid, m_grid):
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj = v[:, None] * grid[None, :] - m_grid[None, :]
+        obj = np.where(np.isnan(obj), -np.inf, obj)
+        return obj, np.argmax(obj, axis=1)
+
+    grid, m_grid = build(u_hi)
+    obj, idx = scan(grid, m_grid)
+    for _ in range(12):
+        if idx.max() < n - 2 or u_hi >= 1e120:
+            break
+        u_hi *= 64.0
+        grid, m_grid = build(u_hi)
+        obj, idx = scan(grid, m_grid)
+    best = obj[np.arange(len(v)), idx]
+    if refine:
+
+        def objective(u):
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = u * v - np.asarray(of.eval(u))
+            return np.where(np.isnan(val), -np.inf, val)
+
+        lo = grid[np.maximum(idx - 1, 0)]
+        hi = grid[np.minimum(idx + 1, n - 1)]
+        invphi = (np.sqrt(5.0) - 1.0) / 2.0
+        c = hi - invphi * (hi - lo)
+        d = lo + invphi * (hi - lo)
+        fc, fd = objective(c), objective(d)
+        for _ in range(48):
+            left = fc >= fd
+            hi = np.where(left, d, hi)
+            lo = np.where(left, lo, c)
+            c = hi - invphi * (hi - lo)
+            d = lo + invphi * (hi - lo)
+            fc, fd = objective(c), objective(d)
+        best = np.maximum(best, np.maximum(fc, fd))
+    return np.maximum(best, 0.0), idx, grid
+
+
+HULL_KINDS = [
+    yf.PsiEpsAlpha(2.0, 12.0),
+    yf.PsiAlpha(12.0),
+    yf.LogLinear(),
+    yf.LogLinearTilde(),
+    yf.PowerP(3.0),
+    yf.ExpSquare(),
+]
+
+
+class TestHullLookup:
+    """The hull lookup must reproduce the full-grid scan bit for bit."""
+
+    @staticmethod
+    def probe_v():
+        rng = np.random.default_rng(20260)
+        return np.concatenate(
+            [
+                np.exp(rng.uniform(-12.0, 12.0, 300)),
+                # maximisers beyond the initial grid top: forces expansion
+                # for every kind that can reach it, up to the 1e120 cap
+                [1e6, 3e8, 1e9, 1e12, 1e15],
+                # tiny slopes: maximisers at the end of Psi's flat zero region
+                np.geomspace(1e-12, 1e-3, 19),
+            ]
+        )
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refined"])
+    @pytest.mark.parametrize("young", HULL_KINDS, ids=lambda y: y.name)
+    def test_matches_dense_scan(self, young, refine):
+        v = self.probe_v()
+        with np.errstate(all="raise"):
+            want, want_idx, want_grid = dense_conjugate(young, v, refine)
+            conj = yf.NumericComplement(young, refine=refine)
+            got = np.asarray(conj.eval(v))
+            grid = conj._grid_state
+            idx, _ = yf._conjugate_argmax(grid, v)
+        assert np.array_equal(grid.u, want_grid)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(got, want)
+
+    def test_expansion_and_flat_region_are_exercised(self):
+        v = self.probe_v()
+        for young in (yf.PowerP(3.0), yf.LogLinear()):
+            conj = yf.NumericComplement(young, refine=False)
+            conj.eval(v)
+            assert conj._grid_state.u_hi > 1e4
+        psi = yf.PsiAlpha(12.0)
+        grid = yf.NumericComplement(psi, refine=False)._grid_state
+        flat = np.flatnonzero(grid.m == 0.0)
+        assert len(flat) > 100
+        # the flat run collapses to its two ends on the hull
+        assert np.isin(flat, grid.hull).sum() == 2
+        # on the flat run v*u grows with u, so the tiniest slopes pick its end
+        idx, _ = yf._conjugate_argmax(grid, v[-19:])
+        assert idx.min() == flat[-1]
+
+    def test_hull_is_convex_and_overflow_safe(self):
+        with np.errstate(all="raise"):
+            for young in HULL_KINDS:
+                grid = yf.NumericComplement(young)._grid_state
+                assert grid.hull[0] == 0
+                assert np.all(np.diff(grid.slopes) > 0)
+                finite = np.isfinite(grid.m)
+                # every finite grid point lies on or above the hull
+                chord = np.interp(grid.u[finite], grid.u[grid.hull], grid.m[grid.hull])
+                assert np.all(grid.m[finite] >= chord * (1.0 - 1e-12))
+
+    def test_shared_instance_across_threads(self):
+        # more threads than cores, a short switch interval, and every thread
+        # enlarging one shared grid: each value must be the scan of one whole
+        # grid state, which a grid read half-replaced would break
+        young = yf.PowerP(3.0)
+        vs = np.array([5.0, 10.0, 1e9, 1e13, 1e16, 1e19])
+        allowed = [
+            {dense_conjugate(young, vs[[i]], False, u_hi=1e4 * 64.0**k)[0][0] for k in range(8)}
+            for i in range(len(vs))
+        ]
+        conj = yf.NumericComplement(young, refine=False)
+        results, errors = [], []
+
+        def work(seed):
+            order = np.random.default_rng(seed).permutation(len(vs))
+            try:
+                for _ in range(25):
+                    for i in order:
+                        results.append((i, conj.eval(vs[i])))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        def shrink():
+            # keep putting the initial grid back, so that enlargements recur
+            for _ in range(400):
+                conj._build_grid(1e4)
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]
+        threads.append(threading.Thread(target=shrink))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 8 * 25 * len(vs)
+        assert all(val in allowed[i] for i, val in results)
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refined"])
+    def test_window_widens_on_collinear_runs(self, refine):
+        # piecewise-linear M: some 260 grid points lie on the slope-0.3
+        # piece, so v near 0.3 makes them tie up to rounding noise and the
+        # first float maximum can sit far from the hull vertex found
+        tab = yf.TableYoung([0.0, 1.0, 1000.0, 2000.0], [0.0, 0.1, 299.8, 999.8])
+        v = np.array([0.05, 0.2, 0.1 * 3, 0.3, 0.3 + 1e-16, 0.3 - 1e-16, 0.5, 0.69])
+        with np.errstate(all="raise"):
+            want, want_idx, _ = dense_conjugate(tab, v, refine, u_hi=1500.0)
+            conj = yf.NumericComplement(tab, u_hi=1500.0, refine=refine)
+            got = np.asarray(conj.eval(v))
+            idx, _ = yf._conjugate_argmax(conj._grid_state, v)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(got, want)
+
+
+    def test_window_follows_a_maximum_off_its_edge(self):
+        # a deliberately poor centre (a one-vertex "hull" at u_0) leaves only
+        # the edge rule to carry each window out to the true maximum
+        u = np.geomspace(1e-3, 10.0, 200)
+        m = u * u
+        grid = yf._ConjugateGrid(u, m, np.array([0]), np.array([]), 10.0)
+        v = 2.0 * u[[3, 40, 120, 199]]
+        idx, best = yf._conjugate_argmax(grid, v)
+        obj = v[:, None] * u[None, :] - m[None, :]
+        assert np.array_equal(idx, np.argmax(obj, axis=1))
+        assert np.array_equal(best, obj.max(axis=1))
+
+
 class TestProbes:
     def test_delta_prime_log_linear(self):
         sup = yf.probe_delta_prime(yf.LogLinear())
@@ -254,6 +449,26 @@ def test_psi_log_eval_from_log_huge():
     psi = yf.PsiAlpha(4.0)
     g = psi.log_eval_from_log(127834.0)
     assert mp.isfinite(g) and g > mp.mpf(10) ** 55000
+
+
+@pytest.mark.parametrize("prec", [53, 120])
+def test_log_inner_shortcut_is_exact(exp_args, prec):
+    # log1p(-exp(1-y)) is skipped once rounding would discard it; scanning y
+    # across that threshold, both branches must equal the full formula
+    import mpmath as mp
+
+    grid = np.arange(20.0, 100.0, 0.125)
+    skipped = 0
+    with mp.workprec(prec):
+        for y in grid:
+            x = float(np.log(y))
+            my = mp.mpf(y)
+            calls = len(exp_args)
+            got = yf._log_inner(x, my)
+            skipped += len(exp_args) == calls
+            full = mp.mpf(x) + 1 + (my - 1) + mp.log1p(-mp.exp(1 - my))
+            assert got._mpf_ == full._mpf_, y
+    assert 0 < skipped < len(grid)
 
 
 def test_table_young():
