@@ -8,6 +8,7 @@ youngfn     Young functions, conjugates, growth-condition probes
 orlicz      Luxemburg/Orlicz norms on discrete quadrature measures
 conformal   analytic map families, disk quadrature, pullbacks
 densities   positive density fields (direct and pullback-defined)
+spec        the ``kind key=value`` grammar of map and density specs
 bounds      the eigenvalue lower-bound formulas and their constants
 fem_oracle  P1 finite elements and the Bessel-root disk reference
 cli         batch driver (``neumann-bounds`` command)

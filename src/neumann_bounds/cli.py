@@ -29,9 +29,17 @@ keys:
                            command): log_linear | log_pow:<eps> |
                            exp_square | power:<p>
 
+The map and density kinds and their parameters are the rows of
+``conformal.MAP_KINDS`` and ``densities.DENSITY_KINDS``; parameters in
+``[..]`` are optional.  A spec with an unknown kind, an unknown, repeated,
+missing or uncastable parameter is a config error, and so is a ``samples``
+file that cannot be read, holds a non-positive value or does not have one
+value per quadrature node.
+
 Exit codes: 0 success, 1 soundness violation (verify), 2 usage/config or
-parameter-range errors.  Numeric failures inside a scenario become a
-row-level ``error:`` flag and do not change the exit code.
+parameter-range errors, reported with the config line number.  Numeric
+failures inside a scenario become a row-level ``error:`` flag; verify counts
+such a row as unsound, the other commands keep exit code 0.
 
 Output determinism: identical configs produce byte-identical CSV (fixed
 17-significant-digit formatting, rows in config order, seeded solvers).
@@ -52,8 +60,8 @@ from . import __version__
 from . import bounds as bnd
 from . import fem_oracle
 from .conformal import build_disk_quadrature, map_from_spec
-from .densities import density_from_spec
-from .errors import ConfigError, NeumannBoundsError, ParameterError
+from .densities import SampledDensity, density_from_spec
+from .errors import ConfigError, DensityError, NeumannBoundsError, ParameterError
 from .orlicz import SampledFunction, luxemburg_norm
 from .youngfn import ExpSquare, LogLinear, LogPow, PowerP
 
@@ -107,76 +115,19 @@ class Scenario:
         return bnd.ScenarioParams(p=self.p, q=self.q, alpha=self.alpha, K=self.K, eps=self.eps)
 
     def build(self):
-        cmap = _parse_map(self.map_spec, self.line)
-        quad = build_disk_quadrature(self.quad_nr, self.quad_ntheta)
-        rho = _parse_density(self.density_spec, self.line, quad)
-        return cmap, rho, quad
-
-
-def _parse_kv_tail(tokens, line, caster=None):
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ConfigError(f"line {line}: expected key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
-        out[key.strip()] = val.strip() if caster is None else caster(val.strip())
-    return out
-
-
-def _parse_complex(text, line):
-    try:
-        return complex(text)
-    except ValueError as exc:
-        raise ConfigError(f"line {line}: bad complex literal {text!r}") from exc
-
-
-def _parse_map(spec, line):
-    tokens = spec.split()
-    kind = tokens[0].lower()
-    raw = _parse_kv_tail(tokens[1:], line)
-    try:
-        if kind == "identity":
-            return map_from_spec("identity")
-        if kind == "perturbed_power":
-            return map_from_spec(
-                "perturbed_power", c=_parse_complex(raw["c"], line), k=int(raw["k"])
-            )
-        if kind == "polynomial":
-            coeffs = [_parse_complex(t, line) for t in raw["coeffs"].split(",")]
-            return map_from_spec("polynomial", coeffs=coeffs)
-        if kind == "moebius":
-            return map_from_spec("moebius", a=_parse_complex(raw["a"], line))
-    except KeyError as exc:
-        raise ConfigError(f"line {line}: map {kind!r} missing parameter {exc}") from exc
-    raise ConfigError(f"line {line}: unknown map kind {kind!r}")
-
-
-def _parse_density(spec, line, quad):
-    tokens = spec.split()
-    kind = tokens[0].lower()
-    raw = _parse_kv_tail(tokens[1:], line)
-    try:
-        if kind == "constant":
-            return density_from_spec("constant", c=float(raw.get("c", 1.0)))
-        if kind == "gaussian":
-            return density_from_spec("gaussian", n=float(raw["n"]))
-        if kind == "pullback_jacobian_power":
-            return density_from_spec(
-                "pullback_jacobian_power", exponent=float(raw.get("exponent", 1.0))
-            )
-        if kind == "pullback_orlicz_canceling":
-            return density_from_spec("pullback_orlicz_canceling", eps=float(raw["eps"]))
-        if kind == "samples":
-            values = np.loadtxt(raw["file"], dtype=float).ravel()
-            if len(values) != len(quad):
+        """(map, density, quadrature); a bad spec or range is a ConfigError."""
+        try:
+            cmap = map_from_spec(self.map_spec)
+            quad = build_disk_quadrature(self.quad_nr, self.quad_ntheta)
+            rho = density_from_spec(self.density_spec)
+            if isinstance(rho, SampledDensity) and rho.values.size != len(quad):
                 raise ConfigError(
-                    f"line {line}: samples file has {len(values)} values, "
+                    f"samples file has {rho.values.size} values, "
                     f"quadrature has {len(quad)} nodes"
                 )
-            return density_from_spec("samples", values=values)
-    except KeyError as exc:
-        raise ConfigError(f"line {line}: density {kind!r} missing parameter {exc}") from exc
-    raise ConfigError(f"line {line}: unknown density kind {kind!r}")
+        except (ConfigError, ParameterError, DensityError) as exc:
+            raise ConfigError(f"line {self.line}: scenario {self.sid!r}: {exc}") from exc
+        return cmap, rho, quad
 
 
 _FLOAT_KEYS = {"p", "q", "alpha", "k", "eps", "b_m_eps"}
@@ -194,7 +145,10 @@ def _apply_key(sc, key, value, line):
     elif lk == "methods":
         sc.methods = [m.strip() for m in value.split(",") if m.strip()]
     elif lk == "sweep_n":
-        sc.sweep_n = [int(float(t)) for t in value.split(",")]
+        try:
+            sc.sweep_n = [int(float(t)) for t in value.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"line {line}: bad number list for {key}: {value!r}") from exc
     elif lk == "young":
         sc.young = value.strip()
     elif lk in _FLOAT_KEYS:
@@ -267,27 +221,43 @@ def _validate_scenario(sc, command):
             params.validate_quasidisc()
         if "kq" in sc.methods and sc.q <= 2:
             raise ParameterError(f"q must exceed 2, got {sc.q}")
+        if "kphi" in sc.methods:
+            LogPow(sc.eps)  # range-checks eps
     except ParameterError as exc:
         raise ConfigError(f"line {sc.line}: scenario {sc.sid!r}: {exc}") from exc
+    if "luxemburg" in sc.methods:
+        _young_from_name(sc.young, sc.line)
     sc.build()  # surfaces bad map/density specs now
 
 
 def _young_from_name(name, line):
     name = name.strip().lower()
-    if name == "log_linear":
-        return LogLinear()
-    if name == "exp_square":
-        return ExpSquare()
-    if name.startswith("log_pow:"):
-        return LogPow(float(name.split(":", 1)[1]))
-    if name.startswith("power:"):
-        return PowerP(float(name.split(":", 1)[1]))
+    try:
+        if name == "log_linear":
+            return LogLinear()
+        if name == "exp_square":
+            return ExpSquare()
+        if name.startswith("log_pow:"):
+            return LogPow(float(name.split(":", 1)[1]))
+        if name.startswith("power:"):
+            return PowerP(float(name.split(":", 1)[1]))
+    except ValueError as exc:
+        raise ConfigError(f"line {line}: bad young function {name!r}: {exc}") from exc
     raise ConfigError(f"line {line}: unknown young function {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # per-scenario work
 # ---------------------------------------------------------------------------
+
+
+def _sweep(sc, cmap, quad):
+    """Gaussian-sweep reports, their log-log slope and the predicted slope
+    (q-2)/(q s), with s the density-norm exponent."""
+    params = sc.params()
+    reports = bnd.gaussian_sweep(sc.sweep_n, params, cmap, quad)
+    predicted = (sc.q - 2.0) / (sc.q * params.lebesgue_exponent())
+    return reports, bnd.fit_loglog_slope(sc.sweep_n, reports), predicted
 
 
 def _bound_reports(sc, cmap, rho, quad):
@@ -307,11 +277,9 @@ def _bound_reports(sc, cmap, rho, quad):
             elif method == "orlicz_quasidisc":
                 rep = bnd.mu_lower_orlicz_quasidisc(cmap, rho, params, sc.b_m_eps, quad)
             elif method == "gaussian_sweep":
-                reports = bnd.gaussian_sweep(sc.sweep_n, params, cmap, quad)
+                reports, slope, predicted = _sweep(sc, cmap, quad)
                 for n, rep_n in zip(sc.sweep_n, reports):
                     out.append((f"gaussian_sweep[n={n}]", rep_n))
-                slope = bnd.fit_loglog_slope(sc.sweep_n, reports)
-                predicted = (sc.q - 2.0) / (sc.q * params.lebesgue_exponent())
                 out.append(
                     ("gaussian_sweep[slope]", {"slope": slope, "predicted": predicted})
                 )
@@ -385,8 +353,10 @@ def _rows_verify(sc, tol, corrupt=1.0):
 
 def _rows_sweep(sc):
     cmap, _, quad = sc.build()
-    params = sc.params()
-    reports = bnd.gaussian_sweep(sc.sweep_n, params, cmap, quad)
+    try:
+        reports, slope, predicted = _sweep(sc, cmap, quad)
+    except NeumannBoundsError as exc:
+        return [[sc.sid, "sweep", "nan", "nan", "nan", "nan", f"error:{exc}"]]
     rows = []
     for n, rep in zip(sc.sweep_n, reports):
         rows.append(
@@ -400,9 +370,6 @@ def _rows_sweep(sc):
                 ";".join(rep.validity_flags),
             ]
         )
-    slope = bnd.fit_loglog_slope(sc.sweep_n, reports)
-    s = params.lebesgue_exponent()
-    predicted = (sc.q - 2.0) / (sc.q * s)
     rows.append([sc.sid, "slope", fmt(slope), fmt(predicted), "", "", ""])
     return rows
 

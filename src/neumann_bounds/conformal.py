@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
+from .spec import parse_spec
 
 __all__ = [
     "ConformalMap",
@@ -28,11 +29,9 @@ __all__ = [
     "DiskQuadrature",
     "build_disk_quadrature",
     "build_disk_quadrature_graded",
-    "jacobian",
     "image_area",
-    "alpha_regularity_integral",
-    "pullback_density",
     "pullback_mass_density",
+    "MAP_KINDS",
     "map_from_spec",
 ]
 
@@ -256,41 +255,9 @@ class MoebiusDiskMap(ConformalMap):
 # ---------------------------------------------------------------------------
 
 
-def jacobian(cmap, z):
-    return cmap.jacobian(z)
-
-
 def image_area(cmap, quad):
     """Area of the image domain: sum of w_i * J(z_i)."""
     return float(np.sum(quad.weights * cmap.jacobian(quad.nodes)))
-
-
-def alpha_regularity_integral(cmap, alpha, quad):
-    """Integral of |phi'|^alpha over the disk (equals integral of J^(alpha/2)).
-
-    Returns (value, analytic_bound); the bound is pi * sup|phi'|^alpha when
-    the family carries a derivative sup bound, else None.
-    """
-    if alpha <= 2:
-        raise ParameterError(f"alpha must exceed 2, got {alpha}")
-    jac = cmap.jacobian(quad.nodes)
-    value = float(np.sum(quad.weights * jac ** (alpha / 2.0)))
-    bound = None
-    if cmap.derivative_sup_bound is not None:
-        bound = float(np.pi * cmap.derivative_sup_bound**alpha)
-    return value, bound
-
-
-def pullback_density(rho, cmap, quad):
-    """Sample rho at mapped quadrature nodes: values rho(phi(z_i)).
-
-    Returns a SampledFunction carried by the disk measure.  Raises if any
-    sample is non-positive or non-finite.
-    """
-    from .orlicz import SampledFunction
-
-    values = rho.on_disk(cmap, quad.nodes)
-    return SampledFunction(np.asarray(values, dtype=float), quad.weights, quad.measure_id)
 
 
 def pullback_mass_density(rho, cmap, quad):
@@ -305,15 +272,19 @@ def pullback_mass_density(rho, cmap, quad):
     return SampledFunction(np.asarray(values, dtype=float), quad.weights, quad.measure_id)
 
 
-def map_from_spec(kind, **params):
-    """Construct a map from its config-grammar name and parameters."""
-    kind = kind.strip().lower()
-    if kind == "identity":
-        return IdentityMap()
-    if kind == "perturbed_power":
-        return PerturbedPowerMap(params["c"], params["k"])
-    if kind == "polynomial":
-        return PolynomialMap(params["coeffs"])
-    if kind == "moebius":
-        return MoebiusDiskMap(params["a"])
-    raise ConfigError(f"unknown map kind {kind!r}")
+def _complex_list(text):
+    return [complex(t) for t in text.split(",")]
+
+
+#: config-grammar kind -> (constructor, {parameter: cast of its value text})
+MAP_KINDS = {
+    "identity": (IdentityMap, {}),
+    "perturbed_power": (PerturbedPowerMap, {"c": complex, "k": int}),
+    "polynomial": (PolynomialMap, {"coeffs": _complex_list}),
+    "moebius": (MoebiusDiskMap, {"a": complex}),
+}
+
+
+def map_from_spec(spec):
+    """Construct a map from config text such as ``perturbed_power c=0.5 k=2``."""
+    return parse_spec(MAP_KINDS, spec, "map")

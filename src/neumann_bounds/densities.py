@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DensityError
+from .spec import parse_spec
 from .youngfn import LogPow
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "PullbackOrliczCanceling",
     "CallableDensity",
     "SampledDensity",
+    "DENSITY_KINDS",
     "density_from_spec",
 ]
 
@@ -164,8 +166,8 @@ class SampledDensity(DensityField):
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-        self._check(self.values)
         self.name = f"sampled({len(self.values)} pts)"
+        self._check(self.values)
 
     def on_disk(self, cmap, z):
         z = np.asarray(z)
@@ -177,17 +179,21 @@ class SampledDensity(DensityField):
         return self.values.reshape(z.shape)
 
 
-def density_from_spec(kind, **params):
-    """Construct a density from its config-grammar name and parameters."""
-    kind = kind.strip().lower()
-    if kind == "constant":
-        return ConstantDensity(params.get("c", 1.0))
-    if kind == "gaussian":
-        return GaussianDensity(params["n"])
-    if kind == "pullback_jacobian_power":
-        return PullbackJacobianPower(params.get("exponent", 1.0))
-    if kind == "pullback_orlicz_canceling":
-        return PullbackOrliczCanceling(params["eps"])
-    if kind == "samples":
-        return SampledDensity(params["values"])
-    raise ConfigError(f"unknown density kind {kind!r}")
+def _load_samples(path):
+    return np.loadtxt(path, dtype=float).ravel()
+
+
+#: config-grammar kind -> (constructor, {parameter: cast of its value text})
+DENSITY_KINDS = {
+    "constant": (ConstantDensity, {"c": float}),
+    "gaussian": (GaussianDensity, {"n": float}),
+    "pullback_jacobian_power": (PullbackJacobianPower, {"exponent": float}),
+    "pullback_orlicz_canceling": (PullbackOrliczCanceling, {"eps": float}),
+    # a text file with one value per quadrature node
+    "samples": (lambda file: SampledDensity(file), {"file": _load_samples}),
+}
+
+
+def density_from_spec(spec):
+    """Construct a density from config text such as ``gaussian n=4``."""
+    return parse_spec(DENSITY_KINDS, spec, "density")

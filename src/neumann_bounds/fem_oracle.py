@@ -89,19 +89,6 @@ class TriMesh:
         z = self.disk_vertices[self.triangles]
         return z.mean(axis=1)
 
-    def dumps(self):
-        """Plain-text dump: one-line header, vertex lines, triangle lines."""
-        lines = [f"trimesh 1 {self.num_vertices} {self.num_triangles}"]
-        for x, y in self.vertices:
-            lines.append(f"{float(x)!r} {float(y)!r}")
-        for a, b, c in self.triangles:
-            lines.append(f"{a} {b} {c}")
-        return "\n".join(lines) + "\n"
-
-    def dump(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-
 
 @lru_cache(maxsize=None)
 def _disk_rings(level):

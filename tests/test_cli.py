@@ -1,4 +1,5 @@
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,36 @@ class TestConfigParsing:
 
     def test_missing_config(self):
         assert run(["bound", "--config", "/nonexistent/path.ini"]) == 2
+
+
+# lines appended to a valid scenario (a later key overrides an earlier one)
+MALFORMED = {
+    "map-k-not-int": ("bound", "map = perturbed_power c=0.5 k=2.5"),
+    "gaussian-n-not-float": ("bound", "density = gaussian n=abc"),
+    "exponent-not-float": ("bound", "density = pullback_jacobian_power exponent=abc"),
+    "empty-map": ("bound", "map ="),
+    "missing-samples-file": ("bound", "density = samples file=/nonexistent.txt"),
+    "negative-samples": ("bound", "density = samples file={negative}"),
+    "sweep_n-not-numbers": ("bound", "sweep_n = 10,abc"),
+    "unknown-density-parameter": ("bound", "density = constant n=5"),
+    "unknown-map-parameter": ("bound", "map = perturbed_power c=0.5 k=2 kk=3"),
+    "moebius-not-certified": ("bound", "map = moebius a=0.9"),
+    "unknown-young": ("norms", "methods = luxemburg\nyoung = nosuch"),
+    "young-not-number": ("norms", "methods = luxemburg\nyoung = log_pow:abc"),
+    "kphi-eps-below-one": ("norms", "methods = kphi\neps = 0.5"),
+}
+
+
+@pytest.mark.parametrize("command, lines", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_config_exits_2_with_line(tmp_path, capsys, command, lines):
+    negative = tmp_path / "negative.txt"
+    negative.write_text("-1.0\n" * 4096)  # one value per node of the 64x64 default
+    text = "[scenario]\nid = bad\nmap = identity\ndensity = constant\nmethods = esssup\n"
+    cfg = write(tmp_path, text + lines.format(negative=negative) + "\n")
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: line \d+: ", err), err
+    assert "Traceback" not in err
 
 
 class TestBoundCommand:
@@ -220,6 +251,22 @@ class TestSweepCommand:
         slope_row = rows[-1]
         assert float(slope_row[2]) == pytest.approx(float(slope_row[3]), rel=0.05)
         assert float(slope_row[3]) == pytest.approx(0.2, rel=1e-12)
+
+
+    def test_numeric_failure_becomes_error_row(self, tmp_path, capsys):
+        # the 48x32 rule over-estimates the off-centre Gaussian norm at n=10,
+        # so the sweep's domination check raises ConvergenceError
+        text = (
+            "quad_nr = 48\nquad_ntheta = 32\nK = 1.05\n\n[scenario]\nid = off-centre\n"
+            "map = moebius a=0.4+0.1j\ndensity = gaussian n=1\nsweep_n = 1,10,100\n"
+        )
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+        rows = [line.split(",", 6) for line in out.read_text().splitlines()[3:]]
+        assert len(rows) == 1
+        assert rows[0][:2] == ["off-centre", "sweep"]
+        assert rows[0][6].startswith("error:quadrature norm exceeds")
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestNormsCommand:

@@ -1,9 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from neumann_bounds import conformal as cf
 from neumann_bounds import densities as dn
-from neumann_bounds.errors import ConfigError, DensityError, DomainError, ParameterError
+from neumann_bounds.errors import ConfigError, DomainError, ParameterError
 
 
 class TestQuadrature:
@@ -60,6 +62,8 @@ class TestMaps:
         assert pp_map.jacobian(0.0) == pytest.approx(1.0, rel=1e-14)
         # |1 + c z|^2 at z -> 1 approaches |1.5|^2
         assert pp_map.jacobian(1.0 - 1e-12) == pytest.approx(2.25, rel=1e-9)
+        # ... which the analytic sup |phi'| = 1 + |c| attains
+        assert pp_map.derivative_sup_bound == pytest.approx(1.5, rel=1e-14)
 
     def test_jacobian_domain(self, pp_map):
         with pytest.raises(DomainError):
@@ -108,17 +112,6 @@ class TestMaps:
         for cmap in maps:
             assert np.all(np.abs(cmap.map(z1) - cmap.map(z2)) > 0)
 
-    def test_alpha_regularity(self, identity_map, pp_map, quad64):
-        val, bound = cf.alpha_regularity_integral(identity_map, 4.0, quad64)
-        assert val == pytest.approx(np.pi, rel=1e-12)
-        assert bound == pytest.approx(np.pi, rel=1e-12)
-        val, bound = cf.alpha_regularity_integral(pp_map, 4.0, quad64)
-        assert np.pi * 0.5**4 <= val <= np.pi * 1.5**4
-        assert bound == pytest.approx(np.pi * 1.5**4, rel=1e-12)
-        assert pp_map.derivative_sup_bound == pytest.approx(1.5, rel=1e-14)
-        with pytest.raises(ParameterError):
-            cf.alpha_regularity_integral(identity_map, 2.0, quad64)
-
     def test_change_of_variables_identities(self, pp_map, quad64):
         # disk mass pi equals the image integral of the inverse-map Jacobian,
         # pulled back: integral over disk of (1/J) * J dy
@@ -132,31 +125,43 @@ class TestMaps:
 
     def test_map_from_spec(self):
         assert isinstance(cf.map_from_spec("identity"), cf.IdentityMap)
-        pp = cf.map_from_spec("perturbed_power", c=0.5, k=2)
+        pp = cf.map_from_spec("Perturbed_Power c=0.5 k=2")
         assert isinstance(pp, cf.PerturbedPowerMap)
-        with pytest.raises(ConfigError):
-            cf.map_from_spec("spiral")
+        assert (pp.c, pp.k) == (0.5, 2)
+        poly = cf.map_from_spec("polynomial coeffs=1,0,0.1j")
+        assert list(poly.coeffs) == [1.0, 0.0, 0.1j]
+        assert cf.map_from_spec("moebius a=0.3+0.2j").a == 0.3 + 0.2j
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            ("", "empty map spec"),
+            ("spiral", "unknown map kind 'spiral'"),
+            ("identity x", "expected key=value"),
+            ("perturbed_power c=0.5 k=2 kk=3", "unknown parameter 'kk'"),
+            ("perturbed_power c=0.5 k=2 c=0.3", "'c' given twice"),
+            ("perturbed_power c=0.5", "missing parameter 'k'"),
+            ("perturbed_power c=0.5 k=2.5", "bad value '2.5' for k"),
+            ("moebius a=abc", "bad value 'abc' for a"),
+            ("polynomial coeffs=1,,2", "bad value '1,,2' for coeffs"),
+        ],
+    )
+    def test_map_spec_errors(self, spec, match):
+        with pytest.raises(ConfigError, match=match):
+            cf.map_from_spec(spec)
+
+    def test_spec_range_errors_pass_through(self):
+        with pytest.raises(ParameterError):
+            cf.map_from_spec("moebius a=0.9")
+
+    @pytest.mark.parametrize("table", [cf.MAP_KINDS, dn.DENSITY_KINDS], ids=["map", "density"])
+    def test_kind_schemas_match_constructors(self, table):
+        for ctor, schema in table.values():
+            assert set(schema) == set(inspect.signature(ctor).parameters)
 
 
 class TestPullback:
-    def test_constant_density(self, identity_map, quad64):
-        f = cf.pullback_density(dn.ConstantDensity(1.0), identity_map, quad64)
-        assert np.all(f.values == 1.0)
-        assert f.total_measure == pytest.approx(np.pi, rel=1e-12)
-
-    def test_gaussian_pullback(self, identity_map, quad64):
-        rho = dn.GaussianDensity(3.0)
-        f = cf.pullback_density(rho, identity_map, quad64)
-        expected = np.exp(-3.0 * np.abs(quad64.nodes) ** 2)
-        assert np.max(np.abs(f.values - expected)) < 1e-15
-
     def test_canceling_density(self, pp_map, quad64):
         rho = dn.PullbackJacobianPower(1.0)
         g = cf.pullback_mass_density(rho, pp_map, quad64)
         assert np.max(np.abs(g.values - 1.0)) < 1e-12
-
-    def test_nonpositive_rejected(self, identity_map, quad64):
-        with pytest.raises(DensityError):
-            cf.pullback_density(
-                dn.CallableDensity(lambda x: x.real, name="signed"), identity_map, quad64
-            )

@@ -13,8 +13,10 @@ def test_constant(identity_map, quad64):
         dn.ConstantDensity(0.0)
 
 
-def test_gaussian_log_twin(pp_map, quad64):
+def test_gaussian_log_twin(identity_map, pp_map, quad64):
     rho = dn.GaussianDensity(4.0)
+    expected = np.exp(-4.0 * np.abs(quad64.nodes) ** 2)
+    assert np.max(np.abs(rho.on_disk(identity_map, quad64.nodes) - expected)) < 1e-15
     lin = rho.on_disk(pp_map, quad64.nodes)
     logv = rho.log_on_disk(pp_map, quad64.nodes)
     assert np.max(np.abs(np.log(lin) - logv)) < 1e-12
@@ -47,20 +49,34 @@ def test_sampled_density(identity_map, quad64):
     assert np.all(rho.on_disk(identity_map, quad64.nodes) == 1.0)
     with pytest.raises(DensityError):
         rho.on_disk(identity_map, quad64.nodes[:5])
-    with pytest.raises(DensityError):
+    with pytest.raises(DensityError, match=r"^sampled\(2 pts\):"):
         dn.SampledDensity(np.array([1.0, -2.0]))
 
 
-def test_density_from_spec():
-    assert isinstance(dn.density_from_spec("constant", c=2.0), dn.ConstantDensity)
-    assert isinstance(dn.density_from_spec("gaussian", n=3), dn.GaussianDensity)
-    assert isinstance(
-        dn.density_from_spec("pullback_jacobian_power", exponent=0.5),
-        dn.PullbackJacobianPower,
-    )
-    assert isinstance(
-        dn.density_from_spec("pullback_orlicz_canceling", eps=2.0),
-        dn.PullbackOrliczCanceling,
-    )
-    with pytest.raises(ConfigError):
-        dn.density_from_spec("fog")
+def test_density_from_spec(tmp_path):
+    assert dn.density_from_spec("constant").c == 1.0
+    assert dn.density_from_spec("constant c=2").c == 2.0
+    assert dn.density_from_spec("Gaussian n=3").n == 3.0
+    assert dn.density_from_spec("pullback_jacobian_power").exponent == 1.0
+    assert dn.density_from_spec("pullback_jacobian_power exponent=0.5").exponent == 0.5
+    assert dn.density_from_spec("pullback_orlicz_canceling eps=2").eps == 2.0
+    path = tmp_path / "vals.txt"
+    path.write_text("1.0 2.0\n3.0 4.0\n")
+    rho = dn.density_from_spec(f"samples file={path}")
+    assert list(rho.values) == [1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        ("fog", "unknown density kind 'fog'"),
+        ("constant n=5", "unknown parameter 'n'"),
+        ("gaussian", "missing parameter 'n'"),
+        ("gaussian n=abc", "bad value 'abc' for n"),
+        ("samples file=/nonexistent/vals.txt", "bad value .* for file"),
+    ],
+)
+def test_density_spec_errors(spec, match):
+    with pytest.raises(ConfigError, match=match):
+        dn.density_from_spec(spec)
+

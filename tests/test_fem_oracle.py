@@ -63,18 +63,6 @@ class TestMesh:
         with pytest.raises(ValueError):
             mesh.triangles[0, 0] = 1
 
-    def test_dump_roundtrip(self, identity_map, tmp_path):
-        mesh = fo.mesh_from_map(identity_map, 2)
-        path = tmp_path / "mesh.txt"
-        mesh.dump(path)
-        lines = path.read_text().splitlines()
-        tag, version, nv, nt = lines[0].split()
-        assert tag == "trimesh" and version == "1"
-        assert int(nv) == mesh.num_vertices and int(nt) == mesh.num_triangles
-        assert len(lines) == 1 + mesh.num_vertices + mesh.num_triangles
-        x0, y0 = map(float, lines[1].split())
-        assert (x0, y0) == (0.0, 0.0)
-
 
 class TestAssembly:
     def test_stiffness_kernel(self, identity_map, rho_one):
