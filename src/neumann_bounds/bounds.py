@@ -29,7 +29,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import fem_oracle
 from .conformal import build_disk_quadrature, image_area, pullback_mass_density
@@ -173,6 +172,28 @@ class BoundReport:
         return not self.validity_flags
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a 1-D float array, without overflow.
+
+    Reproduces ``scipy.special.logsumexp(a)`` bit for bit (scipy 1.17
+    arithmetic), so the bound routes need no scipy import: the maximal
+    entries are counted and summed apart from the shifted rest, and a
+    non-finite result falls back to the direct sum.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        at_max = a == a_max
+        m = np.sum(at_max, dtype=float)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 # log of 2^-1076, a quarter of float64's smallest subnormal: exp of an mpf
 # below it converts to 0.0, with a bit of margin for the rounding of exp
 _LOG_FLOAT_UNDERFLOW = (sys.float_info.min_exp - sys.float_info.mant_dig - 2) * math.log(2.0)
@@ -293,7 +314,7 @@ def k_q(cmap, rho, q, quad):
     g = pullback_mass_density(rho, cmap, quad)
     r = q / (q - 2.0)
     log_terms = r * np.log(g.values) + np.log(g.weights)
-    return float(math.exp(logsumexp(log_terms) / r))
+    return float(math.exp(_logsumexp(log_terms) / r))
 
 
 def mu_lower_kq(cmap, rho, p, q, quad):
@@ -407,7 +428,7 @@ def _log_rho_norm_pullback(cmap, rho, s, quad):
     log_vals = np.asarray(rho.log_on_disk(cmap, quad.nodes), dtype=float)
     jac = cmap.jacobian(quad.nodes)
     log_terms = s * log_vals + np.log(jac) + np.log(quad.weights)
-    return float(logsumexp(log_terms) / s)
+    return float(_logsumexp(log_terms) / s)
 
 
 def mu_lower_quasidisc(cmap, rho, params, quad):

@@ -198,6 +198,10 @@ def _validate_scenario(sc, command):
     """Range-check everything the requested methods will need (before work)."""
     params = sc.params()
     try:
+        if command == "sweep" or "gaussian_sweep" in sc.methods:
+            low = [n for n in sc.sweep_n if n < 1]
+            if low:  # sweep_n entries are truncated to integers, so 0.5 is 0
+                raise ParameterError(f"sweep_n values must be >= 1, got {low[0]}")
         if command == "sweep":
             params.validate_jacobian_free()
             sc.build()

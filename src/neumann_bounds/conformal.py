@@ -14,6 +14,7 @@ n_angular - 1 exactly, weights sum to pi, and no node touches |z| = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,8 +58,13 @@ class DiskQuadrature:
         return len(self.nodes)
 
 
+@lru_cache(maxsize=None)
 def build_disk_quadrature(n_radial, n_angular):
-    """Tensor Gauss-Legendre (in r^2) x uniform-angle rule on the disk."""
+    """Tensor Gauss-Legendre (in r^2) x uniform-angle rule on the disk.
+
+    The rule depends on the two orders alone, so it is cached and shared by
+    every caller; its arrays are read-only for that reason.
+    """
     if n_radial < 4:
         raise ConfigError(f"n_radial must be >= 4, got {n_radial}")
     if n_angular < 8:
@@ -70,6 +76,8 @@ def build_disk_quadrature(n_radial, n_angular):
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     w = np.repeat(a * np.pi / n_angular, n_angular)
+    z.flags.writeable = False
+    w.flags.writeable = False
     return DiskQuadrature(nodes=z, weights=w, n_radial=int(n_radial), n_angular=int(n_angular))
 
 

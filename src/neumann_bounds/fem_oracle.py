@@ -8,6 +8,10 @@ the matrices are exact P1 stiffness and centroid-sampled mass, and the
 generalized eigenproblem is solved at every level by shift-invert Lanczos
 from a fixed seeded start vector, so repeated runs give identical numbers.
 
+scipy serves only this oracle, and ``assemble`` and
+``first_nonzero_neumann`` import it on first use, so the bound routes and
+the ``bound``, ``sweep`` and ``norms`` commands never load it.
+
 For the unit disk itself the exact answer is the squared first positive
 root of J1', which ``mu_disk_reference`` computes from scratch with series
 Bessel evaluation and bisection, so the two references cross-check each
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import orlicz
 from .conformal import ConformalMap, build_disk_quadrature
@@ -164,6 +166,8 @@ def assemble(mesh, rho):
     the disk-side centroid of each triangle (midpoint rule, second order,
     matching the P1 eigenvalue error) and uses the consistent element mass.
     """
+    import scipy.sparse as sp
+
     rho_c = np.asarray(rho.on_disk(mesh.cmap, mesh.centroids_disk()), dtype=float)
     if np.any(rho_c <= 0.0) or not np.all(np.isfinite(rho_c)):
         raise DensityError("density must be positive and finite at all centroids")
@@ -198,6 +202,8 @@ def first_nonzero_neumann(a_mat, m_mat):
     seeded start vector, retrieves the zero mode and the first nonzero mode
     together, and the larger of the two is returned.
     """
+    import scipy.sparse.linalg as spla
+
     v0 = np.random.default_rng(_EIG_SEED).standard_normal(a_mat.shape[0])
     try:
         w, v = spla.eigsh(a_mat, k=2, M=m_mat, sigma=-1.0, which="LM", v0=v0, tol=0)

@@ -188,8 +188,10 @@ class YoungFunction:
     def complementary(self):
         """Convex conjugate sup{uv - M(u)}; numeric unless a closed form exists.
 
-        The numeric fallback is memoized per instance (it caches grid values
-        of this function, which are reusable across calls).
+        The numeric fallback is memoized per instance.  Its values can depend
+        on the order of earlier evaluations: a grid that one evaluation
+        enlarges stays enlarged for the later ones, so the same argument can
+        give a slightly different conjugate after a larger one was asked for.
         """
         memo = self.__dict__.get("_numeric_complement")
         if memo is None:

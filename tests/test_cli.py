@@ -1,5 +1,8 @@
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +120,9 @@ MALFORMED = {
     "missing-samples-file": ("bound", "density = samples file=/nonexistent.txt"),
     "negative-samples": ("bound", "density = samples file={negative}"),
     "sweep_n-not-numbers": ("bound", "sweep_n = 10,abc"),
+    "sweep_n-zero-sweep": ("sweep", "sweep_n = 0,10"),
+    "sweep_n-zero-gaussian_sweep": ("bound", "methods = gaussian_sweep\nsweep_n = 0,10"),
+    "sweep_n-half-truncates-to-zero": ("sweep", "sweep_n = 0.5"),
     "unknown-density-parameter": ("bound", "density = constant n=5"),
     "unknown-map-parameter": ("bound", "map = perturbed_power c=0.5 k=2 kk=3"),
     "moebius-not-certified": ("bound", "map = moebius a=0.9"),
@@ -295,3 +301,28 @@ class TestNormsCommand:
         assert run(["norms", "--config", write(tmp_path, text), "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
         assert float(rows[0][2]) == pytest.approx(3.4591048179, rel=1e-8)
+
+
+def test_bound_run_never_imports_scipy(tmp_path):
+    # scipy serves only the FEM oracle; a top-level import anywhere on the
+    # bound path would cost every run its import time
+    cfg = write(
+        tmp_path,
+        "quad_nr = 16\nquad_ntheta = 16\nK = 1.05\n[scenario]\nid = pp\n"
+        "map = perturbed_power c=0.3 k=2\ndensity = gaussian n=2\n"
+        "methods = esssup, lq, orlicz, quasidisc\n",
+    )
+    script = (
+        "import sys\n"
+        "from neumann_bounds import cli\n"
+        f"assert cli.main(['bound', '--config', {cfg!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "out.csv").read_text().count("\npp,") == 4

@@ -1,4 +1,6 @@
 import inspect
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -36,6 +38,37 @@ class TestQuadrature:
             cf.build_disk_quadrature(3, 16)
         with pytest.raises(ConfigError):
             cf.build_disk_quadrature(8, 4)
+
+    def test_rule_is_cached_and_read_only(self):
+        quad = cf.build_disk_quadrature(12, 20)
+        assert cf.build_disk_quadrature(12, 20) is quad
+        assert cf.build_disk_quadrature(12, 24) is not quad
+        assert cf.build_disk_quadrature(16, 20) is not quad
+        with pytest.raises(ValueError):
+            quad.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            quad.weights *= 2.0
+        assert quad.weights.sum() == pytest.approx(np.pi, rel=1e-12)
+
+    def test_rule_shared_by_racing_threads(self):
+        # concurrent first calls may each build the rule; every caller must
+        # still see the same read-only values
+        cf.build_disk_quadrature.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(cf.build_disk_quadrature, 32, 48) for _ in range(32)]
+                quads = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        first = quads[0]
+        for quad in quads:
+            assert not quad.nodes.flags.writeable and not quad.weights.flags.writeable
+            assert np.array_equal(quad.nodes, first.nodes)
+            assert np.array_equal(quad.weights, first.weights)
+        cached = cf.build_disk_quadrature(32, 48)
+        assert any(quad is cached for quad in quads)
 
     def test_graded_rule_matches_plain(self, pp_map):
         plain = cf.build_disk_quadrature(64, 16)
