@@ -58,6 +58,7 @@ __all__ = [
     "gaussian_sweep",
     "fit_loglog_slope",
     "k_phi",
+    "embedding_constant",
     "mu_lower_orlicz",
     "mu_lower_orlicz_quasidisc",
     "METHODS",
@@ -98,19 +99,14 @@ class ScenarioParams:
     def kappa(self):
         return 1.0 / self.p - 1.0 / self.q
 
-    def validate_pq(self, strict=True):
+    def validate_pq(self):
         if not 1.0 <= self.p < 2.0:
             raise ParameterError(f"p must lie in [1, 2), got {self.p}")
         q_sup = 2.0 * self.p / (2.0 - self.p)
-        if strict:
-            if not 2.0 < self.q < q_sup:
-                raise ParameterError(
-                    f"q={self.q} violates 2 < q < 2p/(2-p) = {q_sup:g} "
-                    "(compact embedding range)"
-                )
-        elif not 2.0 < self.q <= q_sup:
+        if not 2.0 < self.q < q_sup:
             raise ParameterError(
-                f"q={self.q} violates 2 < q <= 2p/(2-p) = {q_sup:g}"
+                f"q={self.q} violates 2 < q < 2p/(2-p) = {q_sup:g} "
+                "(compact embedding range)"
             )
 
     def alpha_sup(self):
@@ -129,7 +125,7 @@ class ScenarioParams:
 
     def validate_jacobian_free(self):
         """Range for the map-independent route: 2q/(q-2) < alpha as well."""
-        self.validate_pq(strict=True)
+        self.validate_pq()
         self.validate_quasidisc()
         alo = 2.0 * self.q / (self.q - 2.0)
         if not self.alpha > alo:
@@ -166,10 +162,6 @@ class BoundReport:
     intermediates: dict = field(default_factory=dict)
     validity_flags: list = field(default_factory=list)
     params: dict = field(default_factory=dict)
-
-    @property
-    def sound_flags_empty(self):
-        return not self.validity_flags
 
 
 def _logsumexp(a):
@@ -330,7 +322,7 @@ def mu_lower_kq(cmap, rho, p, q, quad):
     which is the default ``bound``.
     """
     params = ScenarioParams(p=p, q=q)
-    params.validate_pq(strict=True)
+    params.validate_pq()
     b = b_qp_disk(p, q)
     kq = k_q(cmap, rho, q, quad)
     pi_exp = 2.0 * (2.0 - p) / p
@@ -367,13 +359,7 @@ def log_c_j(alpha, K, area):
     (log_value, flags, intermediates); the intermediates reproduce the
     composition term by term.
     """
-    if K < 1.0:
-        raise ParameterError(f"K must be >= 1, got {K}")
-    asup = math.inf if K == 1.0 else 2.0 * K**2 / (K**2 - 1.0)
-    if not 2.0 < alpha < asup:
-        raise ParameterError(
-            f"alpha={alpha} violates 2 < alpha < 2K^2/(K^2-1) = {asup:g}"
-        )
+    ScenarioParams(alpha=alpha, K=K).validate_quasidisc()
     if area <= 0:
         raise ParameterError(f"area must be positive, got {area}")
 
@@ -522,6 +508,20 @@ def k_phi(cmap, rho, phi_young, quad):
     return luxemburg_norm(pushed, phi_young)
 
 
+def embedding_constant(b_m_eps):
+    """(b_m_eps, source) for the Orlicz routes.
+
+    ``None`` gives the variational lower estimate of the disk embedding
+    constant, source ``trial_estimate``; a pinned value must be positive
+    and finite, source ``pinned``.
+    """
+    if b_m_eps is None:
+        return fem_oracle.b_m2_disk_estimate(), "trial_estimate"
+    if not 0 < b_m_eps < math.inf:
+        raise ParameterError(f"embedding constant must be positive and finite, got {b_m_eps}")
+    return b_m_eps, "pinned"
+
+
 def mu_lower_orlicz(cmap, rho, eps, b_m_eps=None, quad=None):
     """Orlicz-route eigenvalue bound 1 / (18 B^2 K_phi).
 
@@ -532,16 +532,11 @@ def mu_lower_orlicz(cmap, rho, eps, b_m_eps=None, quad=None):
     records which source was used).  The prefactor 18 is the conservative
     one of the two stated conventions (18 vs 12); both forms are carried.
     """
-    if eps <= 1:
+    if not eps > 1:  # NaN fails too
         raise ParameterError(f"eps must exceed 1, got {eps}")
     if quad is None:
         quad = build_disk_quadrature(64, 64)
-    b_source = "pinned"
-    if b_m_eps is None:
-        b_m_eps = fem_oracle.b_m2_disk_estimate()
-        b_source = "trial_estimate"
-    if b_m_eps <= 0:
-        raise ParameterError("embedding constant must be positive")
+    b_m_eps, b_source = embedding_constant(b_m_eps)
     phi_eps = LogPow(eps)
     kphi = k_phi(cmap, rho, phi_eps, quad)
     bound_log = -math.log(18.0) - 2.0 * math.log(b_m_eps) - math.log(kphi)
@@ -599,12 +594,9 @@ def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None):
     if quad is None:
         quad = build_disk_quadrature(48, 32)
     params.validate_quasidisc()
-    if params.eps <= 1:
+    if not params.eps > 1:
         raise ParameterError(f"eps must exceed 1, got {params.eps}")
-    b_source = "pinned"
-    if b_m_eps is None:
-        b_m_eps = fem_oracle.b_m2_disk_estimate()
-        b_source = "trial_estimate"
+    b_m_eps, b_source = embedding_constant(b_m_eps)
     alpha, eps = params.alpha, params.eps
 
     phi_eps = LogPow(eps)

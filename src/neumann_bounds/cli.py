@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -154,9 +155,12 @@ def _apply_key(sc, key, value, line):
     elif lk in _FLOAT_KEYS:
         attr = "K" if lk == "k" else lk
         try:
-            setattr(sc, attr, float(value))
+            number = float(value)
         except ValueError as exc:
             raise ConfigError(f"line {line}: bad number for {key}: {value!r}") from exc
+        if not math.isfinite(number):
+            raise ConfigError(f"line {line}: {key} must be finite, got {value!r}")
+        setattr(sc, attr, number)
     elif lk in _INT_KEYS:
         try:
             setattr(sc, lk, int(value))
@@ -218,11 +222,13 @@ def _validate_scenario(sc, command):
                     f"(valid: {', '.join(sorted(valid))})"
                 )
         if {"lq", "quasidisc", "gaussian_sweep"} & set(sc.methods):
-            params.validate_pq(strict=True)
+            params.validate_pq()
         if {"quasidisc", "gaussian_sweep"} & set(sc.methods):
             params.validate_jacobian_free()
         if "orlicz_quasidisc" in sc.methods:
             params.validate_quasidisc()
+        if {"orlicz", "orlicz_quasidisc"} & set(sc.methods) and sc.b_m_eps is not None:
+            bnd.embedding_constant(sc.b_m_eps)
         if "kq" in sc.methods and sc.q <= 2:
             raise ParameterError(f"q must exceed 2, got {sc.q}")
         if "kphi" in sc.methods:
@@ -241,10 +247,12 @@ def _young_from_name(name, line):
             return LogLinear()
         if name == "exp_square":
             return ExpSquare()
-        if name.startswith("log_pow:"):
-            return LogPow(float(name.split(":", 1)[1]))
-        if name.startswith("power:"):
-            return PowerP(float(name.split(":", 1)[1]))
+        if name.startswith(("log_pow:", "power:")):
+            kind, text = name.split(":", 1)
+            number = float(text)
+            if not math.isfinite(number):
+                raise ValueError(f"parameter must be finite, got {text!r}")
+            return (LogPow if kind == "log_pow" else PowerP)(number)
     except ValueError as exc:
         raise ConfigError(f"line {line}: bad young function {name!r}: {exc}") from exc
     raise ConfigError(f"line {line}: unknown young function {name!r}")

@@ -146,10 +146,6 @@ class ConformalMap:
         out = (d * d.conjugate()).real
         return float(out) if out.ndim == 0 else out
 
-    def parameters(self):
-        """Flat parameter dict, for report columns."""
-        return {}
-
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.name}>"
 
@@ -188,9 +184,6 @@ class PerturbedPowerMap(ConformalMap):
         z = np.asarray(z, dtype=complex)
         return 1.0 + self.c * z ** (self.k - 1)
 
-    def parameters(self):
-        return {"c": self.c, "k": self.k}
-
 
 class PolynomialMap(ConformalMap):
     """phi(z) = sum_j coeffs[j-1] z^j (no constant term).
@@ -226,9 +219,6 @@ class PolynomialMap(ConformalMap):
             out = out * z + j * self.coeffs[j - 1]
         return out
 
-    def parameters(self):
-        return {"coeffs": tuple(self.coeffs)}
-
 
 class MoebiusDiskMap(ConformalMap):
     """Disk automorphism phi(z) = (z + a)/(1 + conj(a) z), |a| < 1.
@@ -253,9 +243,6 @@ class MoebiusDiskMap(ConformalMap):
     def derivative(self, z):
         z = np.asarray(z, dtype=complex)
         return (1.0 - abs(self.a) ** 2) / (1.0 + np.conj(self.a) * z) ** 2
-
-    def parameters(self):
-        return {"a": self.a}
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,6 @@ class DensityField:
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
             raise DensityError(f"{self.name}: density samples must be positive and finite")
 
-    def parameters(self):
-        return {}
-
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.name}>"
 
@@ -74,9 +71,6 @@ class ConstantDensity(DensityField):
 
     def on_domain(self, x):
         return np.full(np.shape(x), self.c, dtype=float)
-
-    def parameters(self):
-        return {"c": self.c}
 
 
 class GaussianDensity(DensityField):
@@ -96,9 +90,6 @@ class GaussianDensity(DensityField):
         x = np.asarray(cmap.map(z), dtype=complex)
         return -self.n * (x.real**2 + x.imag**2)
 
-    def parameters(self):
-        return {"n": self.n}
-
 
 class PullbackJacobianPower(DensityField):
     """rho such that rho(phi(z)) = J(z)^(-exponent).
@@ -117,9 +108,6 @@ class PullbackJacobianPower(DensityField):
         values = np.asarray(values, dtype=float)
         self._check(values)
         return values
-
-    def parameters(self):
-        return {"exponent": self.exponent}
 
 
 class PullbackOrliczCanceling(DensityField):
@@ -141,9 +129,6 @@ class PullbackOrliczCanceling(DensityField):
         values = np.asarray(values, dtype=float)
         self._check(values)
         return values
-
-    def parameters(self):
-        return {"eps": self.eps}
 
 
 class CallableDensity(DensityField):

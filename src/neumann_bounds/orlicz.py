@@ -57,9 +57,6 @@ class SampledFunction:
     def scaled(self, c):
         return SampledFunction(c * self.values, self.weights, self.measure_id)
 
-    def integral(self):
-        return float(np.sum(self.weights * self.values))
-
 
 def _same_measure(f, g):
     if f.measure_id != g.measure_id or f.values.shape != g.values.shape:

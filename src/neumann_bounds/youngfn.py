@@ -15,10 +15,9 @@ compositions built from them), together with
   conditions and for "essentially greater growth" ratios.
 
 All evaluation functions accept scalars or numpy arrays.  Instances are
-immutable after construction, except that ``NumericComplement`` may enlarge
-its cached grid during evaluation; it swaps the whole grid state in one
-assignment, so threads sharing an instance never read a torn grid (see the
-class docstring for what the enlargement means for results).
+immutable after construction; ``NumericComplement`` only fills a cache of
+fixed grids, so its value at v depends on v alone (see the class docstring
+for the one exception under refinement).
 Exponential kinds carry a log-space twin (``log_eval``) because downstream
 constants are composed entirely in log space.
 """
@@ -188,10 +187,9 @@ class YoungFunction:
     def complementary(self):
         """Convex conjugate sup{uv - M(u)}; numeric unless a closed form exists.
 
-        The numeric fallback is memoized per instance.  Its values can depend
-        on the order of earlier evaluations: a grid that one evaluation
-        enlarges stays enlarged for the later ones, so the same argument can
-        give a slightly different conjugate after a larger one was asked for.
+        The numeric fallback is memoized per instance.  Its value at v
+        depends on v alone, not on what was evaluated before or with it
+        (see ``NumericComplement`` for the one exception).
         """
         memo = self.__dict__.get("_numeric_complement")
         if memo is None:
@@ -207,11 +205,11 @@ class PowerP(YoungFunction):
     """M(u) = coef * u^p.  ``coef=1/p`` gives the normalized pairing variant."""
 
     def __init__(self, p, coef=None, normalized=False):
-        if p < 1:
+        if not p >= 1:  # NaN fails too
             raise ParameterError(f"power exponent must satisfy p >= 1, got {p}")
         if coef is None:
             coef = 1.0 / p if normalized else 1.0
-        if coef <= 0:
+        if not coef > 0:
             raise ParameterError("power coefficient must be positive")
         self.p = float(p)
         self.coef = float(coef)
@@ -277,7 +275,7 @@ class ExpPow(YoungFunction):
     than exp(u^2) - 1 and restores compactness of the embedding."""
 
     def __init__(self, eps):
-        if eps <= 1:
+        if not eps > 1:
             raise ParameterError(f"eps must exceed 1, got {eps}")
         self.eps = float(eps)
         self.name = f"exp_pow(eps={self.eps:g})"
@@ -307,7 +305,7 @@ class LogPow(YoungFunction):
     companion of exp(u)-1 used throughout the Jacobian functionals."""
 
     def __init__(self, eps=1.0):
-        if eps < 1:
+        if not eps >= 1:  # NaN fails too
             raise ParameterError(f"log power must satisfy eps >= 1, got {eps}")
         self.eps = float(eps)
         self.name = f"log_pow(eps={self.eps:g})"
@@ -435,7 +433,7 @@ class PsiAlpha(YoungFunction):
     """
 
     def __init__(self, alpha, eps=None):
-        if alpha <= 2:
+        if not alpha > 2:
             raise ParameterError(f"alpha must exceed 2, got {alpha}")
         self.alpha = float(alpha)
         self.eps = None if eps is None else float(eps)
@@ -495,13 +493,13 @@ class PsiEpsAlpha(PsiAlpha):
     w * (e^(w^(1/eps)) - e)."""
 
     def __init__(self, eps, alpha):
-        if eps <= 1:
+        if not eps > 1:
             raise ParameterError(f"eps must exceed 1, got {eps}")
         super().__init__(alpha, eps=eps)
 
 
 class _ConjugateGrid(NamedTuple):
-    """One consistent state of a ``NumericComplement`` grid."""
+    """One level of a ``NumericComplement`` grid ladder."""
 
     u: np.ndarray  # geometric grid on [u_lo, u_hi]
     m: np.ndarray  # M on the grid (may hold inf at the top)
@@ -578,41 +576,52 @@ def _conjugate_argmax(grid, v):
 class NumericComplement(YoungFunction):
     """One-sided numeric convex conjugate sup_u {uv - M(u)}.
 
-    The supremum is taken over a cached geometric grid, optionally refined by
+    The supremum is taken over a geometric grid, optionally refined by
     golden-section ascent (the objective is concave in u).  The result never
     exceeds the true conjugate; the deficit is controlled by the grid density
     and refinement.
 
+    The grids form a fixed ladder: level k spans [u_lo, u_hi * 64^k] with
+    ``n_grid`` points, is built on first use and then kept.  Each v starts
+    on level 0 and climbs while its maximiser sits on one of the top two
+    points of its level, up to level 12 or to the first level whose top
+    reaches 1e120; a maximiser beyond that stays one-sided low.  A level
+    depends only on the constructor arguments and k, so a grid value
+    depends on v alone, not on the other entries of the call or on earlier
+    calls, and threads sharing an instance can only build equal levels.
+    Refinement starts from each v's own bracket but evaluates M for all
+    entries at once, so a refined value inherits any batch dependence of
+    ``of.eval`` itself (``PsiAlpha`` has some, from the shared stop of
+    ``YoungFunction._bisect_inverse``).
+
     The discrete supremum is found through the lower convex hull of the grid
-    points (u_j, M(u_j)), built once per grid: a binary search on the hull's
-    edge slopes gives the maximising vertex for each v, and the float
+    points (u_j, M(u_j)), built once per level: a binary search on the
+    hull's edge slopes gives the maximising vertex for each v, and the float
     objective v*u_j - M(u_j) is then evaluated on a few grid points around
     it (see ``_conjugate_argmax``).  So the value and the first maximising
     index are those of the full grid scan, at O(log G) per v after an O(G)
-    hull per grid, and the result stays one-sided low.
-
-    Evaluation enlarges the grid (by 64x, up to 1e120) while maximisers
-    press against its top, and later calls reuse the enlarged grid, so a
-    value can depend on what was evaluated before.  Each enlargement
-    replaces the grid state in one assignment and every evaluation reads
-    one consistent state, so sharing an instance across threads is safe.
+    hull per level, and the result stays one-sided low.
     """
 
     def __init__(self, of, u_lo=1e-8, u_hi=1e4, n_grid=2048, refine=True):
         self.of = of
         self.name = f"conjugate({of.name})"
         self._u_lo = float(u_lo)
+        self._u_hi = float(u_hi)
         self._n = int(n_grid)
         self._refine_default = bool(refine)
-        self._build_grid(float(u_hi))
+        self._levels = {}  # ladder level k -> _ConjugateGrid
 
-    def _build_grid(self, u_hi):
-        u = np.geomspace(self._u_lo, u_hi, self._n)
-        with np.errstate(over="ignore"):
-            m = np.asarray(self.of.eval(u))
-        hull, slopes = _lower_hull(u, m)
-        self._grid_state = _ConjugateGrid(u, m, hull, slopes, u_hi)
-        return self._grid_state
+    def _level(self, k):
+        grid = self._levels.get(k)
+        if grid is None:
+            top = self._u_hi * 64.0**k
+            u = np.geomspace(self._u_lo, top, self._n)
+            with np.errstate(over="ignore"):
+                m = np.asarray(self.of.eval(u))
+            hull, slopes = _lower_hull(u, m)
+            grid = self._levels[k] = _ConjugateGrid(u, m, hull, slopes, top)
+        return grid
 
     def _objective(self, u, v):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -631,19 +640,18 @@ class NumericComplement(YoungFunction):
         return _ret(out[0] if scalar else out.reshape(np.shape(v)), scalar)
 
     def _sup(self, v, refine):
-        # expand the grid while the argmax presses against the top; entries
-        # whose maximizer stays beyond the cap remain one-sided low
-        grid = self._grid_state
-        idx, best = _conjugate_argmax(grid, v)
-        for _ in range(12):
-            if idx.max() < self._n - 2 or grid.u_hi >= 1e120:
+        best, lo, hi = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+        rows = np.arange(len(v))  # entries still climbing the ladder
+        for k in range(13):
+            grid = self._level(k)
+            idx, best[rows] = _conjugate_argmax(grid, v[rows])
+            lo[rows] = grid.u[np.maximum(idx - 1, 0)]
+            hi[rows] = grid.u[np.minimum(idx + 1, self._n - 1)]
+            rows = rows[idx >= self._n - 2]
+            if not len(rows) or grid.u_hi >= 1e120:
                 break
-            grid = self._build_grid(grid.u_hi * 64.0)
-            idx, best = _conjugate_argmax(grid, v)
         if not refine:
             return np.maximum(best, 0.0)
-        lo = grid.u[np.maximum(idx - 1, 0)]
-        hi = grid.u[np.minimum(idx + 1, self._n - 1)]
         invphi = (np.sqrt(5.0) - 1.0) / 2.0
         c = hi - invphi * (hi - lo)
         d = lo + invphi * (hi - lo)

@@ -326,6 +326,11 @@ class TestMuLowerOrlicz:
         assert r.intermediates["b_m_eps_source"] == "trial_estimate"
         assert r.intermediates["b_m_eps"] > 0
 
+    @pytest.mark.parametrize("eps, b_m_eps", [(math.nan, 1.0), (2.0, math.nan), (2.0, math.inf)])
+    def test_non_finite_parameters(self, identity_map, rho_one, quad32, eps, b_m_eps):
+        with pytest.raises(ParameterError):
+            bd.mu_lower_orlicz(identity_map, rho_one, eps, b_m_eps, quad32)
+
 
 @pytest.fixture(scope="module")
 def report(pp_map, rho_one):
@@ -336,6 +341,15 @@ def report(pp_map, rho_one):
 
 
 class TestOrliczQuasidisc:
+    @pytest.mark.parametrize("b_m_eps", [0.0, -1.0])
+    def test_nonpositive_embedding_constant(self, pp_map, rho_one, b_m_eps):
+        # mp.log of a negative constant is complex, of zero -inf: both rejected
+        params = bd.ScenarioParams(p=1.5, q=4.0, alpha=4.0, K=1.2, eps=2.0)
+        with pytest.raises(ParameterError):
+            bd.mu_lower_orlicz_quasidisc(
+                pp_map, rho_one, params, b_m_eps=b_m_eps, quad=cf.build_disk_quadrature(48, 32)
+            )
+
     def test_log_c_tilde_finite(self, report):
         lct = report.intermediates["log_c_tilde_j"]
         assert mp.isfinite(lct)

@@ -129,6 +129,15 @@ MALFORMED = {
     "unknown-young": ("norms", "methods = luxemburg\nyoung = nosuch"),
     "young-not-number": ("norms", "methods = luxemburg\nyoung = log_pow:abc"),
     "kphi-eps-below-one": ("norms", "methods = kphi\neps = 0.5"),
+    "eps-nan": ("bound", "methods = orlicz\neps = nan"),
+    "young-nan": ("norms", "methods = luxemburg\nyoung = power:nan"),
+    "young-inf": ("norms", "methods = luxemburg\nyoung = log_pow:inf"),
+    "b_m_eps-nan": ("bound", "methods = orlicz\nb_m_eps = nan"),
+    "b_m_eps-inf": ("bound", "methods = orlicz\nb_m_eps = inf"),
+    "b_m_eps-zero": ("bound", "methods = orlicz\nb_m_eps = 0"),
+    "b_m_eps-negative": ("bound", "methods = orlicz\nb_m_eps = -1"),
+    "b_m_eps-zero-quasidisc": ("bound", "methods = orlicz_quasidisc\nK = 1.05\nb_m_eps = 0"),
+    "b_m_eps-negative-quasidisc": ("bound", "methods = orlicz_quasidisc\nK = 1.05\nb_m_eps = -1"),
 }
 
 
