@@ -1,8 +1,9 @@
 """End-to-end batch run through the command-line interface.
 
-Writes a scenario config covering every bound method, runs the ``bound``,
-``verify``, ``sweep`` and ``norms`` commands programmatically, and shows
-the resulting CSV.  The same artifacts come from the installed script:
+Writes a scenario config that uses the esssup, lq, orlicz and quasidisc
+bound methods, runs the ``bound``, ``verify``, ``sweep`` and ``norms``
+commands programmatically, and shows the resulting CSV.  The same
+artifacts come from the installed script:
 
     neumann-bounds verify --config scenarios.ini --fem-level 5
 """

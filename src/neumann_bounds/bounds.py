@@ -55,27 +55,18 @@ __all__ = [
     "mu_lower_kq",
     "log_c_j",
     "mu_lower_quasidisc",
+    "validate_sweep",
     "gaussian_sweep",
     "fit_loglog_slope",
     "k_phi",
     "embedding_constant",
     "mu_lower_orlicz",
     "mu_lower_orlicz_quasidisc",
-    "METHODS",
 ]
 
 FLAG_NU_GE_ONE = "NuGeOne"
 FLAG_CONSTANT_CONVENTION = "ConstantConventionConservative"
 FLAG_UNDERFLOW = "BoundUnderflow"
-
-METHODS = (
-    "esssup",
-    "lq",
-    "quasidisc",
-    "gaussian_sweep",
-    "orlicz",
-    "orlicz_quasidisc",
-)
 
 _LN_PI = math.log(math.pi)
 
@@ -109,6 +100,11 @@ class ScenarioParams:
                 "(compact embedding range)"
             )
 
+    def validate_q(self):
+        """q > 2, the range of the L^(q/(q-2)) functional ``k_q``."""
+        if not self.q > 2:  # NaN fails too
+            raise ParameterError(f"q must exceed 2, got {self.q}")
+
     def alpha_sup(self):
         if self.K < 1.0:
             raise ParameterError(f"quasidisk constant must satisfy K >= 1, got {self.K}")
@@ -132,6 +128,11 @@ class ScenarioParams:
             raise ParameterError(
                 f"alpha={self.alpha} violates alpha > 2q/(q-2) = {alo:g}"
             )
+
+    def validate_eps(self):
+        """eps > 1, the compact class exp(u^(2/eps)) - 1 of the Orlicz routes."""
+        if not self.eps > 1:  # NaN fails too
+            raise ParameterError(f"eps must exceed 1, got {self.eps}")
 
     def lebesgue_exponent(self):
         """The density-norm exponent s = q(alpha-2)/(q alpha - 2q - 2 alpha)."""
@@ -254,27 +255,25 @@ def k_esssup(cmap, rho, quad):
     return float(pullback_mass_density(rho, cmap, quad).values.max())
 
 
-def k_esssup_refined(cmap, rho, quad, levels=3):
-    """Esssup probe on ``levels`` successively doubled grids.
+def k_esssup_refined(cmap, rho, quad):
+    """Esssup probe on three successively doubled grids.
 
     Returns (value, diagnostics) where value is the finest-grid maximum and
     diagnostics carries the per-level values, the Aitken-accelerated limit
     when the increments contract, and a stall indicator.
     """
-    values = []
     n_r, n_t = quad.n_radial, quad.n_angular
-    for i in range(levels):
-        q_i = build_disk_quadrature(n_r * 2**i, n_t * 2**i)
-        values.append(k_esssup(cmap, rho, q_i))
+    values = [
+        k_esssup(cmap, rho, build_disk_quadrature(n_r * 2**i, n_t * 2**i)) for i in range(3)
+    ]
     diag = {"values": values, "aitken": None, "stalled": False}
-    if levels >= 3:
-        d1 = values[-2] - values[-3]
-        d2 = values[-1] - values[-2]
-        if abs(d2) >= abs(d1) and abs(d2) > 1e-14 * abs(values[-1]):
-            diag["stalled"] = True
-        elif abs(d2 - d1) > 0:
-            diag["aitken"] = values[-1] - d2**2 / (d2 - d1)
-    return values[-1], diag
+    d1 = values[1] - values[0]
+    d2 = values[2] - values[1]
+    if abs(d2) >= abs(d1) and abs(d2) > 1e-14 * abs(values[2]):
+        diag["stalled"] = True
+    elif abs(d2 - d1) > 0:
+        diag["aitken"] = values[2] - d2**2 / (d2 - d1)
+    return values[2], diag
 
 
 def mu_lower_esssup(cmap, rho, quad):
@@ -301,8 +300,7 @@ def k_q(cmap, rho, q, quad):
 
     computed with a log-space sum so large Jacobians cannot overflow.
     """
-    if q <= 2:
-        raise ParameterError(f"q must exceed 2, got {q}")
+    ScenarioParams(q=q).validate_q()
     g = pullback_mass_density(rho, cmap, quad)
     r = q / (q - 2.0)
     log_terms = r * np.log(g.values) + np.log(g.weights)
@@ -448,6 +446,14 @@ def mu_lower_quasidisc(cmap, rho, params, quad):
     return _finish("quasidisc", bound_log, inter, flags, params.as_dict())
 
 
+def validate_sweep(n_list, params):
+    """Range of ``gaussian_sweep``: the map-independent range, sharpness n >= 1."""
+    params.validate_jacobian_free()
+    low = [n for n in n_list if not n >= 1]
+    if low:
+        raise ParameterError(f"gaussian sharpness must be >= 1, got {low[0]}")
+
+
 def gaussian_sweep(n_list, params, cmap, quad):
     """Map-independent bounds for the Gaussian density family e^(-n|x|^2).
 
@@ -459,12 +465,10 @@ def gaussian_sweep(n_list, params, cmap, quad):
     """
     from .densities import GaussianDensity
 
-    params.validate_jacobian_free()
+    validate_sweep(n_list, params)
     s = params.lebesgue_exponent()
     reports = []
     for n in n_list:
-        if n < 1:
-            raise ParameterError(f"gaussian sharpness must be >= 1, got {n}")
         rho_n = GaussianDensity(n)
         report = mu_lower_quasidisc(cmap, rho_n, params, quad)
         log_quad_norm = report.intermediates["log_rho_norm_s"]
@@ -532,8 +536,7 @@ def mu_lower_orlicz(cmap, rho, eps, b_m_eps=None, quad=None):
     records which source was used).  The prefactor 18 is the conservative
     one of the two stated conventions (18 vs 12); both forms are carried.
     """
-    if not eps > 1:  # NaN fails too
-        raise ParameterError(f"eps must exceed 1, got {eps}")
+    ScenarioParams(eps=eps).validate_eps()
     if quad is None:
         quad = build_disk_quadrature(64, 64)
     b_m_eps, b_source = embedding_constant(b_m_eps)
@@ -594,8 +597,7 @@ def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None):
     if quad is None:
         quad = build_disk_quadrature(48, 32)
     params.validate_quasidisc()
-    if not params.eps > 1:
-        raise ParameterError(f"eps must exceed 1, got {params.eps}")
+    params.validate_eps()
     b_m_eps, b_source = embedding_constant(b_m_eps)
     alpha, eps = params.alpha, params.eps
 

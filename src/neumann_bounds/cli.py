@@ -18,11 +18,12 @@ keys:
     density    constant [c=..] | gaussian n=.. | pullback_jacobian_power
                [exponent=..] | pullback_orlicz_canceling eps=..
                | samples file=<path with one value per quadrature node>
-    methods    comma list: esssup, lq, quasidisc, orlicz, orlicz_quasidisc,
-               gaussian_sweep (bound/verify); luxemburg, kq, kphi (norms)
+    methods    comma list of keys of ``BOUNDS`` for bound/verify (esssup,
+               lq, quasidisc, orlicz, orlicz_quasidisc, gaussian_sweep) or
+               of ``NORMS`` for norms (luxemburg, kq, kphi)
     p q alpha K eps        exponent parameters
     quad_nr quad_ntheta    disk quadrature orders (default 64 x 64)
-    fem_level              FEM refinement level for verify (default 5)
+    fem_level              FEM refinement level for verify, 2 to 8 (default 5)
     b_m_eps                pinned embedding constant (default: trial estimate)
     sweep_n                comma list of Gaussian sharpness values
     young                  Young function for the luxemburg norm (norms
@@ -36,10 +37,14 @@ missing or uncastable parameter is a config error, and so is a ``samples``
 file that cannot be read, holds a non-positive value or does not have one
 value per quadrature node.
 
-Exit codes: 0 success, 1 soundness violation (verify), 2 usage/config or
-parameter-range errors, reported with the config line number.  Numeric
-failures inside a scenario become a row-level ``error:`` flag; verify counts
-such a row as unsound, the other commands keep exit code 0.
+The method tables ``BOUNDS`` and ``NORMS`` hold one row per method: its
+range check, which calls the validator its route calls, and its call.
+
+Exit codes: 0 success; 1 only when verify writes an unsound or ``error:``
+row (``sound`` is ``false``); 2 usage or config errors, with the config line
+number.  The parameter ranges of the requested methods and verify's FEM
+level are config errors.  Numeric failures inside a scenario become a
+row-level ``error:`` flag; bound and sweep keep exit code 0.
 
 Output determinism: identical configs produce byte-identical CSV (fixed
 17-significant-digit formatting, rows in config order, seeded solvers).
@@ -53,7 +58,7 @@ import hashlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -65,9 +70,6 @@ from .densities import SampledDensity, density_from_spec
 from .errors import ConfigError, DensityError, NeumannBoundsError, ParameterError
 from .orlicz import SampledFunction, luxemburg_norm
 from .youngfn import ExpSquare, LogLinear, LogPow, PowerP
-
-BOUND_METHODS = set(bnd.METHODS)
-NORM_METHODS = {"luxemburg", "kq", "kphi"}
 
 
 def fmt(x):
@@ -87,10 +89,7 @@ def fmt(x):
 
 
 def _fmt_intermediates(inter):
-    parts = []
-    for key in sorted(inter):
-        parts.append(f"{key}={fmt(inter[key])}")
-    return "|".join(parts)
+    return "|".join(f"{key}={fmt(inter[key])}" for key in sorted(inter))
 
 
 @dataclass
@@ -99,11 +98,7 @@ class Scenario:
     map_spec: str = "identity"
     density_spec: str = "constant"
     methods: list = field(default_factory=list)
-    p: float = 1.5
-    q: float = 4.0
-    alpha: float = 12.0
-    K: float = 1.0
-    eps: float = 2.0
+    params: bnd.ScenarioParams = bnd.ScenarioParams()
     quad_nr: int = 64
     quad_ntheta: int = 64
     fem_level: int = 5
@@ -111,9 +106,6 @@ class Scenario:
     sweep_n: list = field(default_factory=lambda: [10, 100, 1000, 10000])
     young: str = "log_linear"
     line: int = 0  # config line of the section header
-
-    def params(self):
-        return bnd.ScenarioParams(p=self.p, q=self.q, alpha=self.alpha, K=self.K, eps=self.eps)
 
     def build(self):
         """(map, density, quadrature); a bad spec or range is a ConfigError."""
@@ -131,7 +123,8 @@ class Scenario:
         return cmap, rho, quad
 
 
-_FLOAT_KEYS = {"p", "q", "alpha", "k", "eps", "b_m_eps"}
+_PARAM_KEYS = {f.name.lower(): f.name for f in fields(bnd.ScenarioParams)}  # "k" -> "K"
+_FLOAT_KEYS = {*_PARAM_KEYS, "b_m_eps"}
 _INT_KEYS = {"quad_nr", "quad_ntheta", "fem_level"}
 
 
@@ -153,14 +146,16 @@ def _apply_key(sc, key, value, line):
     elif lk == "young":
         sc.young = value.strip()
     elif lk in _FLOAT_KEYS:
-        attr = "K" if lk == "k" else lk
         try:
             number = float(value)
         except ValueError as exc:
             raise ConfigError(f"line {line}: bad number for {key}: {value!r}") from exc
         if not math.isfinite(number):
             raise ConfigError(f"line {line}: {key} must be finite, got {value!r}")
-        setattr(sc, attr, number)
+        if lk in _PARAM_KEYS:
+            sc.params = replace(sc.params, **{_PARAM_KEYS[lk]: number})
+        else:
+            sc.b_m_eps = number
     elif lk in _INT_KEYS:
         try:
             setattr(sc, lk, int(value))
@@ -182,11 +177,10 @@ def parse_config(text):
         if stripped.startswith("["):
             if stripped.lower() != "[scenario]":
                 raise ConfigError(f"line {lineno}: unknown section {stripped!r}")
-            current = Scenario(**{**defaults.__dict__})
-            current.sid = f"scenario-{len(scenarios) + 1}"
-            current.methods = list(defaults.methods)
-            current.sweep_n = list(defaults.sweep_n)
-            current.line = lineno
+            current = replace(
+                defaults, sid=f"scenario-{len(scenarios) + 1}", methods=list(defaults.methods),
+                sweep_n=list(defaults.sweep_n), line=lineno,
+            )
             scenarios.append(current)
             continue
         if "=" not in stripped:
@@ -196,48 +190,6 @@ def parse_config(text):
     if not scenarios:
         raise ConfigError("config defines no [scenario] sections")
     return scenarios
-
-
-def _validate_scenario(sc, command):
-    """Range-check everything the requested methods will need (before work)."""
-    params = sc.params()
-    try:
-        if command == "sweep" or "gaussian_sweep" in sc.methods:
-            low = [n for n in sc.sweep_n if n < 1]
-            if low:  # sweep_n entries are truncated to integers, so 0.5 is 0
-                raise ParameterError(f"sweep_n values must be >= 1, got {low[0]}")
-        if command == "sweep":
-            params.validate_jacobian_free()
-            sc.build()
-            return
-        if not sc.methods:
-            raise ConfigError(
-                f"line {sc.line}: scenario {sc.sid!r} has an empty method list"
-            )
-        valid = NORM_METHODS if command == "norms" else BOUND_METHODS
-        for m in sc.methods:
-            if m not in valid:
-                raise ConfigError(
-                    f"line {sc.line}: unknown method {m!r} for {command} "
-                    f"(valid: {', '.join(sorted(valid))})"
-                )
-        if {"lq", "quasidisc", "gaussian_sweep"} & set(sc.methods):
-            params.validate_pq()
-        if {"quasidisc", "gaussian_sweep"} & set(sc.methods):
-            params.validate_jacobian_free()
-        if "orlicz_quasidisc" in sc.methods:
-            params.validate_quasidisc()
-        if {"orlicz", "orlicz_quasidisc"} & set(sc.methods) and sc.b_m_eps is not None:
-            bnd.embedding_constant(sc.b_m_eps)
-        if "kq" in sc.methods and sc.q <= 2:
-            raise ParameterError(f"q must exceed 2, got {sc.q}")
-        if "kphi" in sc.methods:
-            LogPow(sc.eps)  # range-checks eps
-    except ParameterError as exc:
-        raise ConfigError(f"line {sc.line}: scenario {sc.sid!r}: {exc}") from exc
-    if "luxemburg" in sc.methods:
-        _young_from_name(sc.young, sc.line)
-    sc.build()  # surfaces bad map/density specs now
 
 
 def _young_from_name(name, line):
@@ -259,48 +211,133 @@ def _young_from_name(name, line):
 
 
 # ---------------------------------------------------------------------------
-# per-scenario work
+# method tables
 # ---------------------------------------------------------------------------
+
+
+def _check_orlicz(sc):
+    sc.params.validate_eps()
+    if sc.b_m_eps is not None:  # the default needs no check and costs a solve
+        bnd.embedding_constant(sc.b_m_eps)
+
+
+def _check_sweep(sc):
+    bnd.validate_sweep(sc.sweep_n, sc.params)
 
 
 def _sweep(sc, cmap, quad):
     """Gaussian-sweep reports, their log-log slope and the predicted slope
     (q-2)/(q s), with s the density-norm exponent."""
-    params = sc.params()
-    reports = bnd.gaussian_sweep(sc.sweep_n, params, cmap, quad)
-    predicted = (sc.q - 2.0) / (sc.q * params.lebesgue_exponent())
+    reports = bnd.gaussian_sweep(sc.sweep_n, sc.params, cmap, quad)
+    predicted = (sc.params.q - 2.0) / (sc.params.q * sc.params.lebesgue_exponent())
     return reports, bnd.fit_loglog_slope(sc.sweep_n, reports), predicted
 
 
+def _sweep_reports(sc, cmap, rho, quad):
+    """One row per sharpness n, then the slope summary."""
+    reports, slope, predicted = _sweep(sc, cmap, quad)
+    pairs = [(f"[n={n}]", rep) for n, rep in zip(sc.sweep_n, reports)]
+    return pairs + [("[slope]", {"slope": slope, "predicted": predicted})]
+
+
+def _luxemburg(sc, cmap, rho, quad):
+    young = _young_from_name(sc.young, sc.line)
+    f = SampledFunction(
+        np.asarray(rho.on_disk(cmap, quad.nodes), dtype=float), quad.weights, quad.measure_id
+    )
+    return f"luxemburg({young.name})", luxemburg_norm(f, young)
+
+
+# Method tables, method -> (check, run).  check(sc) raises ParameterError or
+# ConfigError when the scenario lies outside the method's range.  run(sc,
+# cmap, rho, quad) returns a bound method's BoundReport, or (label suffix,
+# report) pairs when the method writes several rows, and a norm method's
+# (label, value).  Rows look each route up on its module when they run.
+BOUNDS = {
+    "esssup": (lambda sc: None, lambda sc, cmap, rho, quad: bnd.mu_lower_esssup(cmap, rho, quad)),
+    "lq": (
+        lambda sc: sc.params.validate_pq(),
+        lambda sc, cmap, rho, quad: bnd.mu_lower_kq(cmap, rho, sc.params.p, sc.params.q, quad),
+    ),
+    "quasidisc": (
+        lambda sc: sc.params.validate_jacobian_free(),
+        lambda sc, cmap, rho, quad: bnd.mu_lower_quasidisc(cmap, rho, sc.params, quad),
+    ),
+    "gaussian_sweep": (_check_sweep, _sweep_reports),
+    "orlicz": (
+        _check_orlicz,
+        lambda sc, cmap, rho, quad: bnd.mu_lower_orlicz(cmap, rho, sc.params.eps, sc.b_m_eps, quad),
+    ),
+    "orlicz_quasidisc": (
+        lambda sc: (sc.params.validate_quasidisc(), _check_orlicz(sc)),
+        lambda sc, cmap, rho, quad: bnd.mu_lower_orlicz_quasidisc(
+            cmap, rho, sc.params, sc.b_m_eps, quad
+        ),
+    ),
+}
+
+NORMS = {
+    "luxemburg": (lambda sc: _young_from_name(sc.young, sc.line), _luxemburg),
+    "kq": (
+        lambda sc: sc.params.validate_q(),
+        lambda sc, cmap, rho, quad: (
+            f"kq(q={fmt(sc.params.q)})", bnd.k_q(cmap, rho, sc.params.q, quad)
+        ),
+    ),
+    "kphi": (
+        lambda sc: LogPow(sc.params.eps),  # the constructor range-checks eps
+        lambda sc, cmap, rho, quad: (
+            f"kphi(eps={fmt(sc.params.eps)})", bnd.k_phi(cmap, rho, LogPow(sc.params.eps), quad)
+        ),
+    ),
+}
+
+
+def _validate_scenario(sc, command):
+    """Range-check everything the requested methods will need (before work)."""
+    if command == "sweep":
+        checks = [_check_sweep]
+    else:
+        table = NORMS if command == "norms" else BOUNDS
+        if not sc.methods:
+            raise ConfigError(
+                f"line {sc.line}: scenario {sc.sid!r} has an empty method list"
+            )
+        for m in sc.methods:
+            if m not in table:
+                raise ConfigError(
+                    f"line {sc.line}: unknown method {m!r} for {command} "
+                    f"(valid: {', '.join(sorted(table))})"
+                )
+        checks = [table[m][0] for m in sc.methods]
+    try:
+        for check in checks:
+            check(sc)
+        if command == "verify":
+            fem_oracle.check_richardson_level(sc.fem_level)
+    except ParameterError as exc:
+        raise ConfigError(f"line {sc.line}: scenario {sc.sid!r}: {exc}") from exc
+    sc.build()  # surfaces bad map/density specs now
+
+
+# ---------------------------------------------------------------------------
+# per-scenario work
+# ---------------------------------------------------------------------------
+
+
 def _bound_reports(sc, cmap, rho, quad):
-    """(method, BoundReport-or-error-string) pairs in method order."""
-    params = sc.params()
+    """(label, result) pairs in method order; a result is a BoundReport, a
+    sweep slope summary dict or an ``error:`` string."""
     out = []
     for method in sc.methods:
         try:
-            if method == "esssup":
-                rep = bnd.mu_lower_esssup(cmap, rho, quad)
-            elif method == "lq":
-                rep = bnd.mu_lower_kq(cmap, rho, sc.p, sc.q, quad)
-            elif method == "quasidisc":
-                rep = bnd.mu_lower_quasidisc(cmap, rho, params, quad)
-            elif method == "orlicz":
-                rep = bnd.mu_lower_orlicz(cmap, rho, sc.eps, sc.b_m_eps, quad)
-            elif method == "orlicz_quasidisc":
-                rep = bnd.mu_lower_orlicz_quasidisc(cmap, rho, params, sc.b_m_eps, quad)
-            elif method == "gaussian_sweep":
-                reports, slope, predicted = _sweep(sc, cmap, quad)
-                for n, rep_n in zip(sc.sweep_n, reports):
-                    out.append((f"gaussian_sweep[n={n}]", rep_n))
-                out.append(
-                    ("gaussian_sweep[slope]", {"slope": slope, "predicted": predicted})
-                )
-                continue
-            else:  # pragma: no cover - filtered during validation
-                raise ConfigError(f"unknown method {method!r}")
-            out.append((method, rep))
+            rep = BOUNDS[method][1](sc, cmap, rho, quad)
         except NeumannBoundsError as exc:
-            out.append((method, f"error:{exc}"))
+            rep = f"error:{exc}"
+        if isinstance(rep, list):
+            out += [(method + suffix, r) for suffix, r in rep]
+        else:
+            out.append((method, rep))
     return out
 
 
@@ -311,56 +348,31 @@ def _rows_bound(sc, corrupt=1.0):
             rows.append([sc.sid, method, "nan", "nan", "", rep])
             continue
         if isinstance(rep, dict):  # sweep slope summary
-            rows.append(
-                [sc.sid, method, fmt(rep["slope"]), fmt(rep["predicted"]), "", ""]
-            )
+            rows.append([sc.sid, method, fmt(rep["slope"]), fmt(rep["predicted"]), "", ""])
             continue
-        rows.append(
-            [
-                sc.sid,
-                method,
-                fmt(corrupt * rep.bound),
-                fmt(rep.bound_log),
-                _fmt_intermediates(rep.intermediates),
-                ";".join(rep.validity_flags),
-            ]
-        )
+        inter, flags = _fmt_intermediates(rep.intermediates), ";".join(rep.validity_flags)
+        rows.append([sc.sid, method, fmt(corrupt * rep.bound), fmt(rep.bound_log), inter, flags])
     return rows
 
 
 def _rows_verify(sc, tol, corrupt=1.0):
-    rows = []
-    unsound = False
     try:
         cmap, rho, quad = sc.build()
         mu_ref = fem_oracle.mu_fem_richardson(cmap, rho, sc.fem_level)
     except NeumannBoundsError as exc:
-        for method in sc.methods:
-            rows.append([sc.sid, method, "nan", "nan", "nan", "false", f"error:{exc}"])
-        return rows, True
+        return [[sc.sid, m, "nan", "nan", "nan", "false", f"error:{exc}"] for m in sc.methods]
+    rows = []
     for method, rep in _bound_reports(sc, cmap, rho, quad):
         if isinstance(rep, str):
             rows.append([sc.sid, method, "nan", fmt(mu_ref), "nan", "false", rep])
-            unsound = True
             continue
         if isinstance(rep, dict):  # slope summaries carry no soundness claim
             continue
         bound = corrupt * rep.bound
         ratio = bound / mu_ref
-        sound = ratio <= 1.0 + tol
-        unsound = unsound or not sound
-        rows.append(
-            [
-                sc.sid,
-                method,
-                fmt(bound),
-                fmt(mu_ref),
-                fmt(ratio),
-                "true" if sound else "false",
-                ";".join(rep.validity_flags),
-            ]
-        )
-    return rows, unsound
+        sound, flags = "true" if ratio <= 1.0 + tol else "false", ";".join(rep.validity_flags)
+        rows.append([sc.sid, method, fmt(bound), fmt(mu_ref), fmt(ratio), sound, flags])
+    return rows
 
 
 def _rows_sweep(sc):
@@ -390,19 +402,8 @@ def _rows_norms(sc):
     cmap, rho, quad = sc.build()
     rows = []
     for method in sc.methods:
-        if method == "luxemburg":
-            young = _young_from_name(sc.young, sc.line)
-            f = SampledFunction(
-                np.asarray(rho.on_disk(cmap, quad.nodes), dtype=float),
-                quad.weights,
-                quad.measure_id,
-            )
-            rows.append([sc.sid, f"luxemburg({young.name})", fmt(luxemburg_norm(f, young)), ""])
-        elif method == "kq":
-            rows.append([sc.sid, f"kq(q={fmt(sc.q)})", fmt(bnd.k_q(cmap, rho, sc.q, quad)), ""])
-        elif method == "kphi":
-            val = bnd.k_phi(cmap, rho, LogPow(sc.eps), quad)
-            rows.append([sc.sid, f"kphi(eps={fmt(sc.eps)})", fmt(val), ""])
+        label, value = NORMS[method][1](sc, cmap, rho, quad)
+        rows.append([sc.sid, label, fmt(value), ""])
     return rows
 
 
@@ -410,19 +411,23 @@ def _rows_norms(sc):
 # commands
 # ---------------------------------------------------------------------------
 
-_HEADERS = {
-    "bound": ["scenario", "method", "bound", "bound_log", "intermediates", "flags"],
-    "verify": ["scenario", "method", "bound", "mu_fem", "ratio", "sound", "flags"],
-    "sweep": [
-        "scenario",
-        "point",
-        "bound",
-        "bound_log_or_predicted_slope",
-        "log_rho_norm",
-        "log_rho_norm_dominated",
-        "flags",
-    ],
-    "norms": ["scenario", "quantity", "value", "details"],
+# command -> (CSV header, worker(scenario, args) -> rows); the workers look
+# the row functions up on this module when they run
+_COMMANDS = {
+    "bound": (
+        ["scenario", "method", "bound", "bound_log", "intermediates", "flags"],
+        lambda sc, args: _rows_bound(sc, args.corrupt_bounds),
+    ),
+    "verify": (
+        ["scenario", "method", "bound", "mu_fem", "ratio", "sound", "flags"],
+        lambda sc, args: _rows_verify(sc, args.tol, args.corrupt_bounds),
+    ),
+    "sweep": (
+        ["scenario", "point", "bound", "bound_log_or_predicted_slope", "log_rho_norm",
+         "log_rho_norm_dominated", "flags"],
+        lambda sc, args: _rows_sweep(sc),
+    ),
+    "norms": (["scenario", "quantity", "value", "details"], lambda sc, args: _rows_norms(sc)),
 }
 
 
@@ -455,7 +460,7 @@ def main(argv=None):
         description="analytic eigenvalue lower bounds with FEM verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("bound", "verify", "sweep", "norms"):
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="scenario config path")
         cmd.add_argument("--out", default="-", help="output CSV path (default stdout)")
@@ -479,35 +484,20 @@ def main(argv=None):
 
     try:
         scenarios = parse_config(config_text)
-        if args.fem_level is not None:
-            for sc in scenarios:
-                sc.fem_level = args.fem_level
         for sc in scenarios:
+            if args.fem_level is not None:
+                sc.fem_level = args.fem_level
             _validate_scenario(sc, args.command)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    exit_code = 0
-    if args.command == "bound":
-        blocks = _run_parallel(scenarios, lambda sc: _rows_bound(sc, args.corrupt_bounds), args.jobs)
-        rows = [row for block in blocks for row in block]
-    elif args.command == "verify":
-        blocks = _run_parallel(
-            scenarios, lambda sc: _rows_verify(sc, args.tol, args.corrupt_bounds), args.jobs
-        )
-        rows = [row for block, _ in blocks for row in block]
-        if any(unsound for _, unsound in blocks):
-            exit_code = 1
-    elif args.command == "sweep":
-        blocks = _run_parallel(scenarios, _rows_sweep, args.jobs)
-        rows = [row for block in blocks for row in block]
-    else:
-        blocks = _run_parallel(scenarios, _rows_norms, args.jobs)
-        rows = [row for block in blocks for row in block]
-
-    _emit(args.out, config_text, _HEADERS[args.command], rows)
-    return exit_code
+    header, worker = _COMMANDS[args.command]
+    blocks = _run_parallel(scenarios, lambda sc: worker(sc, args), args.jobs)
+    rows = [row for block in blocks for row in block]
+    _emit(args.out, config_text, header, rows)
+    unsound = "sound" in header and any(row[header.index("sound")] == "false" for row in rows)
+    return 1 if unsound else 0
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ __all__ = [
     "assemble",
     "first_nonzero_neumann",
     "mu_fem",
+    "check_richardson_level",
     "mu_fem_richardson",
     "mu_disk_reference",
     "bessel_j1prime_root",
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _EIG_SEED = 20240615
+_MAX_LEVEL = 8  # finest mesh level
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,8 @@ def mesh_from_map(cmap, level):
     Mesh size halves per level (6 * 4^(level-1) triangles).  Raises when a
     mapped triangle degenerates.
     """
-    if not 1 <= level <= 8:
-        raise ParameterError(f"mesh level must be in [1, 8], got {level}")
+    if not 1 <= level <= _MAX_LEVEL:
+        raise ParameterError(f"mesh level must be in [1, {_MAX_LEVEL}], got {level}")
     disk_verts, tris, boundary = _disk_rings(level)
     mapped = cmap.map(disk_verts)
     vertices = np.column_stack([mapped.real, mapped.imag])
@@ -225,14 +227,19 @@ def mu_fem(cmap, rho, level):
     return mu
 
 
+def check_richardson_level(level):
+    """Raise ParameterError unless level - 1 and level are both mesh levels."""
+    if not 2 <= level <= _MAX_LEVEL:
+        raise ParameterError(f"richardson level must be in [2, {_MAX_LEVEL}], got {level}")
+
+
 def mu_fem_richardson(cmap, rho, level):
     """Richardson-extrapolated eigenvalue from levels (level-1, level).
 
     P1 eigenvalues converge at O(h^2), so the extrapolation removes the
     leading error term: mu = mu_L + (mu_L - mu_{L-1}) / 3.
     """
-    if level < 2:
-        raise ParameterError("richardson extrapolation needs level >= 2")
+    check_richardson_level(level)
     mu_coarse = mu_fem(cmap, rho, level - 1)
     mu_fine = mu_fem(cmap, rho, level)
     return mu_fine + (mu_fine - mu_coarse) / 3.0

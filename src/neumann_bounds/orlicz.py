@@ -26,6 +26,8 @@ __all__ = [
     "weighted_median",
 ]
 
+_LUXEMBURG_RTOL = 1e-12  # relative width at which the norm bisection stops
+
 
 @dataclass(frozen=True)
 class SampledFunction:
@@ -72,7 +74,7 @@ def _modular(young, absvals, weights, lam):
     return np.inf if np.isnan(out) else out
 
 
-def luxemburg_norm(f, young, rtol=1e-12):
+def luxemburg_norm(f, young):
     """inf{lambda > 0 : integral of Y(|f|/lambda) <= 1} by bisection.
 
     Returns 0 for the zero function.  For continuous strictly increasing Y
@@ -106,7 +108,7 @@ def luxemburg_norm(f, young, rtol=1e-12):
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rtol * hi:
+        if hi - lo <= _LUXEMBURG_RTOL * hi:
             break
     return hi
 

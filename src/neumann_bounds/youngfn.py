@@ -54,6 +54,7 @@ log = logging.getLogger(__name__)
 
 _E = float(np.e)
 _EPS = float(np.finfo(float).eps)
+_INVERSE_RTOL = 1e-10  # relative width at which the inverse bisection stops
 
 
 def _checked(u, name="u"):
@@ -124,8 +125,6 @@ class YoungFunction:
     name = "young"
     #: registered submultiplicativity constant, if known (M(uv) <= C M(u)M(v))
     delta_prime_constant = None
-    #: registered supermultiplicativity constant, if known (M(Cuv) >= M(u)M(v))
-    nabla_prime_constant = None
 
     def eval(self, u):
         raise NotImplementedError
@@ -140,7 +139,7 @@ class YoungFunction:
 
     # -- inversion ---------------------------------------------------------
 
-    def inverse(self, t, rtol=1e-10):
+    def inverse(self, t):
         """Solve M(u) = t for u >= 0 by bracketed bisection.
 
         ``inverse(0) == 0``.  Raises on non-finite input and when 2048 bracket
@@ -156,10 +155,10 @@ class YoungFunction:
         out = np.zeros_like(t)
         pos = t > 0
         if pos.any():
-            out[pos] = self._bisect_inverse(t[pos], rtol)
+            out[pos] = self._bisect_inverse(t[pos])
         return _ret(out[0] if scalar else out, scalar)
 
-    def _bisect_inverse(self, t, rtol):
+    def _bisect_inverse(self, t):
         lo = np.zeros_like(t)
         hi = np.ones_like(t)
         with np.errstate(over="ignore"):
@@ -178,7 +177,7 @@ class YoungFunction:
                 high = self.eval(mid) >= t
                 hi = np.where(high, mid, hi)
                 lo = np.where(high, lo, mid)
-                if np.all(hi - lo <= rtol * np.maximum(hi, 1e-300)):
+                if np.all(hi - lo <= _INVERSE_RTOL * np.maximum(hi, 1e-300)):
                     break
         return 0.5 * (lo + hi)
 
@@ -230,7 +229,7 @@ class PowerP(YoungFunction):
             out = np.log(self.coef) + self.p * np.log(u)
         return _ret(out, scalar)
 
-    def inverse(self, t, rtol=1e-10):
+    def inverse(self, t):
         t = _checked(t, "t")
         scalar = t.ndim == 0
         return _ret((t / self.coef) ** (1.0 / self.p), scalar)
@@ -264,7 +263,7 @@ class ExpSquare(YoungFunction):
             out = _log_expm1(u * u)
         return _ret(out, scalar)
 
-    def inverse(self, t, rtol=1e-10):
+    def inverse(self, t):
         t = _checked(t, "t")
         scalar = t.ndim == 0
         return _ret(np.sqrt(np.log1p(t)), scalar)
@@ -294,7 +293,7 @@ class ExpPow(YoungFunction):
             out = _log_expm1(u ** (2.0 / self.eps))
         return _ret(out, scalar)
 
-    def inverse(self, t, rtol=1e-10):
+    def inverse(self, t):
         t = _checked(t, "t")
         scalar = t.ndim == 0
         return _ret(np.log1p(t) ** (self.eps / 2.0), scalar)
@@ -355,7 +354,7 @@ class LogPow(YoungFunction):
         out = 0.5 * (lo + hi)
         return _ret(out[0] if scalar else out, scalar)
 
-    def inverse(self, t, rtol=1e-10):
+    def inverse(self, t):
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t)):
             raise DomainError(f"inverse target must be finite, got {t!r}")
@@ -369,7 +368,7 @@ class LogPow(YoungFunction):
         if tiny.any():
             out[tiny] = np.exp(self.inverse_log(np.log(t[tiny])))
         if pos.any():
-            out[pos] = self._bisect_inverse(t[pos], rtol)
+            out[pos] = self._bisect_inverse(t[pos])
         return _ret(out[0] if scalar else out, scalar)
 
 
@@ -413,7 +412,7 @@ class ExpMinusOne(YoungFunction):
         scalar = u.ndim == 0
         return _ret(_log_expm1(u), scalar)
 
-    def inverse(self, t, rtol=1e-10):
+    def inverse(self, t):
         t = _checked(t, "t")
         scalar = t.ndim == 0
         return _ret(np.log1p(t), scalar)
@@ -609,7 +608,7 @@ class NumericComplement(YoungFunction):
         self._u_lo = float(u_lo)
         self._u_hi = float(u_hi)
         self._n = int(n_grid)
-        self._refine_default = bool(refine)
+        self._refine = bool(refine)
         self._levels = {}  # ladder level k -> _ConjugateGrid
 
     def _level(self, k):
@@ -628,18 +627,17 @@ class NumericComplement(YoungFunction):
             val = u * v - np.asarray(self.of.eval(u))
         return np.where(np.isnan(val), -np.inf, val)
 
-    def eval(self, v, refine=None):
+    def eval(self, v):
         v = _checked(v, "v")
         scalar = v.ndim == 0
         v = np.atleast_1d(v)
-        refine = self._refine_default if refine is None else refine
         out = np.zeros_like(v)
         pos = v > 0
         if pos.any():
-            out[pos] = self._sup(v[pos], refine)
+            out[pos] = self._sup(v[pos])
         return _ret(out[0] if scalar else out.reshape(np.shape(v)), scalar)
 
-    def _sup(self, v, refine):
+    def _sup(self, v):
         best, lo, hi = np.empty_like(v), np.empty_like(v), np.empty_like(v)
         rows = np.arange(len(v))  # entries still climbing the ladder
         for k in range(13):
@@ -650,7 +648,7 @@ class NumericComplement(YoungFunction):
             rows = rows[idx >= self._n - 2]
             if not len(rows) or grid.u_hi >= 1e120:
                 break
-        if not refine:
+        if not self._refine:
             return np.maximum(best, 0.0)
         invphi = (np.sqrt(5.0) - 1.0) / 2.0
         c = hi - invphi * (hi - lo)
@@ -707,11 +705,9 @@ class TableYoung(YoungFunction):
 # ---------------------------------------------------------------------------
 
 
-def default_probe_grid(lo=1e-3, hi=1e3, n=48):
-    """Log-uniform grid on [lo, hi] used for the growth probes."""
-    if n < 40:
-        raise ParameterError("probe grid needs at least 40 points per axis")
-    return np.geomspace(lo, hi, n)
+def default_probe_grid():
+    """Log-uniform grid of 48 points on [1e-3, 1e3] used for the growth probes."""
+    return np.geomspace(1e-3, 1e3, 48)
 
 
 def probe_delta_prime(young, grid=None):

@@ -73,7 +73,7 @@ class TestConfigParsing:
     def test_defaults_inherited(self):
         scenarios = cli.parse_config(BASIC)
         assert [s.sid for s in scenarios] == ["disk-one", "pp-tight"]
-        assert scenarios[0].p == 1.5 and scenarios[1].K == 1.05
+        assert scenarios[0].params.p == 1.5 and scenarios[1].params.K == 1.05
         assert scenarios[0].quad_nr == 48
         assert scenarios[1].methods == ["esssup"]
 
@@ -138,6 +138,10 @@ MALFORMED = {
     "b_m_eps-negative": ("bound", "methods = orlicz\nb_m_eps = -1"),
     "b_m_eps-zero-quasidisc": ("bound", "methods = orlicz_quasidisc\nK = 1.05\nb_m_eps = 0"),
     "b_m_eps-negative-quasidisc": ("bound", "methods = orlicz_quasidisc\nK = 1.05\nb_m_eps = -1"),
+    "eps-one-orlicz": ("bound", "methods = esssup, orlicz\neps = 1"),
+    "eps-half-orlicz_quasidisc": ("bound", "methods = orlicz_quasidisc\neps = 0.5\nK = 1.05"),
+    "fem_level-one-verify": ("verify", "fem_level = 1"),
+    "fem_level-nine-verify": ("verify", "fem_level = 9"),
 }
 
 
@@ -148,6 +152,14 @@ def test_malformed_config_exits_2_with_line(tmp_path, capsys, command, lines):
     text = "[scenario]\nid = bad\nmap = identity\ndensity = constant\nmethods = esssup\n"
     cfg = write(tmp_path, text + lines.format(negative=negative) + "\n")
     assert run([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: line \d+: ", err), err
+    assert "Traceback" not in err
+
+
+def test_fem_level_flag_out_of_range_exits_2(tmp_path, capsys):
+    argv = ["verify", "--config", write(tmp_path, BASIC), "--fem-level", "0"]
+    assert run([*argv, "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert re.match(r"error: line \d+: ", err), err
     assert "Traceback" not in err
