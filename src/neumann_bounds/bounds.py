@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem_oracle
-from .conformal import build_disk_quadrature, image_area, pullback_mass_density
+from .conformal import Pullback, build_disk_quadrature
 from .errors import ConvergenceError, ParameterError
 from .orlicz import SampledFunction, luxemburg_norm
 from .youngfn import (
@@ -214,6 +214,16 @@ def _finish(method, bound_log, intermediates, flags, params):
     )
 
 
+def _pullback(cmap, rho, quad, pullback):
+    """The route's pull-back: ``pullback`` when the caller shares one, which
+    must sample ``rho`` through ``cmap`` on ``quad``, else a new one."""
+    if pullback is None:
+        return Pullback(cmap, rho, quad)
+    if pullback.cmap is not cmap or pullback.rho is not rho or pullback.quad is not quad:
+        raise ParameterError("the pull-back samples another map, density or quadrature")
+    return pullback
+
+
 # ---------------------------------------------------------------------------
 # disk Sobolev-Poincare constants
 # ---------------------------------------------------------------------------
@@ -246,13 +256,13 @@ def mu_pq_disk_bracket(p, q):
 # ---------------------------------------------------------------------------
 
 
-def k_esssup(cmap, rho, quad):
+def k_esssup(cmap, rho, quad, pullback=None):
     """Grid maximum of the mass-weighted pullback rho(phi(z)) J(z).
 
     This under-estimates the true essential supremum (continuous fixtures,
     so the grid max converges under refinement; see k_esssup_refined).
     """
-    return float(pullback_mass_density(rho, cmap, quad).values.max())
+    return float(_pullback(cmap, rho, quad, pullback).mass_density.values.max())
 
 
 def k_esssup_refined(cmap, rho, quad):
@@ -276,12 +286,12 @@ def k_esssup_refined(cmap, rho, quad):
     return values[2], diag
 
 
-def mu_lower_esssup(cmap, rho, quad):
+def mu_lower_esssup(cmap, rho, quad, pullback=None):
     """Eigenvalue bound mu(disk) / esssup(rho / inverse-Jacobian).
 
     mu(disk) is the exact Bessel-root reference, not the Poincare bracket.
     """
-    kval = k_esssup(cmap, rho, quad)
+    kval = k_esssup(cmap, rho, quad, pullback)
     mu_disk = fem_oracle.mu_disk_reference()
     bound_log = math.log(mu_disk) - math.log(kval)
     inter = {"k_esssup": kval, "mu_disk": mu_disk}
@@ -293,7 +303,7 @@ def mu_lower_esssup(cmap, rho, quad):
 # ---------------------------------------------------------------------------
 
 
-def k_q(cmap, rho, q, quad):
+def k_q(cmap, rho, q, quad, pullback=None):
     """The q/(q-2)-norm functional of the mass-weighted pullback:
 
         ( sum_i w_i (rho(phi(z_i)) J(z_i))^(q/(q-2)) )^((q-2)/q)
@@ -301,13 +311,13 @@ def k_q(cmap, rho, q, quad):
     computed with a log-space sum so large Jacobians cannot overflow.
     """
     ScenarioParams(q=q).validate_q()
-    g = pullback_mass_density(rho, cmap, quad)
+    g = _pullback(cmap, rho, quad, pullback).mass_density
     r = q / (q - 2.0)
     log_terms = r * np.log(g.values) + np.log(g.weights)
     return float(math.exp(_logsumexp(log_terms) / r))
 
 
-def mu_lower_kq(cmap, rho, p, q, quad):
+def mu_lower_kq(cmap, rho, p, q, quad, pullback=None):
     """Eigenvalue bound through the disk (p,q)-eigenvalue and the Lq
     functional.  The report carries both the composed theorem form
 
@@ -322,7 +332,7 @@ def mu_lower_kq(cmap, rho, p, q, quad):
     params = ScenarioParams(p=p, q=q)
     params.validate_pq()
     b = b_qp_disk(p, q)
-    kq = k_q(cmap, rho, q, quad)
+    kq = k_q(cmap, rho, q, quad, pullback)
     pi_exp = 2.0 * (2.0 - p) / p
     sharper_log = -pi_exp * _LN_PI - 2.0 * math.log(b) - math.log(kq)
     lo, hi = mu_pq_disk_bracket(p, q)
@@ -403,19 +413,19 @@ def log_c_j(alpha, K, area):
     return value, flags, inter
 
 
-def _log_rho_norm_pullback(cmap, rho, s, quad):
+def _log_rho_norm_pullback(pullback, s):
     """log of the L^s(image) norm of rho, by pullback quadrature.
 
     Uses the density's log-space twin, so sharply concentrated densities
     whose tails underflow linear evaluation stay usable.
     """
-    log_vals = np.asarray(rho.log_on_disk(cmap, quad.nodes), dtype=float)
-    jac = cmap.jacobian(quad.nodes)
-    log_terms = s * log_vals + np.log(jac) + np.log(quad.weights)
+    log_terms = (
+        s * pullback.log_density + np.log(pullback.jacobian) + np.log(pullback.quad.weights)
+    )
     return float(_logsumexp(log_terms) / s)
 
 
-def mu_lower_quasidisc(cmap, rho, params, quad):
+def mu_lower_quasidisc(cmap, rho, params, quad, pullback=None):
     """Map-independent eigenvalue bound for quasidisk images.
 
     Assembled fully in log space; the resulting bound is astronomically
@@ -423,10 +433,11 @@ def mu_lower_quasidisc(cmap, rho, params, quad):
     underflows to 0.0 while ``bound_log`` stays finite.
     """
     params.validate_jacobian_free()
+    pb = _pullback(cmap, rho, quad, pullback)
     s = params.lebesgue_exponent()
-    area = image_area(cmap, quad)
+    area = pb.area
     lcj, flags, inter_cj = log_c_j(params.alpha, params.K, area)
-    log_rho_s = _log_rho_norm_pullback(cmap, rho, s, quad)
+    log_rho_s = _log_rho_norm_pullback(pb, s)
     kappa = params.kappa
     p, q, alpha = params.p, params.q, params.alpha
     bound_log = (
@@ -460,6 +471,7 @@ def gaussian_sweep(n_list, params, cmap, quad):
     For each sharpness n the density norm is computed by pullback quadrature
     and checked against the closed-form domination (pi/(n s))^(1/s); the
     check allows a 1e-12 relative quadrature slack and raises on violation.
+    The Jacobian and the image area are computed once for the whole sweep.
     The emitted bound reports grow like n^((q-2)/(q s)); fit the log-log
     slope with ``fit_loglog_slope``.
     """
@@ -467,10 +479,11 @@ def gaussian_sweep(n_list, params, cmap, quad):
 
     validate_sweep(n_list, params)
     s = params.lebesgue_exponent()
+    on_map = Pullback(cmap, None, quad)
     reports = []
     for n in n_list:
-        rho_n = GaussianDensity(n)
-        report = mu_lower_quasidisc(cmap, rho_n, params, quad)
+        pb = on_map.for_density(GaussianDensity(n))
+        report = mu_lower_quasidisc(cmap, pb.rho, params, quad, pullback=pb)
         log_quad_norm = report.intermediates["log_rho_norm_s"]
         log_dominated = (math.log(math.pi) - math.log(n * s)) / s
         if log_quad_norm > log_dominated + 1e-12:
@@ -498,16 +511,19 @@ def fit_loglog_slope(n_list, reports):
 # ---------------------------------------------------------------------------
 
 
-def k_phi(cmap, rho, phi_young, quad):
+def k_phi(cmap, rho, phi_young, quad, pullback=None):
     """Luxemburg-norm functional of rho against the Jacobian profile:
 
     the image-domain norm of rho / (Jinv * PhiInv(1/Jinv)) pulled back to
     the disk, where the integrand at node z is
     g(z) = rho(phi(z)) J(z) / PhiInv(J(z)) on the Jacobian-weighted measure.
+    PhiInv runs once per distinct value of J, and the norm evaluates Phi
+    once per distinct value of g (see ``luxemburg_norm``), so samples that
+    repeat, as on symmetric maps or under constant densities, cost less.
     """
-    jac = cmap.jacobian(quad.nodes)
-    vals = np.asarray(rho.on_disk(cmap, quad.nodes), dtype=float)
-    g = vals * jac / np.asarray(phi_young.inverse(jac))
+    pb = _pullback(cmap, rho, quad, pullback)
+    jac = pb.jacobian
+    g = pb.density * jac / np.asarray(phi_young.inverse(jac))
     pushed = SampledFunction(g, quad.weights * jac, quad.measure_id + ":image")
     return luxemburg_norm(pushed, phi_young)
 
@@ -526,7 +542,7 @@ def embedding_constant(b_m_eps):
     return b_m_eps, "pinned"
 
 
-def mu_lower_orlicz(cmap, rho, eps, b_m_eps=None, quad=None):
+def mu_lower_orlicz(cmap, rho, eps, b_m_eps=None, quad=None, pullback=None):
     """Orlicz-route eigenvalue bound 1 / (18 B^2 K_phi).
 
     ``b_m_eps`` is the disk embedding constant for the compact exponential
@@ -541,7 +557,7 @@ def mu_lower_orlicz(cmap, rho, eps, b_m_eps=None, quad=None):
         quad = build_disk_quadrature(64, 64)
     b_m_eps, b_source = embedding_constant(b_m_eps)
     phi_eps = LogPow(eps)
-    kphi = k_phi(cmap, rho, phi_eps, quad)
+    kphi = k_phi(cmap, rho, phi_eps, quad, pullback)
     bound_log = -math.log(18.0) - 2.0 * math.log(b_m_eps) - math.log(kphi)
     inter = {
         "k_phi": kphi,
@@ -578,7 +594,7 @@ def _log_phi_inv_tiny(log_s, phi_eps_exponent=1.0):
     return log_s - phi_eps_exponent * mp.log(1 + mp.log1p(u_over_e))
 
 
-def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None):
+def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None, pullback=None):
     """Map-independent Orlicz-route bound (the double-exponential chain).
 
     Builds the conjugate-power composition for (eps, alpha), probes its
@@ -612,15 +628,16 @@ def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None):
         )
 
     # conjugate-norm of the transformed density, by pullback
-    jac = cmap.jacobian(quad.nodes)
-    vals = np.asarray(rho.on_disk(cmap, quad.nodes), dtype=float)
+    pb = _pullback(cmap, rho, quad, pullback)
     transformed = SampledFunction(
-        np.asarray(phi_eps.eval(vals)), quad.weights * jac, quad.measure_id + ":image"
+        np.asarray(phi_eps.eval(pb.density)),
+        quad.weights * pb.jacobian,
+        quad.measure_id + ":image",
     )
     psi_eps_star = NumericComplement(psi_eps, refine=False)
     norm_psi_star = luxemburg_norm(transformed, psi_eps_star)
 
-    area = image_area(cmap, quad)
+    area = pb.area
     lcj, flags, inter_cj = log_c_j(alpha, params.K, area)
 
     log_t = 0.5 * (alpha - 2.0) * math.log(alpha / (alpha - 2.0)) + 0.5 * alpha * lcj

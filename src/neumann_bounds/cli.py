@@ -65,7 +65,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bnd
 from . import fem_oracle
-from .conformal import build_disk_quadrature, map_from_spec
+from .conformal import Pullback, build_disk_quadrature, map_from_spec
 from .densities import SampledDensity, density_from_spec
 from .errors import ConfigError, DensityError, NeumannBoundsError, ParameterError
 from .orlicz import SampledFunction, luxemburg_norm
@@ -233,45 +233,51 @@ def _sweep(sc, cmap, quad):
     return reports, bnd.fit_loglog_slope(sc.sweep_n, reports), predicted
 
 
-def _sweep_reports(sc, cmap, rho, quad):
+def _sweep_reports(sc, pb):
     """One row per sharpness n, then the slope summary."""
-    reports, slope, predicted = _sweep(sc, cmap, quad)
+    reports, slope, predicted = _sweep(sc, pb.cmap, pb.quad)
     pairs = [(f"[n={n}]", rep) for n, rep in zip(sc.sweep_n, reports)]
     return pairs + [("[slope]", {"slope": slope, "predicted": predicted})]
 
 
-def _luxemburg(sc, cmap, rho, quad):
+def _luxemburg(sc, pb):
     young = _young_from_name(sc.young, sc.line)
-    f = SampledFunction(
-        np.asarray(rho.on_disk(cmap, quad.nodes), dtype=float), quad.weights, quad.measure_id
-    )
+    f = SampledFunction(pb.density, pb.quad.weights, pb.quad.measure_id)
     return f"luxemburg({young.name})", luxemburg_norm(f, young)
 
 
 # Method tables, method -> (check, run).  check(sc) raises ParameterError or
-# ConfigError when the scenario lies outside the method's range.  run(sc,
-# cmap, rho, quad) returns a bound method's BoundReport, or (label suffix,
-# report) pairs when the method writes several rows, and a norm method's
-# (label, value).  Rows look each route up on its module when they run.
+# ConfigError when the scenario lies outside the method's range.  run(sc, pb)
+# gets the scenario's one ``Pullback``, shared by all its rows, and returns a
+# bound method's BoundReport, or (label suffix, report) pairs when the method
+# writes several rows, and a norm method's (label, value).  Rows look each
+# route up on its module when they run.
 BOUNDS = {
-    "esssup": (lambda sc: None, lambda sc, cmap, rho, quad: bnd.mu_lower_esssup(cmap, rho, quad)),
+    "esssup": (
+        lambda sc: None,
+        lambda sc, pb: bnd.mu_lower_esssup(pb.cmap, pb.rho, pb.quad, pullback=pb),
+    ),
     "lq": (
         lambda sc: sc.params.validate_pq(),
-        lambda sc, cmap, rho, quad: bnd.mu_lower_kq(cmap, rho, sc.params.p, sc.params.q, quad),
+        lambda sc, pb: bnd.mu_lower_kq(
+            pb.cmap, pb.rho, sc.params.p, sc.params.q, pb.quad, pullback=pb
+        ),
     ),
     "quasidisc": (
         lambda sc: sc.params.validate_jacobian_free(),
-        lambda sc, cmap, rho, quad: bnd.mu_lower_quasidisc(cmap, rho, sc.params, quad),
+        lambda sc, pb: bnd.mu_lower_quasidisc(pb.cmap, pb.rho, sc.params, pb.quad, pullback=pb),
     ),
     "gaussian_sweep": (_check_sweep, _sweep_reports),
     "orlicz": (
         _check_orlicz,
-        lambda sc, cmap, rho, quad: bnd.mu_lower_orlicz(cmap, rho, sc.params.eps, sc.b_m_eps, quad),
+        lambda sc, pb: bnd.mu_lower_orlicz(
+            pb.cmap, pb.rho, sc.params.eps, sc.b_m_eps, pb.quad, pullback=pb
+        ),
     ),
     "orlicz_quasidisc": (
         lambda sc: (sc.params.validate_quasidisc(), _check_orlicz(sc)),
-        lambda sc, cmap, rho, quad: bnd.mu_lower_orlicz_quasidisc(
-            cmap, rho, sc.params, sc.b_m_eps, quad
+        lambda sc, pb: bnd.mu_lower_orlicz_quasidisc(
+            pb.cmap, pb.rho, sc.params, sc.b_m_eps, pb.quad, pullback=pb
         ),
     ),
 }
@@ -280,14 +286,16 @@ NORMS = {
     "luxemburg": (lambda sc: _young_from_name(sc.young, sc.line), _luxemburg),
     "kq": (
         lambda sc: sc.params.validate_q(),
-        lambda sc, cmap, rho, quad: (
-            f"kq(q={fmt(sc.params.q)})", bnd.k_q(cmap, rho, sc.params.q, quad)
+        lambda sc, pb: (
+            f"kq(q={fmt(sc.params.q)})",
+            bnd.k_q(pb.cmap, pb.rho, sc.params.q, pb.quad, pullback=pb),
         ),
     ),
     "kphi": (
         lambda sc: LogPow(sc.params.eps),  # the constructor range-checks eps
-        lambda sc, cmap, rho, quad: (
-            f"kphi(eps={fmt(sc.params.eps)})", bnd.k_phi(cmap, rho, LogPow(sc.params.eps), quad)
+        lambda sc, pb: (
+            f"kphi(eps={fmt(sc.params.eps)})",
+            bnd.k_phi(pb.cmap, pb.rho, LogPow(sc.params.eps), pb.quad, pullback=pb),
         ),
     ),
 }
@@ -327,11 +335,13 @@ def _validate_scenario(sc, command):
 
 def _bound_reports(sc, cmap, rho, quad):
     """(label, result) pairs in method order; a result is a BoundReport, a
-    sweep slope summary dict or an ``error:`` string."""
+    sweep slope summary dict or an ``error:`` string.  The rows share one
+    pull-back, which goes with this call."""
+    pb = Pullback(cmap, rho, quad)
     out = []
     for method in sc.methods:
         try:
-            rep = BOUNDS[method][1](sc, cmap, rho, quad)
+            rep = BOUNDS[method][1](sc, pb)
         except NeumannBoundsError as exc:
             rep = f"error:{exc}"
         if isinstance(rep, list):
@@ -399,10 +409,10 @@ def _rows_sweep(sc):
 
 
 def _rows_norms(sc):
-    cmap, rho, quad = sc.build()
+    pb = Pullback(*sc.build())
     rows = []
     for method in sc.methods:
-        label, value = NORMS[method][1](sc, cmap, rho, quad)
+        label, value = NORMS[method][1](sc, pb)
         rows.append([sc.sid, label, fmt(value), ""])
     return rows
 

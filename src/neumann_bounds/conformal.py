@@ -30,8 +30,8 @@ __all__ = [
     "DiskQuadrature",
     "build_disk_quadrature",
     "build_disk_quadrature_graded",
+    "Pullback",
     "image_area",
-    "pullback_mass_density",
     "MAP_KINDS",
     "map_from_spec",
 ]
@@ -250,21 +250,79 @@ class MoebiusDiskMap(ConformalMap):
 # ---------------------------------------------------------------------------
 
 
+class Pullback:
+    """The samples of one (map, density, quadrature) that the bound routes
+    share, each computed on first use and then kept, read-only:
+
+    * ``jacobian``: J(z_i);
+    * ``density``: rho(phi(z_i));
+    * ``log_density``: log rho(phi(z_i)), from the density's log-space twin;
+    * ``area``: the image area, sum of w_i * J(z_i).
+
+    A sample whose evaluation raises is not kept, so it raises again at its
+    next use: a density that underflows linear evaluation fails only the
+    routes that need it.  ``rho`` may be None when only the map's samples
+    are used.  The object holds no reference to itself, so its arrays go
+    with it.
+    """
+
+    def __init__(self, cmap, rho, quad):
+        self.cmap = cmap
+        self.rho = rho
+        self.quad = quad
+        self._kept = {}
+
+    def _once(self, name, compute):
+        if name not in self._kept:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._kept[name] = value
+        return self._kept[name]
+
+    @property
+    def jacobian(self):
+        return self._once("jacobian", lambda: self.cmap.jacobian(self.quad.nodes))
+
+    @property
+    def density(self):
+        return self._once(
+            "density",
+            lambda: np.asarray(self.rho.on_disk(self.cmap, self.quad.nodes), dtype=float),
+        )
+
+    @property
+    def log_density(self):
+        return self._once(
+            "log_density",
+            lambda: np.asarray(self.rho.log_on_disk(self.cmap, self.quad.nodes), dtype=float),
+        )
+
+    @property
+    def area(self):
+        return self._once("area", lambda: float(np.sum(self.quad.weights * self.jacobian)))
+
+    @property
+    def mass_density(self):
+        """rho(phi(z_i)) * J(z_i) on the disk measure, the disk-side
+        density-to-inverse-Jacobian ratio of the esssup and Lq functionals.
+        Not kept: one product costs less than holding it for the scenario."""
+        from .orlicz import SampledFunction
+
+        values = self.density * self.jacobian
+        return SampledFunction(values, self.quad.weights, self.quad.measure_id)
+
+    def for_density(self, rho):
+        """The pull-back of ``rho`` through the same map and nodes, sharing
+        this one's Jacobian and image area."""
+        other = Pullback(self.cmap, rho, self.quad)
+        other._kept.update(jacobian=self.jacobian, area=self.area)
+        return other
+
+
 def image_area(cmap, quad):
     """Area of the image domain: sum of w_i * J(z_i)."""
-    return float(np.sum(quad.weights * cmap.jacobian(quad.nodes)))
-
-
-def pullback_mass_density(rho, cmap, quad):
-    """Sample the mass-weighted pullback rho(phi(z_i)) * J(z_i).
-
-    This is the disk-side expression of the density-to-inverse-Jacobian
-    ratio that drives the esssup and Lq functionals.
-    """
-    from .orlicz import SampledFunction
-
-    values = rho.on_disk(cmap, quad.nodes) * cmap.jacobian(quad.nodes)
-    return SampledFunction(np.asarray(values, dtype=float), quad.weights, quad.measure_id)
+    return Pullback(cmap, None, quad).area
 
 
 def _complex_list(text):

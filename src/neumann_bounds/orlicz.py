@@ -67,10 +67,14 @@ def _same_measure(f, g):
         )
 
 
-def _modular(young, absvals, weights, lam):
-    """Integral of Y(|f|/lambda) against the measure (may be inf)."""
+def _modular(young, distinct, back, weights, lam):
+    """Integral of Y(|f|/lambda) against the measure (may be inf).
+
+    |f| = distinct[back]: Y is evaluated once per distinct value and the
+    weighted terms are summed in node order, as if Y ran on every node.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.sum(weights * np.asarray(young.eval(absvals / lam)))
+        out = np.sum(weights * np.asarray(young.eval(distinct / lam))[back])
     return np.inf if np.isnan(out) else out
 
 
@@ -79,24 +83,27 @@ def luxemburg_norm(f, young):
 
     Returns 0 for the zero function.  For continuous strictly increasing Y
     the defining integral at the returned lambda lies in [1 - 1e-8, 1].
+    Each modular evaluates Y once per distinct value of |f|; the sum keeps
+    node order, so the result is that of evaluating Y at every node.
     """
     absvals = np.abs(f.values)
     fmax = absvals.max() if len(absvals) else 0.0
     if fmax == 0.0:
         return 0.0
     w = f.weights
+    distinct, back = np.unique(absvals, return_inverse=True)
     # harmonic starting bracket: at hi the modular is <= 1 by construction,
     # at lo the heaviest node alone already pushes it to >= 1
     hi = fmax / float(young.inverse(1.0 / f.total_measure))
     lo = fmax / float(young.inverse(1.0 / w.min()))
     for _ in range(2048):
-        if _modular(young, absvals, w, hi) <= 1.0:
+        if _modular(young, distinct, back, w, hi) <= 1.0:
             break
         hi *= 2.0
     else:
         raise ConvergenceError("luxemburg bisection: no upper bracket")
     for _ in range(2048):
-        if lo < hi and _modular(young, absvals, w, lo) > 1.0:
+        if lo < hi and _modular(young, distinct, back, w, lo) > 1.0:
             break
         lo *= 0.5
         if lo < 1e-300:
@@ -104,7 +111,7 @@ def luxemburg_norm(f, young):
             return hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _modular(young, absvals, w, mid) <= 1.0:
+        if _modular(young, distinct, back, w, mid) <= 1.0:
             hi = mid
         else:
             lo = mid

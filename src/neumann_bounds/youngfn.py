@@ -8,7 +8,9 @@ compositions built from them), together with
 
 * numerical inverses (bracketed bisection, with a log-domain branch for the
   ``u log^eps(u+e)`` family so that arguments far outside double range stay
-  usable),
+  usable); the bisection runs once per distinct target, and an entry's
+  value depends only on itself and, through the shared stop, on the set of
+  distinct targets of its call,
 * complementary (convex conjugate) functions, closed-form where registered
   and a one-sided numeric fallback otherwise,
 * probes for the submultiplicativity / supermultiplicativity growth
@@ -143,7 +145,10 @@ class YoungFunction:
         """Solve M(u) = t for u >= 0 by bracketed bisection.
 
         ``inverse(0) == 0``.  Raises on non-finite input and when 2048 bracket
-        doublings fail to enclose ``t``.
+        doublings fail to enclose ``t``.  The bisection runs once per distinct
+        target and stops when the slowest one converges, so a value depends
+        on the set of distinct targets in the call, not on their order or
+        on how often each is repeated.
         """
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t)):
@@ -159,6 +164,9 @@ class YoungFunction:
         return _ret(out[0] if scalar else out, scalar)
 
     def _bisect_inverse(self, t):
+        # each target's path depends on its own value alone, and the shared
+        # stop waits on the same distinct values, so this is exact
+        t, back = np.unique(t, return_inverse=True)
         lo = np.zeros_like(t)
         hi = np.ones_like(t)
         with np.errstate(over="ignore"):
@@ -175,11 +183,13 @@ class YoungFunction:
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 high = self.eval(mid) >= t
-                hi = np.where(high, mid, hi)
-                lo = np.where(high, lo, mid)
+                # 0 <= lo <= mid <= hi, so hi - mid is exact (Sterbenz) and
+                # these select mid or keep the old end bit for bit
+                hi = hi - (hi - mid) * high
+                lo = np.maximum(lo, mid * ~high)
                 if np.all(hi - lo <= _INVERSE_RTOL * np.maximum(hi, 1e-300)):
                     break
-        return 0.5 * (lo + hi)
+        return (0.5 * (lo + hi))[back]
 
     # -- conjugation -------------------------------------------------------
 
@@ -590,8 +600,10 @@ class NumericComplement(YoungFunction):
     calls, and threads sharing an instance can only build equal levels.
     Refinement starts from each v's own bracket but evaluates M for all
     entries at once, so a refined value inherits any batch dependence of
-    ``of.eval`` itself (``PsiAlpha`` has some, from the shared stop of
-    ``YoungFunction._bisect_inverse``).
+    ``of.eval`` itself.  ``PsiAlpha`` has some: its inverse runs once per
+    distinct target and stops with the slowest, so a refined value depends
+    on the set of distinct other entries of the call, though not on their
+    order or on how often each is repeated.
 
     The discrete supremum is found through the lower convex hull of the grid
     points (u_j, M(u_j)), built once per level: a binary search on the

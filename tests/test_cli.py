@@ -69,6 +69,36 @@ def test_quasidisk_chain_matches_reference(tmp_path, monkeypatch):
     assert out.read_bytes() == (bench / "reference" / "quasidisk-chain.csv").read_bytes()
 
 
+def test_fine_quadrature_matches_reference(tmp_path, monkeypatch):
+    # end to end over the shared pull-backs, the inverse and the Luxemburg
+    # norm at 256x256: the CSV must stay byte-identical to the reference
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    cfg = write(tmp_path, workloads.config_text("fine-quadrature", 0))
+    out = tmp_path / "out.csv"
+    assert run(["bound", "--config", cfg, "--jobs", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == (bench / "reference" / "fine-quadrature.csv").read_bytes()
+
+
+def test_density_failure_stays_with_its_rows(tmp_path):
+    # e^(-5000|x|^2) underflows linear samples: the rows that need them are
+    # error rows, and quasidisc, which reads the log-space twin, still runs
+    cfg = write(
+        tmp_path,
+        "[scenario]\nid = g5000\nmap = identity\ndensity = gaussian n=5000\nK = 1.05\n"
+        "quad_nr = 48\nquad_ntheta = 32\nmethods = esssup, quasidisc, orlicz\n",
+    )
+    out = tmp_path / "out.csv"
+    assert run(["bound", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+    error = "error:gaussian(n=5000): density samples must be positive and finite"
+    assert [row[1] for row in rows] == ["esssup", "quasidisc", "orlicz"]
+    assert rows[0][2:] == ["nan", "nan", "", error]
+    assert rows[2][2:] == ["nan", "nan", "", error]
+    assert rows[1][2:4] == ["0", "-29360.769004905593"]
+
+
 class TestConfigParsing:
     def test_defaults_inherited(self):
         scenarios = cli.parse_config(BASIC)

@@ -5,9 +5,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from neumann_bounds import bounds as bnd
 from neumann_bounds import conformal as cf
 from neumann_bounds import densities as dn
-from neumann_bounds.errors import ConfigError, DomainError, ParameterError
+from neumann_bounds.errors import ConfigError, DensityError, DomainError, ParameterError
 
 
 class TestQuadrature:
@@ -196,5 +197,31 @@ class TestMaps:
 class TestPullback:
     def test_canceling_density(self, pp_map, quad64):
         rho = dn.PullbackJacobianPower(1.0)
-        g = cf.pullback_mass_density(rho, pp_map, quad64)
+        g = cf.Pullback(pp_map, rho, quad64).mass_density
         assert np.max(np.abs(g.values - 1.0)) < 1e-12
+
+    def test_samples_are_kept_and_shared(self, pp_map, quad32):
+        calls = []
+        rho = dn.CallableDensity(lambda x: calls.append(1) or np.exp(-np.abs(x) ** 2))
+        pb = cf.Pullback(pp_map, rho, quad32)
+        bnd.mu_lower_esssup(pp_map, rho, quad32, pullback=pb)
+        bnd.mu_lower_kq(pp_map, rho, 1.5, 4.0, quad32, pullback=pb)
+        bnd.mu_lower_orlicz(pp_map, rho, 2.0, 1.0, quad32, pullback=pb)
+        assert len(calls) == 1
+        assert not pb.jacobian.flags.writeable and not pb.density.flags.writeable
+        other = pb.for_density(dn.ConstantDensity(2.0))
+        assert other.jacobian is pb.jacobian and other.area == pb.area
+        assert np.all(other.density == 2.0)
+
+    def test_failed_sample_is_not_kept(self, identity_map, quad32):
+        pb = cf.Pullback(identity_map, dn.GaussianDensity(5000.0), quad32)
+        for _ in range(2):
+            with pytest.raises(DensityError):
+                pb.density
+        assert np.isfinite(pb.log_density).all()
+
+    def test_route_rejects_another_pullback(self, pp_map, identity_map, rho_one, quad32, quad64):
+        pb = cf.Pullback(pp_map, rho_one, quad32)
+        for cmap, quad in ((identity_map, quad32), (pp_map, quad64)):
+            with pytest.raises(ParameterError, match="another map"):
+                bnd.k_esssup(cmap, rho_one, quad, pullback=pb)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neumann_bounds import orlicz as ol
 from neumann_bounds import youngfn as yf
@@ -161,6 +163,124 @@ class TestHolder:
         g = sampled(np.ones(len(quad32)), quad32)
         with pytest.raises(DomainError):
             ol.holder_pairing(f, g, yf.LogLinear())
+
+
+def luxemburg_per_node(f, young):
+    """Reference for ``luxemburg_norm``: the same bisection with Y evaluated
+    at every node, duplicates included."""
+
+    def modular(lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.sum(w * np.asarray(young.eval(absvals / lam)))
+        return np.inf if np.isnan(out) else out
+
+    absvals = np.abs(f.values)
+    fmax = absvals.max() if len(absvals) else 0.0
+    if fmax == 0.0:
+        return 0.0
+    w = f.weights
+    hi = fmax / float(young.inverse(1.0 / f.total_measure))
+    lo = fmax / float(young.inverse(1.0 / w.min()))
+    for _ in range(2048):
+        if modular(hi) <= 1.0:
+            break
+        hi *= 2.0
+    for _ in range(2048):
+        if lo < hi and modular(lo) > 1.0:
+            break
+        lo *= 0.5
+        if lo < 1e-300:
+            return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if modular(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= ol._LUXEMBURG_RTOL * hi:
+            break
+    return hi
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+LUXEMBURG_KINDS = [
+    yf.LogPow(2.0),
+    yf.PowerP(3.0),
+    yf.NumericComplement(yf.PsiEpsAlpha(2.0, 12.0), refine=False),
+    yf.NumericComplement(yf.LogLinear()),
+]
+
+
+class TestLuxemburgOncePerDistinctValue:
+    """Y runs once per distinct |f|; the norm must equal the per-node
+    bisection's bit for bit."""
+
+    @pytest.mark.parametrize("young", LUXEMBURG_KINDS, ids=lambda y: y.name)
+    def test_repeated_values(self, young, quad32, pp_map, rng):
+        jac = pp_map.jacobian(quad32.nodes)
+        fields = [
+            np.full(len(quad32), 2.5),  # one distinct value
+            rng.choice(rng.lognormal(size=37), size=len(quad32)),  # 37, shuffled
+            -np.repeat(rng.lognormal(size=len(quad32) // 8), 8),  # signs drop in |f|
+            jac / np.asarray(yf.LogPow(2.0).inverse(jac)),  # k_phi's g, pp map
+        ]
+        for values in fields:
+            f = ol.SampledFunction(values, quad32.weights * jac)
+            assert bits(ol.luxemburg_norm(f, young)) == bits(luxemburg_per_node(f, young))
+
+    def test_modular_sums_in_node_order(self, quad32, rng):
+        # a bisection step rarely turns on the modular's last bit, so check
+        # the modular itself against the per-node sum
+        absvals = rng.choice(rng.lognormal(size=37), size=len(quad32))
+        distinct, back = np.unique(absvals, return_inverse=True)
+        for young in LUXEMBURG_KINDS[:2]:
+            for lam in (0.3, 1.7, 11.0):
+                per_node = np.sum(quad32.weights * np.asarray(young.eval(absvals / lam)))
+                got = ol._modular(young, distinct, back, quad32.weights, lam)
+                assert bits(got) == bits(per_node)
+
+
+# The distinct-value steps rely on an entrywise contract: permuting or
+# duplicating the entries of a call permutes or duplicates its results, bit
+# for bit, as long as the set of distinct entries is unchanged.
+_PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
+_VALUES = st.lists(
+    st.floats(min_value=0.0, max_value=1e12, allow_subnormal=True), min_size=1, max_size=24
+)
+
+
+@st.composite
+def _rearrangement(draw, n):
+    """Indices that take every entry at least once, in any order."""
+    extra = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return np.asarray(draw(st.permutations(list(range(n)) + extra)), dtype=np.intp)
+
+
+@_PROPERTY
+@given(data=st.data(), values=_VALUES)
+def test_inverse_is_entrywise(data, values):
+    t = np.asarray(values)
+    idx = data.draw(_rearrangement(len(t)))
+    for young in (yf.LogLinear(), yf.LogPow(2.0)):
+        assert np.array_equal(bits(young.inverse(t[idx])), bits(young.inverse(t))[idx])
+
+
+@_PROPERTY
+@given(data=st.data(), values=_VALUES)
+def test_luxemburg_is_per_node(data, values):
+    # the sum runs in node order, so a rearranged field is compared with
+    # the per-node bisection on that same field
+    x = np.asarray(values)
+    idx = data.draw(_rearrangement(len(x)))
+    weights = np.asarray(data.draw(st.lists(
+        st.floats(min_value=1e-3, max_value=10.0), min_size=len(idx), max_size=len(idx)
+    )))
+    f = ol.SampledFunction(x[idx], weights)
+    for young in (yf.LogPow(2.0), yf.PowerP(3.0)):
+        assert bits(ol.luxemburg_norm(f, young)) == bits(luxemburg_per_node(f, young))
 
 
 class TestWeightedMedian:

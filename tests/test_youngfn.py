@@ -1,3 +1,4 @@
+import copy
 import functools
 import sys
 import threading
@@ -5,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from neumann_bounds import conformal as cf
 from neumann_bounds import youngfn as yf
 from neumann_bounds.errors import DomainError, ParameterError
 
@@ -121,6 +123,95 @@ def test_inverse_log_branches():
         assert np.exp(phi.inverse_log(np.log(t))) == pytest.approx(
             phi.inverse(t), rel=1e-10
         )
+
+
+def bisect_inverse_per_entry(young, t):
+    """Reference for ``YoungFunction._bisect_inverse``: the loop over every
+    entry, duplicates included, with ``np.where`` selections."""
+    lo = np.zeros_like(t)
+    hi = np.ones_like(t)
+    with np.errstate(over="ignore"):
+        need = young.eval(hi) < t
+        for _ in range(2048):
+            if not need.any():
+                break
+            hi[need] *= 2.0
+            need = young.eval(hi) < t
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            high = young.eval(mid) >= t
+            hi = np.where(high, mid, hi)
+            lo = np.where(high, lo, mid)
+            if np.all(hi - lo <= yf._INVERSE_RTOL * np.maximum(hi, 1e-300)):
+                break
+    return 0.5 * (lo + hi)
+
+
+def per_entry(young):
+    """A copy of ``young`` whose inverse (and that of a Psi kind's inner
+    u log^eps(u+e)) runs the reference loop."""
+    ref = copy.copy(young)
+    ref._bisect_inverse = functools.partial(bisect_inverse_per_entry, ref)
+    if isinstance(ref, yf.PsiAlpha):
+        ref._phi = per_entry(ref._phi)
+    return ref
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+MAP_KINDS = [
+    cf.IdentityMap(),
+    cf.PerturbedPowerMap(0.5, 2),
+    cf.PerturbedPowerMap(0.3, 3),
+    cf.PolynomialMap([1.0, 0.0, 0.1j]),
+    cf.MoebiusDiskMap(0.3),
+]
+
+
+class TestInverseOncePerDistinctTarget:
+    """The inverse runs on the distinct targets; every value must equal the
+    per-entry loop's bit for bit."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("cmap", MAP_KINDS, ids=lambda m: m.name)
+    def test_jacobian_of_every_map_kind(self, cmap, n):
+        jac = cmap.jacobian(cf.build_disk_quadrature(n, n).nodes)
+        for phi in (yf.LogPow(2.0), yf.LogLinear()):
+            got = phi.inverse(jac)
+            assert np.array_equal(bits(got), bits(per_entry(phi).inverse(jac)))
+
+    def test_duplicated_targets(self, rng):
+        t = rng.lognormal(sigma=3.0, size=40)
+        t = rng.permutation(np.repeat(t, rng.integers(1, 6, size=40)))
+        for young in (yf.LogPow(2.0), yf.TableYoung([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 8.0])):
+            assert np.array_equal(bits(young.inverse(t)), bits(per_entry(young).inverse(t)))
+
+    def test_scalar_target(self):
+        for t in (0.0, 1e-305, 1.0 / np.pi, 3.7, 1e9):
+            got = yf.LogPow(2.0).inverse(t)
+            assert isinstance(got, float)
+            assert bits(got) == bits(per_entry(yf.LogPow(2.0)).inverse(t))
+
+    def test_bracket_doubling(self):
+        # targets above M(1) force the upper end to double, some many times
+        t = np.array([2.0, 17.5, 1e6, 3.3e30, 1e200, 17.5])
+        for phi in (yf.LogPow(2.0), yf.LogLinear()):
+            assert np.array_equal(bits(phi.inverse(t)), bits(per_entry(phi).inverse(t)))
+
+    def test_tiny_targets_take_the_log_branch(self):
+        t = np.array([1e-310, 5e-301, 0.0, 2.0, 1e-310, 1e-300, 0.25])
+        got = yf.LogPow(2.0).inverse(t)
+        assert np.array_equal(bits(got), bits(per_entry(yf.LogPow(2.0)).inverse(t)))
+        assert got[0] == got[4] and got[2] == 0.0
+
+    def test_psi_on_a_ladder_grid(self):
+        psi = yf.PsiEpsAlpha(2.0, 12.0)
+        u = yf.NumericComplement(psi)._level(0).u  # 2048 points
+        assert np.array_equal(bits(psi.eval(u)), bits(per_entry(psi).eval(u)))
+        t = np.asarray(psi.eval(u[1500:1540:4]))
+        assert np.array_equal(bits(psi.inverse(t)), bits(per_entry(psi).inverse(t)))
 
 
 class TestComplementary:
