@@ -35,11 +35,11 @@ from .conformal import Pullback, build_disk_quadrature
 from .errors import ConvergenceError, ParameterError
 from .orlicz import SampledFunction, luxemburg_norm
 from .youngfn import (
+    LogLinear,
     LogPow,
     NumericComplement,
     PsiAlpha,
     PsiEpsAlpha,
-    _mpf_absorbs,
     probe_nabla_prime,
 )
 
@@ -576,24 +576,6 @@ def mu_lower_orlicz(cmap, rho, eps, b_m_eps=None, quad=None, pullback=None):
     )
 
 
-def _log_phi_inv_tiny(log_s, phi_eps_exponent=1.0):
-    """log PhiInv(s) from log s for s far below double range (mpmath).
-
-    Near zero, u log^eps(u+e) ~ u, so log PhiInv(s) = log s minus an
-    exp(log s)-scale correction; evaluated with arbitrary-exponent floats.
-    """
-    import mpmath as mp
-
-    log_s = mp.mpf(log_s) if not hasattr(log_s, "_mpf_") else log_s
-    # log(u+e) = 1 + log1p(u/e);  log PhiInv(s) = log s - eps*log(log(u+e))
-    log_u_over_e = log_s - 1
-    # log1p(u/e) <= u/e: once 1 + u/e rounds to 1 the log is exactly 0
-    if _mpf_absorbs(mp.mpf(1), log_u_over_e):
-        return log_s
-    u_over_e = mp.exp(log_u_over_e)
-    return log_s - phi_eps_exponent * mp.log(1 + mp.log1p(u_over_e))
-
-
 def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None, pullback=None):
     """Map-independent Orlicz-route bound (the double-exponential chain).
 
@@ -642,7 +624,7 @@ def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None, pullba
 
     log_t = 0.5 * (alpha - 2.0) * math.log(alpha / (alpha - 2.0)) + 0.5 * alpha * lcj
     log_psi_t = psi.log_eval_from_log(log_t)  # mpf, astronomically large
-    log_phi_inv = _log_phi_inv_tiny(-log_psi_t)  # log PhiInv(1/Psi(T))
+    log_phi_inv = LogLinear().inverse_log_tiny(-log_psi_t)  # log PhiInv(1/Psi(T))
     log_c_tilde = mp.log(288.0) + mp.log(c_psi) - log_phi_inv
 
     # bound_log = log PhiEpsInv(1/norm) - log C~ - 2 log B

@@ -7,6 +7,17 @@ verify  bounds plus the FEM reference; flags unsound rows, exit 1 on any
 sweep   Gaussian-density sweep with a log-log slope summary row
 norms   standalone norm/functional values (luxemburg, kq, kphi)
 
+Flags
+-----
+all four      --config PATH (required), --out PATH (default stdout),
+              --jobs N (scenarios run on N threads, default 1)
+verify only   --fem-level L (overrides every scenario's fem_level),
+              --tol X (soundness tolerance, default 0.02)
+bound, verify --corrupt-bounds F (hidden from --help: multiplies every
+              bound by F, so a test can check that verify flags it)
+
+A flag given to a command that does not read it is a usage error (exit 2).
+
 The config is a flat, line-oriented ``key = value`` format with
 ``[scenario]`` section headers and ``#`` comments; no external config
 language.  Keys before the first section set global defaults.  Recognized
@@ -201,10 +212,7 @@ def _young_from_name(name, line):
             return ExpSquare()
         if name.startswith(("log_pow:", "power:")):
             kind, text = name.split(":", 1)
-            number = float(text)
-            if not math.isfinite(number):
-                raise ValueError(f"parameter must be finite, got {text!r}")
-            return (LogPow if kind == "log_pow" else PowerP)(number)
+            return (LogPow if kind == "log_pow" else PowerP)(float(text))
     except ValueError as exc:
         raise ConfigError(f"line {line}: bad young function {name!r}: {exc}") from exc
     raise ConfigError(f"line {line}: unknown young function {name!r}")
@@ -302,7 +310,8 @@ NORMS = {
 
 
 def _validate_scenario(sc, command):
-    """Range-check everything the requested methods will need (before work)."""
+    """Range-check everything the requested methods will need (before work)
+    and return the scenario's (map, density, quadrature)."""
     if command == "sweep":
         checks = [_check_sweep]
     else:
@@ -325,7 +334,7 @@ def _validate_scenario(sc, command):
             fem_oracle.check_richardson_level(sc.fem_level)
     except ParameterError as exc:
         raise ConfigError(f"line {sc.line}: scenario {sc.sid!r}: {exc}") from exc
-    sc.build()  # surfaces bad map/density specs now
+    return sc.build()  # surfaces bad map/density specs now
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +360,9 @@ def _bound_reports(sc, cmap, rho, quad):
     return out
 
 
-def _rows_bound(sc, corrupt=1.0):
+def _rows_bound(sc, built, corrupt=1.0):
     rows = []
-    for method, rep in _bound_reports(sc, *sc.build()):
+    for method, rep in _bound_reports(sc, *built):
         if isinstance(rep, str):
             rows.append([sc.sid, method, "nan", "nan", "", rep])
             continue
@@ -365,9 +374,9 @@ def _rows_bound(sc, corrupt=1.0):
     return rows
 
 
-def _rows_verify(sc, tol, corrupt=1.0):
+def _rows_verify(sc, built, tol, corrupt=1.0):
+    cmap, rho, quad = built
     try:
-        cmap, rho, quad = sc.build()
         mu_ref = fem_oracle.mu_fem_richardson(cmap, rho, sc.fem_level)
     except NeumannBoundsError as exc:
         return [[sc.sid, m, "nan", "nan", "nan", "false", f"error:{exc}"] for m in sc.methods]
@@ -385,8 +394,8 @@ def _rows_verify(sc, tol, corrupt=1.0):
     return rows
 
 
-def _rows_sweep(sc):
-    cmap, _, quad = sc.build()
+def _rows_sweep(sc, built):
+    cmap, _, quad = built
     try:
         reports, slope, predicted = _sweep(sc, cmap, quad)
     except NeumannBoundsError as exc:
@@ -408,8 +417,8 @@ def _rows_sweep(sc):
     return rows
 
 
-def _rows_norms(sc):
-    pb = Pullback(*sc.build())
+def _rows_norms(sc, built):
+    pb = Pullback(*built)
     rows = []
     for method in sc.methods:
         label, value = NORMS[method][1](sc, pb)
@@ -421,23 +430,27 @@ def _rows_norms(sc):
 # commands
 # ---------------------------------------------------------------------------
 
-# command -> (CSV header, worker(scenario, args) -> rows); the workers look
-# the row functions up on this module when they run
+# command -> (CSV header, worker(scenario, built, args) -> rows), where
+# ``built`` is the (map, density, quadrature) the validation built; the
+# workers look the row functions up on this module when they run
 _COMMANDS = {
     "bound": (
         ["scenario", "method", "bound", "bound_log", "intermediates", "flags"],
-        lambda sc, args: _rows_bound(sc, args.corrupt_bounds),
+        lambda sc, built, args: _rows_bound(sc, built, args.corrupt_bounds),
     ),
     "verify": (
         ["scenario", "method", "bound", "mu_fem", "ratio", "sound", "flags"],
-        lambda sc, args: _rows_verify(sc, args.tol, args.corrupt_bounds),
+        lambda sc, built, args: _rows_verify(sc, built, args.tol, args.corrupt_bounds),
     ),
     "sweep": (
         ["scenario", "point", "bound", "bound_log_or_predicted_slope", "log_rho_norm",
          "log_rho_norm_dominated", "flags"],
-        lambda sc, args: _rows_sweep(sc),
+        lambda sc, built, args: _rows_sweep(sc, built),
     ),
-    "norms": (["scenario", "quantity", "value", "details"], lambda sc, args: _rows_norms(sc)),
+    "norms": (
+        ["scenario", "quantity", "value", "details"],
+        lambda sc, built, args: _rows_norms(sc, built),
+    ),
 }
 
 
@@ -457,11 +470,11 @@ def _emit(out_path, config_text, header, rows):
             fh.write(payload)
 
 
-def _run_parallel(scenarios, worker, jobs):
+def _run_parallel(items, worker, jobs):
     if jobs <= 1:
-        return [worker(sc) for sc in scenarios]
+        return [worker(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, scenarios))
+        return list(pool.map(worker, items))
 
 
 def main(argv=None):
@@ -475,14 +488,16 @@ def main(argv=None):
         cmd.add_argument("--config", required=True, help="scenario config path")
         cmd.add_argument("--out", default="-", help="output CSV path (default stdout)")
         cmd.add_argument("--jobs", type=int, default=1, help="parallel scenarios")
-        cmd.add_argument("--fem-level", type=int, default=None, help="override FEM level")
-        cmd.add_argument("--tol", type=float, default=0.02, help="soundness tolerance")
-        cmd.add_argument(
-            "--corrupt-bounds",
-            type=float,
-            default=1.0,
-            help=argparse.SUPPRESS,  # detector self-test hook: multiply bounds
-        )
+        if name == "verify":
+            cmd.add_argument("--fem-level", type=int, default=None, help="override FEM level")
+            cmd.add_argument("--tol", type=float, default=0.02, help="soundness tolerance")
+        if name in ("bound", "verify"):
+            cmd.add_argument(
+                "--corrupt-bounds",
+                type=float,
+                default=1.0,
+                help=argparse.SUPPRESS,  # detector self-test hook: multiply bounds
+            )
     args = parser.parse_args(argv)
 
     try:
@@ -492,18 +507,20 @@ def main(argv=None):
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
+    fem_level = getattr(args, "fem_level", None)
     try:
         scenarios = parse_config(config_text)
+        built = []
         for sc in scenarios:
-            if args.fem_level is not None:
-                sc.fem_level = args.fem_level
-            _validate_scenario(sc, args.command)
+            if fem_level is not None:
+                sc.fem_level = fem_level
+            built.append(_validate_scenario(sc, args.command))
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     header, worker = _COMMANDS[args.command]
-    blocks = _run_parallel(scenarios, lambda sc: worker(sc, args), args.jobs)
+    blocks = _run_parallel(list(zip(scenarios, built)), lambda item: worker(*item, args), args.jobs)
     rows = [row for block in blocks for row in block]
     _emit(args.out, config_text, header, rows)
     unsound = "sound" in header and any(row[header.index("sound")] == "false" for row in rows)

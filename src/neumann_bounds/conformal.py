@@ -58,6 +58,20 @@ class DiskQuadrature:
         return len(self.nodes)
 
 
+def _tensor_rule(t, a, n_angular):
+    """The disk rule of the r^2-rule (t, a) on (0, 1) times n_angular
+    uniform angles; its arrays are read-only."""
+    if n_angular < 8:
+        raise ConfigError(f"n_angular must be >= 8, got {n_angular}")
+    r = np.sqrt(t)
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    w = np.repeat(a * np.pi / n_angular, n_angular)
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return DiskQuadrature(nodes=z, weights=w, n_radial=len(t), n_angular=int(n_angular))
+
+
 @lru_cache(maxsize=None)
 def build_disk_quadrature(n_radial, n_angular):
     """Tensor Gauss-Legendre (in r^2) x uniform-angle rule on the disk.
@@ -67,21 +81,16 @@ def build_disk_quadrature(n_radial, n_angular):
     """
     if n_radial < 4:
         raise ConfigError(f"n_radial must be >= 4, got {n_radial}")
-    if n_angular < 8:
-        raise ConfigError(f"n_angular must be >= 8, got {n_angular}")
     t, a = np.polynomial.legendre.leggauss(int(n_radial))
-    t = 0.5 * (t + 1.0)  # Gauss-Legendre nodes in t = r^2 on (0, 1)
-    a = 0.5 * a
-    r = np.sqrt(t)
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    w = np.repeat(a * np.pi / n_angular, n_angular)
-    z.flags.writeable = False
-    w.flags.writeable = False
-    return DiskQuadrature(nodes=z, weights=w, n_radial=int(n_radial), n_angular=int(n_angular))
+    # Gauss-Legendre nodes in t = r^2 on (0, 1)
+    return _tensor_rule(0.5 * (t + 1.0), 0.5 * a, n_angular)
 
 
-def build_disk_quadrature_graded(n_angular, n_per_panel=48, n_panels=24):
+_GRADED_PER_PANEL = 48  # Gauss-Legendre nodes per radial panel
+_GRADED_PANELS = 24  # panels [2^-j-1, 2^-j], the last one down to 0
+
+
+def build_disk_quadrature_graded(n_angular):
     """Disk rule with geometrically graded radial panels toward the origin.
 
     Same tensor structure as ``build_disk_quadrature`` but the r^2 variable
@@ -89,23 +98,13 @@ def build_disk_quadrature_graded(n_angular, n_per_panel=48, n_panels=24):
     which keeps near-machine accuracy for integrands sharply concentrated at
     the center (Gaussian densities with large sharpness).
     """
-    if n_angular < 8:
-        raise ConfigError(f"n_angular must be >= 8, got {n_angular}")
-    if n_per_panel < 8 or n_panels < 4:
-        raise ConfigError("graded rule needs n_per_panel >= 8 and n_panels >= 4")
-    x, a = np.polynomial.legendre.leggauss(int(n_per_panel))
+    x, a = np.polynomial.legendre.leggauss(_GRADED_PER_PANEL)
     ts, ws = [], []
-    edges = [1.0] + [2.0**-j for j in range(1, n_panels)] + [0.0]
+    edges = [1.0] + [2.0**-j for j in range(1, _GRADED_PANELS)] + [0.0]
     for hi, lo in zip(edges[:-1], edges[1:]):
         ts.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
         ws.append(0.5 * (hi - lo) * a)
-    t = np.concatenate(ts)
-    a = np.concatenate(ws)
-    r = np.sqrt(t)
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    w = np.repeat(a * np.pi / n_angular, n_angular)
-    return DiskQuadrature(nodes=z, weights=w, n_radial=len(t), n_angular=int(n_angular))
+    return _tensor_rule(np.concatenate(ts), np.concatenate(ws), n_angular)
 
 
 class ConformalMap:

@@ -10,6 +10,13 @@ Every density exposes ``on_disk(cmap, z)`` returning rho(phi(z)) at disk
 points z, which is the only access path the norm and bound pipelines use.
 The FEM oracle also evaluates densities through disk preimages, so pullback
 kinds work there without inverting the map.
+
+``DensityField.on_disk`` is the one gate for samples: it converts what the
+kind's ``_sample(cmap, z)`` returns to a float array and raises
+``DensityError`` unless every sample is positive and finite.  A kind
+supplies only ``_sample``; the default evaluates ``on_domain`` at phi(z).
+A constructor rejects parameters out of range, non-finite ones included,
+with ``ConfigError`` (``ParameterError`` where a Young function does).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ __all__ = [
 
 
 class DensityField:
-    """Base class; subclasses implement ``on_domain`` or override ``on_disk``."""
+    """Base class; subclasses implement ``on_domain`` or override ``_sample``."""
 
     name = "density"
 
@@ -45,18 +52,18 @@ class DensityField:
         )
 
     def on_disk(self, cmap, z):
-        """rho(phi(z)) at disk points z."""
-        values = np.asarray(self.on_domain(cmap.map(z)), dtype=float)
-        self._check(values)
+        """rho(phi(z)) at disk points z; every sample is positive and finite."""
+        values = np.asarray(self._sample(cmap, z), dtype=float)
+        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
+            raise DensityError(f"{self.name}: density samples must be positive and finite")
         return values
+
+    def _sample(self, cmap, z):
+        return self.on_domain(cmap.map(z))
 
     def log_on_disk(self, cmap, z):
         """log rho(phi(z)); override when rho underflows linear evaluation."""
         return np.log(self.on_disk(cmap, z))
-
-    def _check(self, values):
-        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-            raise DensityError(f"{self.name}: density samples must be positive and finite")
 
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.name}>"
@@ -100,14 +107,13 @@ class PullbackJacobianPower(DensityField):
     """
 
     def __init__(self, exponent=1.0):
+        if not np.isfinite(exponent):
+            raise ConfigError(f"jacobian exponent must be finite, got {exponent}")
         self.exponent = float(exponent)
         self.name = f"pullback_jacobian_power(exponent={self.exponent:g})"
 
-    def on_disk(self, cmap, z):
-        values = cmap.jacobian(z) ** (-self.exponent)
-        values = np.asarray(values, dtype=float)
-        self._check(values)
-        return values
+    def _sample(self, cmap, z):
+        return cmap.jacobian(z) ** (-self.exponent)
 
 
 class PullbackOrliczCanceling(DensityField):
@@ -119,16 +125,12 @@ class PullbackOrliczCanceling(DensityField):
 
     def __init__(self, eps):
         self.eps = float(eps)
-        self._phi = LogPow(eps)
+        self._phi = LogPow(eps)  # range-checks eps
         self.name = f"pullback_orlicz_canceling(eps={self.eps:g})"
 
-    def on_disk(self, cmap, z):
-        jac = np.atleast_1d(cmap.jacobian(z))
-        values = self._phi.inverse(jac) / jac
-        values = values.reshape(np.shape(z)) if np.ndim(z) else float(values[0])
-        values = np.asarray(values, dtype=float)
-        self._check(values)
-        return values
+    def _sample(self, cmap, z):
+        jac = cmap.jacobian(z)
+        return self._phi.inverse(jac) / jac
 
 
 class CallableDensity(DensityField):
@@ -152,9 +154,10 @@ class SampledDensity(DensityField):
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
         self.name = f"sampled({len(self.values)} pts)"
-        self._check(self.values)
+        # the table is its own samples: a bad value fails here, not in a route
+        self.on_disk(None, self.values)
 
-    def on_disk(self, cmap, z):
+    def _sample(self, cmap, z):
         z = np.asarray(z)
         if z.size != self.values.size:
             raise DensityError(

@@ -312,21 +312,21 @@ def mu_disk_reference():
 
 
 @lru_cache(maxsize=8)
-def b_m2_disk_estimate(trial_family_size=12, n_radial=96, n_angular=32):
+def b_m2_disk_estimate(trial_family_size=12):
     """Trial-function lower estimate of the disk embedding constant
     sup ||u - med(u)||_{L^M} / ||grad u||_{L^2} with M(u) = exp(u^2) - 1.
 
     The family is nested (so the estimate is non-decreasing in the family
     size): both coordinate functions plus truncated radial logarithms
     u_d = min(log(1/r), log(1/d)) with d = 2^{-j}.  Everything is evaluated
-    on the disk quadrature; the result is a numerical lower bound for the
+    on the 96 x 32 disk quadrature; the result is a numerical lower bound for the
     true constant and is reported as a diagnostic, not a certified value.
     """
     from .youngfn import ExpSquare
 
     if trial_family_size < 8:
         raise ParameterError("trial family needs at least 8 members")
-    quad = build_disk_quadrature(n_radial, n_angular)
+    quad = build_disk_quadrature(96, 32)
     m_young = ExpSquare()
     r = np.abs(quad.nodes)
     trials = [(quad.nodes.real, np.ones_like(r)), (quad.nodes.imag, np.ones_like(r))]

@@ -16,7 +16,14 @@ compositions built from them), together with
 * probes for the submultiplicativity / supermultiplicativity growth
   conditions and for "essentially greater growth" ratios.
 
-All evaluation functions accept scalars or numpy arrays.  Instances are
+``YoungFunction.eval``, ``log_eval`` and ``inverse`` are the one argument
+gate: they reject a negative or non-finite argument with ``DomainError``,
+hand the kind a float array of at least one dimension, and return a float
+for a scalar argument and an array of the argument's shape otherwise.  A
+kind implements ``_eval``, ``_log_eval`` (default: the log of ``eval``)
+and ``_inverse`` (default: zero at zero, bisection elsewhere) on that
+array, and its constructor rejects parameters out of range, non-finite
+ones included, with ``ParameterError``.  Instances are
 immutable after construction; ``NumericComplement`` only fills a cache of
 fixed grids, so its value at v depends on v alone (see the class docstring
 for the one exception under refinement).
@@ -59,18 +66,20 @@ _EPS = float(np.finfo(float).eps)
 _INVERSE_RTOL = 1e-10  # relative width at which the inverse bisection stops
 
 
-def _checked(u, name="u"):
-    """Validate a nonnegative finite argument, return it as a float array."""
-    arr = np.asarray(u, dtype=float)
+def _gate(method, x, name):
+    """The one argument gate of ``eval``, ``log_eval`` and ``inverse``.
+
+    ``x`` must be nonnegative and finite.  ``method`` gets it as a float
+    array of at least one dimension and returns an array of that shape; a
+    scalar argument gets a float back.
+    """
+    arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite, got {u!r}")
+        raise DomainError(f"{name} must be finite, got {x!r}")
     if np.any(arr < 0):
-        raise DomainError(f"{name} must be nonnegative, got {u!r}")
-    return arr
-
-
-def _ret(arr, scalar):
-    return float(arr) if scalar else arr
+        raise DomainError(f"{name} must be nonnegative, got {x!r}")
+    out = method(np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def _log_expm1(y):
@@ -122,46 +131,52 @@ def _log_inner(x, y):
 
 
 class YoungFunction:
-    """Base class: a convex growth function with numeric helpers."""
+    """Base class: a convex growth function with numeric helpers.
+
+    ``eval``, ``log_eval`` and ``inverse`` gate their argument (see
+    ``_gate``) and call ``_eval``, ``_log_eval`` and ``_inverse``, which a
+    kind overrides.
+    """
 
     name = "young"
     #: registered submultiplicativity constant, if known (M(uv) <= C M(u)M(v))
     delta_prime_constant = None
 
     def eval(self, u):
-        raise NotImplementedError
+        """M(u)."""
+        return _gate(self._eval, u, "u")
 
     def log_eval(self, u):
-        """log M(u); default takes the log of ``eval`` (overflow -> +inf)."""
-        u = _checked(u)
-        scalar = u.ndim == 0
+        """log M(u)."""
+        return _gate(self._log_eval, u, "u")
+
+    def inverse(self, t):
+        """Solve M(u) = t for u >= 0.
+
+        ``inverse(0) == 0``.  Without a closed form this is a bracketed
+        bisection, which raises when 2048 bracket doublings fail to enclose
+        ``t``.  It runs once per distinct target and stops when the slowest
+        one converges, so a value depends on the set of distinct targets in
+        the call, not on their order or on how often each is repeated.
+        """
+        return _gate(self._inverse, t, "inverse target")
+
+    def _eval(self, u):
+        raise NotImplementedError
+
+    def _log_eval(self, u):
+        # the log of ``eval`` (overflow -> +inf)
         with np.errstate(divide="ignore", over="ignore"):
-            out = np.log(self.eval(u))
-        return _ret(out, scalar)
+            return np.log(self.eval(u))
 
     # -- inversion ---------------------------------------------------------
 
-    def inverse(self, t):
-        """Solve M(u) = t for u >= 0 by bracketed bisection.
-
-        ``inverse(0) == 0``.  Raises on non-finite input and when 2048 bracket
-        doublings fail to enclose ``t``.  The bisection runs once per distinct
-        target and stops when the slowest one converges, so a value depends
-        on the set of distinct targets in the call, not on their order or
-        on how often each is repeated.
-        """
-        t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t)):
-            raise DomainError(f"inverse target must be finite, got {t!r}")
-        if np.any(t < 0):
-            raise DomainError("inverse target must be nonnegative")
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
+    def _inverse(self, t):
         out = np.zeros_like(t)
         pos = t > 0
         if pos.any():
             out[pos] = self._bisect_inverse(t[pos])
-        return _ret(out[0] if scalar else out, scalar)
+        return out
 
     def _bisect_inverse(self, t):
         # each target's path depends on its own value alone, and the shared
@@ -214,35 +229,27 @@ class PowerP(YoungFunction):
     """M(u) = coef * u^p.  ``coef=1/p`` gives the normalized pairing variant."""
 
     def __init__(self, p, coef=None, normalized=False):
-        if not p >= 1:  # NaN fails too
-            raise ParameterError(f"power exponent must satisfy p >= 1, got {p}")
+        if not 1 <= p < np.inf:  # NaN fails too
+            raise ParameterError(f"power exponent must satisfy 1 <= p < inf, got {p}")
         if coef is None:
             coef = 1.0 / p if normalized else 1.0
-        if not coef > 0:
-            raise ParameterError("power coefficient must be positive")
+        if not 0 < coef < np.inf:
+            raise ParameterError(f"power coefficient must be positive and finite, got {coef}")
         self.p = float(p)
         self.coef = float(coef)
         self.name = f"power(p={self.p:g},coef={self.coef:g})"
         self.delta_prime_constant = 1.0 / self.coef
 
-    def eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
+    def _eval(self, u):
         with np.errstate(over="ignore"):
-            out = self.coef * u**self.p
-        return _ret(out, scalar)
+            return self.coef * u**self.p
 
-    def log_eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
+    def _log_eval(self, u):
         with np.errstate(divide="ignore"):
-            out = np.log(self.coef) + self.p * np.log(u)
-        return _ret(out, scalar)
+            return np.log(self.coef) + self.p * np.log(u)
 
-    def inverse(self, t):
-        t = _checked(t, "t")
-        scalar = t.ndim == 0
-        return _ret((t / self.coef) ** (1.0 / self.p), scalar)
+    def _inverse(self, t):
+        return (t / self.coef) ** (1.0 / self.p)
 
     def complementary(self):
         if self.p == 1.0:
@@ -259,24 +266,16 @@ class ExpSquare(YoungFunction):
 
     name = "exp_square"
 
-    def eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
+    def _eval(self, u):
         with np.errstate(over="ignore"):
-            out = np.expm1(u * u)
-        return _ret(out, scalar)
+            return np.expm1(u * u)
 
-    def log_eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
+    def _log_eval(self, u):
         with np.errstate(over="ignore"):
-            out = _log_expm1(u * u)
-        return _ret(out, scalar)
+            return _log_expm1(u * u)
 
-    def inverse(self, t):
-        t = _checked(t, "t")
-        scalar = t.ndim == 0
-        return _ret(np.sqrt(np.log1p(t)), scalar)
+    def _inverse(self, t):
+        return np.sqrt(np.log1p(t))
 
 
 class ExpPow(YoungFunction):
@@ -284,29 +283,21 @@ class ExpPow(YoungFunction):
     than exp(u^2) - 1 and restores compactness of the embedding."""
 
     def __init__(self, eps):
-        if not eps > 1:
-            raise ParameterError(f"eps must exceed 1, got {eps}")
+        if not 1 < eps < np.inf:
+            raise ParameterError(f"eps must satisfy 1 < eps < inf, got {eps}")
         self.eps = float(eps)
         self.name = f"exp_pow(eps={self.eps:g})"
 
-    def eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
+    def _eval(self, u):
         with np.errstate(over="ignore"):
-            out = np.expm1(u ** (2.0 / self.eps))
-        return _ret(out, scalar)
+            return np.expm1(u ** (2.0 / self.eps))
 
-    def log_eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
+    def _log_eval(self, u):
         with np.errstate(over="ignore"):
-            out = _log_expm1(u ** (2.0 / self.eps))
-        return _ret(out, scalar)
+            return _log_expm1(u ** (2.0 / self.eps))
 
-    def inverse(self, t):
-        t = _checked(t, "t")
-        scalar = t.ndim == 0
-        return _ret(np.log1p(t) ** (self.eps / 2.0), scalar)
+    def _inverse(self, t):
+        return np.log1p(t) ** (self.eps / 2.0)
 
 
 class LogPow(YoungFunction):
@@ -314,27 +305,30 @@ class LogPow(YoungFunction):
     companion of exp(u)-1 used throughout the Jacobian functionals."""
 
     def __init__(self, eps=1.0):
-        if not eps >= 1:  # NaN fails too
-            raise ParameterError(f"log power must satisfy eps >= 1, got {eps}")
+        if not 1 <= eps < np.inf:  # NaN fails too
+            raise ParameterError(f"log power must satisfy 1 <= eps < inf, got {eps}")
         self.eps = float(eps)
         self.name = f"log_pow(eps={self.eps:g})"
         if self.eps == 1.0:
             # global submultiplicativity constant for u log(u+e)
             self.delta_prime_constant = 2.0
 
-    def eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
+    def _eval(self, u):
         with np.errstate(over="ignore"):
-            out = u * np.log(u + _E) ** self.eps
-        return _ret(out, scalar)
+            return u * np.log(u + _E) ** self.eps
 
-    def log_eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
+    def _log_eval(self, u):
         with np.errstate(divide="ignore"):
-            out = np.log(u) + self.eps * np.log(np.log(u + _E))
-        return _ret(out, scalar)
+            return np.log(u) + self.eps * np.log(np.log(u + _E))
+
+    def _inverse(self, t):
+        # the bisection's stop is relative to max(hi, 1e-300), so targets
+        # below 1e-300 take the log-domain branch
+        tiny = (t > 0) & (t < 1e-300)
+        out = super()._inverse(np.where(tiny, 0.0, t))
+        if tiny.any():
+            out[tiny] = np.exp(self.inverse_log(np.log(t[tiny])))
+        return out
 
     # log-domain twin: x = log u  ->  log M(u) = x + eps*log(log(e^x + e))
 
@@ -347,11 +341,10 @@ class LogPow(YoungFunction):
         """log of the inverse: solve log M(e^x) = log_t for x by bisection.
 
         Works for targets far outside double range in either direction; this
-        is the asymptotic branch used for tiny and huge arguments.
+        is the asymptotic branch used for tiny and huge arguments.  Accepts
+        any float or float array.
         """
         log_t = np.asarray(log_t, dtype=float)
-        scalar = log_t.ndim == 0
-        log_t = np.atleast_1d(log_t)
         hi = log_t.copy()  # log M(e^x) >= x, so x <= log t
         lo = log_t - self.eps * np.log(_log_exp_plus_e(log_t)) - 1.0
         for _ in range(120):
@@ -361,25 +354,25 @@ class LogPow(YoungFunction):
             lo = np.where(high, lo, mid)
             if np.all(hi - lo <= 1e-14 * np.maximum(np.abs(hi), 1.0)):
                 break
-        out = 0.5 * (lo + hi)
-        return _ret(out[0] if scalar else out, scalar)
+        return 0.5 * (lo + hi)
 
-    def inverse(self, t):
-        t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t)):
-            raise DomainError(f"inverse target must be finite, got {t!r}")
-        if np.any(t < 0):
-            raise DomainError("inverse target must be nonnegative")
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t.astype(float))
-        out = np.zeros_like(t)
-        tiny = (t > 0) & (t < 1e-300)
-        pos = t >= 1e-300
-        if tiny.any():
-            out[tiny] = np.exp(self.inverse_log(np.log(t[tiny])))
-        if pos.any():
-            out[pos] = self._bisect_inverse(t[pos])
-        return _ret(out[0] if scalar else out, scalar)
+    def inverse_log_tiny(self, log_s):
+        """log of the inverse at s = e^log_s far below double range, as an
+        mpmath float.
+
+        Near zero, u log^eps(u+e) ~ u, so log Minv(s) is log s minus an
+        exp(log s)-scale correction; evaluated with arbitrary-exponent floats.
+        """
+        import mpmath as mp
+
+        log_s = mp.mpf(log_s) if not hasattr(log_s, "_mpf_") else log_s
+        # log(u+e) = 1 + log1p(u/e);  log Minv(s) = log s - eps*log(log(u+e))
+        log_u_over_e = log_s - 1
+        # log1p(u/e) <= u/e: once 1 + u/e rounds to 1 the log is exactly 0
+        if _mpf_absorbs(mp.mpf(1), log_u_over_e):
+            return log_s
+        u_over_e = mp.exp(log_u_over_e)
+        return log_s - self.eps * mp.log(1 + mp.log1p(u_over_e))
 
 
 class LogLinear(LogPow):
@@ -395,11 +388,8 @@ class LogLinearTilde(YoungFunction):
 
     name = "log_linear_tilde"
 
-    def eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
-        out = (1.0 + u) * np.log1p(u) - u
-        return _ret(out, scalar)
+    def _eval(self, u):
+        return (1.0 + u) * np.log1p(u) - u
 
     def complementary(self):
         return ExpMinusOne()
@@ -410,22 +400,15 @@ class ExpMinusOne(YoungFunction):
 
     name = "exp_minus_one"
 
-    def eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
+    def _eval(self, u):
         with np.errstate(over="ignore"):
-            out = np.expm1(u)
-        return _ret(out, scalar)
+            return np.expm1(u)
 
-    def log_eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
-        return _ret(_log_expm1(u), scalar)
+    def _log_eval(self, u):
+        return _log_expm1(u)
 
-    def inverse(self, t):
-        t = _checked(t, "t")
-        scalar = t.ndim == 0
-        return _ret(np.log1p(t), scalar)
+    def _inverse(self, t):
+        return np.log1p(t)
 
     def complementary(self):
         return LogLinearTilde()
@@ -442,8 +425,8 @@ class PsiAlpha(YoungFunction):
     """
 
     def __init__(self, alpha, eps=None):
-        if not alpha > 2:
-            raise ParameterError(f"alpha must exceed 2, got {alpha}")
+        if not 2 < alpha < np.inf:
+            raise ParameterError(f"alpha must satisfy 2 < alpha < inf, got {alpha}")
         self.alpha = float(alpha)
         self.eps = None if eps is None else float(eps)
         self._phi = LogLinear() if eps is None else LogPow(eps)
@@ -456,28 +439,22 @@ class PsiAlpha(YoungFunction):
             return w
         return w ** (1.0 / self.eps)
 
-    def eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
-        w = self._phi.inverse(np.atleast_1d(u))
+    def _eval(self, u):
+        w = self._phi.inverse(u)
         y = self._inner_exponent(w)
         with np.errstate(over="ignore", invalid="ignore"):
             inner = w * _E * np.expm1(y - 1.0)
             inner = np.maximum(inner, 0.0)
             out = (2.0 / self.alpha) * inner ** ((self.alpha - 2.0) / 2.0)
-        out = np.where(w <= 0, 0.0, out)
-        return _ret(out[0] if scalar else out.reshape(np.shape(u)), scalar)
+        return np.where(w <= 0, 0.0, out)
 
-    def log_eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
-        w = self._phi.inverse(np.atleast_1d(u))
+    def _log_eval(self, u):
+        w = self._phi.inverse(u)
         y = self._inner_exponent(w)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_inner = np.log(w) + 1.0 + _log_expm1(y - 1.0)
             out = np.log(2.0 / self.alpha) + 0.5 * (self.alpha - 2.0) * log_inner
-        out = np.where(y <= 1.0, -np.inf, out)
-        return _ret(out[0] if scalar else out.reshape(np.shape(u)), scalar)
+        return np.where(y <= 1.0, -np.inf, out)
 
     def log_eval_from_log(self, log_u):
         """log Psi(u) from log u, as an mpmath float.
@@ -502,8 +479,8 @@ class PsiEpsAlpha(PsiAlpha):
     w * (e^(w^(1/eps)) - e)."""
 
     def __init__(self, eps, alpha):
-        if not eps > 1:
-            raise ParameterError(f"eps must exceed 1, got {eps}")
+        if not 1 < eps < np.inf:
+            raise ParameterError(f"eps must satisfy 1 < eps < inf, got {eps}")
         super().__init__(alpha, eps=eps)
 
 
@@ -639,15 +616,17 @@ class NumericComplement(YoungFunction):
             val = u * v - np.asarray(self.of.eval(u))
         return np.where(np.isnan(val), -np.inf, val)
 
-    def eval(self, v):
-        v = _checked(v, "v")
-        scalar = v.ndim == 0
-        v = np.atleast_1d(v)
+    # bound in this class body as well: bench/tracing.py times this
+    # attribute as the conjugate and counts YoungFunction.eval separately,
+    # so without it every conjugate call would count as both
+    eval = YoungFunction.eval
+
+    def _eval(self, v):
         out = np.zeros_like(v)
         pos = v > 0
         if pos.any():
             out[pos] = self._sup(v[pos])
-        return _ret(out[0] if scalar else out.reshape(np.shape(v)), scalar)
+        return out
 
     def _sup(self, v):
         best, lo, hi = np.empty_like(v), np.empty_like(v), np.empty_like(v)
@@ -691,6 +670,8 @@ class TableYoung(YoungFunction):
         m = np.asarray(m_table, dtype=float)
         if u.ndim != 1 or u.shape != m.shape or len(u) < 3:
             raise ParameterError("table needs matching 1-D arrays, >= 3 points")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(m))):
+            raise ParameterError("table entries must be finite")
         if u[0] != 0.0 or m[0] != 0.0:
             raise ParameterError("table must start at (0, 0)")
         if np.any(np.diff(u) <= 0) or np.any(np.diff(m) < 0):
@@ -703,13 +684,10 @@ class TableYoung(YoungFunction):
         self._final_slope = slopes[-1]
         self.name = f"table({len(u)} pts)"
 
-    def eval(self, u):
-        u = _checked(u)
-        scalar = u.ndim == 0
+    def _eval(self, u):
         out = np.interp(u, self._u, self._m)
         beyond = u > self._u[-1]
-        out = np.where(beyond, self._m[-1] + self._final_slope * (u - self._u[-1]), out)
-        return _ret(out, scalar)
+        return np.where(beyond, self._m[-1] + self._final_slope * (u - self._u[-1]), out)
 
 
 # ---------------------------------------------------------------------------

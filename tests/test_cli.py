@@ -146,6 +146,13 @@ MALFORMED = {
     "map-k-not-int": ("bound", "map = perturbed_power c=0.5 k=2.5"),
     "gaussian-n-not-float": ("bound", "density = gaussian n=abc"),
     "exponent-not-float": ("bound", "density = pullback_jacobian_power exponent=abc"),
+    "exponent-nan": ("bound", "density = pullback_jacobian_power exponent=nan"),
+    "exponent-inf": ("bound", "density = pullback_jacobian_power exponent=inf"),
+    "canceling-eps-inf": (
+        "bound",
+        "map = perturbed_power c=0.5 k=2\nquad_nr = 16\nquad_ntheta = 16\n"
+        "density = pullback_orlicz_canceling eps=inf",
+    ),
     "empty-map": ("bound", "map ="),
     "missing-samples-file": ("bound", "density = samples file=/nonexistent.txt"),
     "negative-samples": ("bound", "density = samples file={negative}"),
@@ -185,6 +192,40 @@ def test_malformed_config_exits_2_with_line(tmp_path, capsys, command, lines):
     err = capsys.readouterr().err
     assert re.match(r"error: line \d+: ", err), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "--tol", "0.5"], ["sweep", "--fem-level", "3"], ["norms", "--corrupt-bounds", "2"]],
+    ids=lambda argv: argv[0],
+)
+def test_flag_of_another_command_exits_2(tmp_path, capsys, argv):
+    # each command takes only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--config", write(tmp_path, BASIC)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bound", "verify", "sweep", "norms"])
+def test_each_scenario_is_built_once(tmp_path, monkeypatch, command):
+    builds = []
+    real_build = cli.Scenario.build
+
+    def build(sc):
+        builds.append(sc.sid)
+        return real_build(sc)
+
+    monkeypatch.setattr(cli.Scenario, "build", build)
+    methods = "kq" if command == "norms" else "esssup"
+    text = (
+        "quad_nr = 16\nquad_ntheta = 16\nq = 4\nsweep_n = 1,2\nfem_level = 2\n"
+        f"methods = {methods}\n[scenario]\nid = a\nmap = identity\ndensity = constant\n"
+        "[scenario]\nid = b\nmap = perturbed_power c=0.3 k=2\ndensity = gaussian n=2\n"
+    )
+    out = tmp_path / "out.csv"
+    assert run([command, "--config", write(tmp_path, text), "--out", str(out), "--jobs", "2"]) == 0
+    assert sorted(builds) == ["a", "b"]
 
 
 def test_fem_level_flag_out_of_range_exits_2(tmp_path, capsys):

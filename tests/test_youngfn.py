@@ -604,6 +604,11 @@ def test_constructor_parameter_errors():
         yf.PsiAlpha(2.0)
     with pytest.raises(ParameterError):
         yf.PsiEpsAlpha(1.0, 4.0)
-    for nan_param in (yf.PowerP, yf.LogPow, yf.ExpPow, yf.PsiAlpha, lambda x: yf.PsiEpsAlpha(x, 4.0)):
+    for bad in (np.nan, np.inf):
+        for kind in (yf.PowerP, yf.LogPow, yf.ExpPow, yf.PsiAlpha, lambda x: yf.PsiEpsAlpha(x, 4.0)):
+            with pytest.raises(ParameterError):
+                kind(bad)
         with pytest.raises(ParameterError):
-            nan_param(np.nan)
+            yf.PowerP(2.0, coef=bad)
+        with pytest.raises(ParameterError):
+            yf.TableYoung([0.0, 1.0, 2.0], [0.0, 1.0, bad])
