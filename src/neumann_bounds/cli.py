@@ -10,13 +10,14 @@ norms   standalone norm/functional values (luxemburg, kq, kphi)
 Flags
 -----
 all four      --config PATH (required), --out PATH (default stdout),
-              --jobs N (scenarios run on N threads, default 1)
+              --jobs N (scenarios run on up to N worker processes, default 1)
 verify only   --fem-level L (overrides every scenario's fem_level),
               --tol X (soundness tolerance, default 0.02)
 bound, verify --corrupt-bounds F (hidden from --help: multiplies every
               bound by F, so a test can check that verify flags it)
 
-A flag given to a command that does not read it is a usage error (exit 2).
+A flag given to a command that does not read it is a usage error (exit 2),
+and so is --jobs below 1.
 
 The config is a flat, line-oriented ``key = value`` format with
 ``[scenario]`` section headers and ``#`` comments; no external config
@@ -58,8 +59,21 @@ level are config errors.  Numeric failures inside a scenario become a
 row-level ``error:`` flag; bound and sweep keep exit code 0.
 
 Output determinism: identical configs produce byte-identical CSV (fixed
-17-significant-digit formatting, rows in config order, seeded solvers).
-``#`` comment lines carry provenance (artifact version, config hash).
+17-significant-digit formatting, rows in config order, seeded solvers),
+whatever --jobs is.  ``#`` comment lines carry provenance (artifact
+version, config hash).
+
+Parallel runs: the parent parses, validates and builds every scenario, then
+forks ``min(N, scenarios)`` worker processes, which inherit the built
+scenarios and receive only their indices; with one worker the scenarios run
+in-process.  The fork start method is requested explicitly, since it is not
+the default everywhere and the built scenarios are not sent by pickling.
+Each worker runs one BLAS thread.  scipy's OpenBLAS, which ARPACK calls,
+starts one thread per core by default, so N workers would oversubscribe the
+cores N times over.  A worker sets OPENBLAS_NUM_THREADS to 1 unless the
+environment already sets it; scipy is first imported inside the FEM oracle,
+after the fork, and reads the variable then.  The parent's environment does
+not change.
 """
 
 from __future__ import annotations
@@ -67,8 +81,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -470,11 +484,39 @@ def _emit(out_path, config_text, header, rows):
             fh.write(payload)
 
 
-def _run_parallel(items, worker, jobs):
-    if jobs <= 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
+_worker_task = None  # set in each forked worker by _start_worker, never in the parent
+
+
+def _start_worker(task):
+    global _worker_task
+    _worker_task = task
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # see "Parallel runs" above
+
+
+def _run_in_worker(index):
+    return _worker_task(index)
+
+
+def _run_parallel(task, count, jobs):
+    """[task(0), ..., task(count - 1)], on up to ``jobs`` forked workers.
+
+    A fork-context pool starts all its workers up front, so it gets no more
+    than there are tasks.  ``task`` reaches the workers through the fork and
+    is never pickled; only indices and results are.
+    """
+    workers = min(jobs, count)
+    if workers <= 1:
+        return [task(index) for index in range(count)]
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(task,),
+    ) as pool:
+        return list(pool.map(_run_in_worker, range(count)))
 
 
 def main(argv=None):
@@ -487,7 +529,7 @@ def main(argv=None):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="scenario config path")
         cmd.add_argument("--out", default="-", help="output CSV path (default stdout)")
-        cmd.add_argument("--jobs", type=int, default=1, help="parallel scenarios")
+        cmd.add_argument("--jobs", type=int, default=1, help="worker processes")
         if name == "verify":
             cmd.add_argument("--fem-level", type=int, default=None, help="override FEM level")
             cmd.add_argument("--tol", type=float, default=0.02, help="soundness tolerance")
@@ -499,6 +541,8 @@ def main(argv=None):
                 help=argparse.SUPPRESS,  # detector self-test hook: multiply bounds
             )
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     try:
         with open(args.config) as fh:
@@ -520,7 +564,8 @@ def main(argv=None):
         return 2
 
     header, worker = _COMMANDS[args.command]
-    blocks = _run_parallel(list(zip(scenarios, built)), lambda item: worker(*item, args), args.jobs)
+    items = list(zip(scenarios, built))
+    blocks = _run_parallel(lambda index: worker(*items[index], args), len(items), args.jobs)
     rows = [row for block in blocks for row in block]
     _emit(args.out, config_text, header, rows)
     unsound = "sound" in header and any(row[header.index("sound")] == "false" for row in rows)

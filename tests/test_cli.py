@@ -46,15 +46,71 @@ def run(argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["bound"], ["verify", "--fem-level", "3"]], ids=lambda argv: argv[0]
+    "argv",
+    [["bound"], ["verify", "--fem-level", "3"], ["sweep"], ["norms"]],
+    ids=lambda argv: argv[0],
 )
 def test_determinism_across_jobs(tmp_path, argv):
-    cfg = write(tmp_path, BASIC)
+    text = BASIC
+    if argv[0] == "norms":
+        text = re.sub(r"methods = .*", "methods = luxemburg, kq, kphi", BASIC)
+    cfg = write(tmp_path, text)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run([*argv, "--config", cfg, "--out", str(out1)]) == 0
-    fem_oracle._disk_rings.cache_clear()  # the threads fill the shared cache
+    # forked workers inherit this process's caches: clear the mesh cache the
+    # serial run filled, so the workers build their own
+    fem_oracle._disk_rings.cache_clear()
     assert run([*argv, "--config", cfg, "--jobs", "4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+class RecordingPool:
+    """Stand-in for ProcessPoolExecutor that runs the tasks in-process and
+    records each pool's worker count and start method."""
+
+    pools = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.pools.append((max_workers, mp_context.get_start_method()))
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "jobs, scenarios, pools",
+    [("64", 2, [(2, "fork")]), ("2", 3, [(2, "fork")]), ("4", 1, []), ("1", 2, [])],
+)
+def test_pool_is_bounded_by_the_work(tmp_path, monkeypatch, jobs, scenarios, pools):
+    # a fork-context pool starts every worker up front; a single worker runs in-process
+    import concurrent.futures.process
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "pools", [])
+    monkeypatch.setattr(cli, "_worker_task", None)  # the in-process workers set it
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    text = "quad_nr = 16\nquad_ntheta = 16\nmethods = esssup\n" + "[scenario]\n" * scenarios
+    out = tmp_path / "out.csv"
+    assert run(["bound", "--config", write(tmp_path, text), "--jobs", jobs, "--out", str(out)]) == 0
+    assert RecordingPool.pools == pools
+    assert len(out.read_text().splitlines()) == 3 + scenarios
+    # the worker start-up gives each worker one BLAS thread by default
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == ("1" if pools else None)
+
+
+def test_worker_keeps_a_set_blas_thread_count(monkeypatch):
+    monkeypatch.setattr(cli, "_worker_task", None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    cli._start_worker(str)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    assert cli._run_in_worker(7) == "7"
 
 
 def test_quasidisk_chain_matches_reference(tmp_path, monkeypatch):
@@ -207,6 +263,14 @@ def test_flag_of_another_command_exits_2(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        run(["bound", "--config", write(tmp_path, BASIC), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["bound", "verify", "sweep", "norms"])
 def test_each_scenario_is_built_once(tmp_path, monkeypatch, command):
     builds = []
@@ -321,9 +385,11 @@ class TestVerifyCommand:
         rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
         assert any(r[5] == "false" for r in rows)
 
-    def test_solver_failure_becomes_error_rows(self, tmp_path, stalled_eigsh, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_solver_failure_becomes_error_rows(self, tmp_path, stalled_eigsh, capsys, jobs):
+        # at --jobs 2 the SolverError is raised in a forked worker
         out = tmp_path / "v.csv"
-        argv = ["verify", "--config", write(tmp_path, BASIC), "--fem-level", "3"]
+        argv = ["verify", "--config", write(tmp_path, BASIC), "--fem-level", "3", "--jobs", jobs]
         assert run([*argv, "--out", str(out)]) == 1
         rows = [line.split(",", 6) for line in out.read_text().splitlines()[3:]]
         assert [(r[0], r[1]) for r in rows] == [
@@ -395,6 +461,17 @@ class TestNormsCommand:
         assert float(rows[0][2]) == pytest.approx(3.4591048179, rel=1e-8)
 
 
+def fresh_python(script):
+    """Run ``script`` in a new interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_bound_run_never_imports_scipy(tmp_path):
     # scipy serves only the FEM oracle; a top-level import anywhere on the
     # bound path would cost every run its import time
@@ -410,11 +487,37 @@ def test_bound_run_never_imports_scipy(tmp_path):
         f"assert cli.main(['bound', '--config', {cfg!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(script) == "[]"
     assert (tmp_path / "out.csv").read_text().count("\npp,") == 4
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool's modules are imported only when a run forks workers
+    script = (
+        "import sys\n"
+        "import neumann_bounds.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    assert fresh_python(script) == "[]"
+
+
+def test_pooled_verify_leaves_the_parent_as_it_was(tmp_path):
+    # the workers, not the parent, load scipy, so each reads its own
+    # OPENBLAS_NUM_THREADS default after the fork; none outlives main
+    out = tmp_path / "out.csv"
+    script = (
+        "import multiprocessing, os, sys\n"
+        "from neumann_bounds import cli\n"
+        "env = dict(os.environ)\n"
+        f"argv = ['verify', '--config', {write(tmp_path, BASIC)!r}, '--fem-level', '3']\n"
+        f"assert cli.main([*argv, '--jobs', '2', '--out', {str(out)!r}]) == 0\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert dict(os.environ) == env\n"
+        "assert multiprocessing.active_children() == []\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no children')\n"
+    )
+    assert fresh_python(script) == "no children"
+    assert out.read_text().count("\ndisk-one,") == 2
