@@ -517,13 +517,16 @@ def k_phi(cmap, rho, phi_young, quad, pullback=None):
     the image-domain norm of rho / (Jinv * PhiInv(1/Jinv)) pulled back to
     the disk, where the integrand at node z is
     g(z) = rho(phi(z)) J(z) / PhiInv(J(z)) on the Jacobian-weighted measure.
-    PhiInv runs once per distinct value of J, and the norm evaluates Phi
-    once per distinct value of g (see ``luxemburg_norm``), so samples that
-    repeat, as on symmetric maps or under constant densities, cost less.
+    For Phi = u log^eps(u+e), PhiInv(J) comes from the pull-back, which
+    shares it with the density that cancels this functional.
     """
     pb = _pullback(cmap, rho, quad, pullback)
     jac = pb.jacobian
-    g = pb.density * jac / np.asarray(phi_young.inverse(jac))
+    if isinstance(phi_young, LogPow):
+        phi_inv = pb.log_pow_inverse(phi_young.eps)
+    else:
+        phi_inv = np.asarray(phi_young.inverse(jac))
+    g = pb.density * jac / phi_inv
     pushed = SampledFunction(g, quad.weights * jac, quad.measure_id + ":image")
     return luxemburg_norm(pushed, phi_young)
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
 from .spec import parse_spec
+from .youngfn import LogPow
 
 __all__ = [
     "ConformalMap",
@@ -254,7 +255,10 @@ class Pullback:
     share, each computed on first use and then kept, read-only:
 
     * ``jacobian``: J(z_i);
-    * ``density``: rho(phi(z_i));
+    * ``log_pow_inverse(eps)``: PhiInv(J(z_i)) for Phi = u log^eps(u+e),
+      kept per eps;
+    * ``density``: rho(phi(z_i)), which the pullback-defined densities
+      form from the two above;
     * ``log_density``: log rho(phi(z_i)), from the density's log-space twin;
     * ``area``: the image area, sum of w_i * J(z_i).
 
@@ -283,11 +287,16 @@ class Pullback:
     def jacobian(self):
         return self._once("jacobian", lambda: self.cmap.jacobian(self.quad.nodes))
 
+    def log_pow_inverse(self, eps):
+        return self._once(("log_pow_inverse", eps), lambda: LogPow(eps).inverse(self.jacobian))
+
     @property
     def density(self):
         return self._once(
             "density",
-            lambda: np.asarray(self.rho.on_disk(self.cmap, self.quad.nodes), dtype=float),
+            lambda: np.asarray(
+                self.rho.on_disk(self.cmap, self.quad.nodes, pullback=self), dtype=float
+            ),
         )
 
     @property

@@ -12,9 +12,11 @@ The FEM oracle also evaluates densities through disk preimages, so pullback
 kinds work there without inverting the map.
 
 ``DensityField.on_disk`` is the one gate for samples: it converts what the
-kind's ``_sample(cmap, z)`` returns to a float array and raises
+kind's ``_sample(cmap, z, pullback)`` returns to a float array and raises
 ``DensityError`` unless every sample is positive and finite.  A kind
 supplies only ``_sample``; the default evaluates ``on_domain`` at phi(z).
+``pullback``, when given, is the ``Pullback`` whose nodes z are; the
+pullback-defined kinds take J(z), and PhiInv(J(z)), from it.
 A constructor rejects parameters out of range, non-finite ones included,
 with ``ConfigError`` (``ParameterError`` where a Young function does).
 """
@@ -33,7 +35,6 @@ __all__ = [
     "GaussianDensity",
     "PullbackJacobianPower",
     "PullbackOrliczCanceling",
-    "CallableDensity",
     "SampledDensity",
     "DENSITY_KINDS",
     "density_from_spec",
@@ -51,14 +52,17 @@ class DensityField:
             f"{self.name} is defined via pullback; evaluate through the map"
         )
 
-    def on_disk(self, cmap, z):
-        """rho(phi(z)) at disk points z; every sample is positive and finite."""
-        values = np.asarray(self._sample(cmap, z), dtype=float)
+    def on_disk(self, cmap, z, pullback=None):
+        """rho(phi(z)) at disk points z; every sample is positive and finite.
+
+        ``pullback`` may share the samples of the map at the nodes z.
+        """
+        values = np.asarray(self._sample(cmap, z, pullback), dtype=float)
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
             raise DensityError(f"{self.name}: density samples must be positive and finite")
         return values
 
-    def _sample(self, cmap, z):
+    def _sample(self, cmap, z, pullback):
         return self.on_domain(cmap.map(z))
 
     def log_on_disk(self, cmap, z):
@@ -112,8 +116,9 @@ class PullbackJacobianPower(DensityField):
         self.exponent = float(exponent)
         self.name = f"pullback_jacobian_power(exponent={self.exponent:g})"
 
-    def _sample(self, cmap, z):
-        return cmap.jacobian(z) ** (-self.exponent)
+    def _sample(self, cmap, z, pullback):
+        jac = cmap.jacobian(z) if pullback is None else pullback.jacobian
+        return jac ** (-self.exponent)
 
 
 class PullbackOrliczCanceling(DensityField):
@@ -128,20 +133,11 @@ class PullbackOrliczCanceling(DensityField):
         self._phi = LogPow(eps)  # range-checks eps
         self.name = f"pullback_orlicz_canceling(eps={self.eps:g})"
 
-    def _sample(self, cmap, z):
-        jac = cmap.jacobian(z)
-        return self._phi.inverse(jac) / jac
-
-
-class CallableDensity(DensityField):
-    """Wrap an arbitrary positive function of the image point."""
-
-    def __init__(self, fn, name="callable"):
-        self.fn = fn
-        self.name = name
-
-    def on_domain(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=complex)), dtype=float)
+    def _sample(self, cmap, z, pullback):
+        if pullback is None:
+            jac = cmap.jacobian(z)
+            return self._phi.inverse(jac) / jac
+        return pullback.log_pow_inverse(self.eps) / pullback.jacobian
 
 
 class SampledDensity(DensityField):
@@ -157,7 +153,7 @@ class SampledDensity(DensityField):
         # the table is its own samples: a bad value fails here, not in a route
         self.on_disk(None, self.values)
 
-    def _sample(self, cmap, z):
+    def _sample(self, cmap, z, pullback):
         z = np.asarray(z)
         if z.size != self.values.size:
             raise DensityError(

@@ -10,7 +10,10 @@ compositions built from them), together with
   ``u log^eps(u+e)`` family so that arguments far outside double range stay
   usable); the bisection runs once per distinct target, and an entry's
   value depends only on itself and, through the shared stop, on the set of
-  distinct targets of its call,
+  distinct targets of its call.  ``LogPow`` computes the same bits from a
+  Newton root, confirmed by evaluations at the ends the bisection decides
+  on, and runs the bisection itself only when its targets span too wide a
+  range for that,
 * complementary (convex conjugate) functions, closed-form where registered
   and a one-sided numeric fallback otherwise,
 * probes for the submultiplicativity / supermultiplicativity growth
@@ -34,6 +37,7 @@ constants are composed entirely in log space.
 from __future__ import annotations
 
 import logging
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +56,6 @@ __all__ = [
     "PsiAlpha",
     "PsiEpsAlpha",
     "NumericComplement",
-    "TableYoung",
     "default_probe_grid",
     "probe_delta_prime",
     "probe_nabla_prime",
@@ -64,6 +67,9 @@ log = logging.getLogger(__name__)
 _E = float(np.e)
 _EPS = float(np.finfo(float).eps)
 _INVERSE_RTOL = 1e-10  # relative width at which the inverse bisection stops
+_INVERSE_LEVELS = 200  # the inverse bisection stops at this level in any case
+_EXACT_BITS = 40  # LogPow's inverse needs hi / w <= 2^this at the stop level
+_BLOCK = 8192  # entries per block of LogPow's inverse, which bounds its temporaries
 
 
 def _gate(method, x, name):
@@ -80,6 +86,16 @@ def _gate(method, x, name):
         raise DomainError(f"{name} must be nonnegative, got {x!r}")
     out = method(np.atleast_1d(arr))
     return float(out[0]) if arr.ndim == 0 else out
+
+
+def _blocks(n):
+    """Slices of at most ``_BLOCK`` entries that cover range(n)."""
+    return [slice(s, s + _BLOCK) for s in range(0, n, _BLOCK)]
+
+
+def _stops(width, hi):
+    """The inverse bisection's stop test on a bracket [hi - width, hi]."""
+    return width <= _INVERSE_RTOL * np.maximum(hi, 1e-300)
 
 
 def _log_expm1(y):
@@ -141,6 +157,10 @@ class YoungFunction:
     name = "young"
     #: registered submultiplicativity constant, if known (M(uv) <= C M(u)M(v))
     delta_prime_constant = None
+    #: eval is a closed form, entry by entry, that rounds within a few ulp
+    #: of M after its argument's own rounding; ``luxemburg_norm`` then
+    #: settles the modular's comparisons far from 1 without evaluating them
+    sharp_eval = False
 
     def eval(self, u):
         """M(u)."""
@@ -158,6 +178,8 @@ class YoungFunction:
         ``t``.  It runs once per distinct target and stops when the slowest
         one converges, so a value depends on the set of distinct targets in
         the call, not on their order or on how often each is repeated.
+        ``LogPow`` returns the bisection's bits without running it, from a
+        Newton root per target and one shared stop level.
         """
         return _gate(self._inverse, t, "inverse target")
 
@@ -195,14 +217,14 @@ class YoungFunction:
                 raise ConvergenceError(
                     f"{self.name}: no bracket for inverse after 2048 doublings"
                 )
-            for _ in range(200):
+            for _ in range(_INVERSE_LEVELS):
                 mid = 0.5 * (lo + hi)
                 high = self.eval(mid) >= t
                 # 0 <= lo <= mid <= hi, so hi - mid is exact (Sterbenz) and
                 # these select mid or keep the old end bit for bit
                 hi = hi - (hi - mid) * high
                 lo = np.maximum(lo, mid * ~high)
-                if np.all(hi - lo <= _INVERSE_RTOL * np.maximum(hi, 1e-300)):
+                if np.all(_stops(hi - lo, hi)):
                     break
         return (0.5 * (lo + hi))[back]
 
@@ -227,6 +249,8 @@ class YoungFunction:
 
 class PowerP(YoungFunction):
     """M(u) = coef * u^p.  ``coef=1/p`` gives the normalized pairing variant."""
+
+    sharp_eval = True
 
     def __init__(self, p, coef=None, normalized=False):
         if not 1 <= p < np.inf:  # NaN fails too
@@ -265,6 +289,7 @@ class ExpSquare(YoungFunction):
     """M(u) = exp(u^2) - 1, the optimal-embedding target function."""
 
     name = "exp_square"
+    sharp_eval = True
 
     def _eval(self, u):
         with np.errstate(over="ignore"):
@@ -281,6 +306,8 @@ class ExpSquare(YoungFunction):
 class ExpPow(YoungFunction):
     """M(u) = exp(u^(2/eps)) - 1 for eps > 1; grows essentially slower
     than exp(u^2) - 1 and restores compactness of the embedding."""
+
+    sharp_eval = True
 
     def __init__(self, eps):
         if not 1 < eps < np.inf:
@@ -303,6 +330,8 @@ class ExpPow(YoungFunction):
 class LogPow(YoungFunction):
     """M(u) = u * log(u+e)^eps.  ``eps=1`` is the submultiplicative
     companion of exp(u)-1 used throughout the Jacobian functionals."""
+
+    sharp_eval = True
 
     def __init__(self, eps=1.0):
         if not 1 <= eps < np.inf:  # NaN fails too
@@ -329,6 +358,91 @@ class LogPow(YoungFunction):
         if tiny.any():
             out[tiny] = np.exp(self.inverse_log(np.log(t[tiny])))
         return out
+
+    def _bisect_inverse(self, t):
+        # What the base-class bisection returns, read off a Newton root.  On
+        # a target t that loop doubles to 2^k, the first k >= 0 with
+        # M(2^k) >= t; at level j its bracket is [hi - w, hi] with
+        # w = 2^(k-j) and hi the smallest multiple of w where M >= t; it
+        # returns the bracket's midpoint at the first level J <= 200 where
+        # every entry of the call passes the stop test.  k comes from M at
+        # the powers of two, as in the loop; evaluations of M confirm hi
+        # and J at the ends the loop decides on, and every other point the
+        # loop evaluates lies at least w >= 2^-_EXACT_BITS * hi from those
+        # ends; since uM'/M >= 1 that moves M far beyond its rounding, so
+        # the loop decides those points as the root does.
+        # A call whose ends need more bits than that, or whose checks do
+        # not settle, runs the loop itself.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._newton_inverse(t)
+        return super()._bisect_inverse(t) if out is None else out
+
+    def _newton_inverse(self, t):
+        u = np.empty_like(t)
+        for s in _blocks(len(t)):
+            u[s] = self._newton_root(t[s])
+        # the doubling: 2^k for the first k >= 0 with M(2^k) >= t
+        top = max(math.frexp(float(u.max()))[1], 0) + 1
+        if top > 1000:
+            return None
+        powers = np.ldexp(1.0, np.arange(top + 1))
+        k = np.searchsorted(self._eval(powers), t)
+        if k.max() > top:
+            return None
+        doubled = powers[k]
+        level = math.ceil(math.log2(float(np.max(doubled / u))) - math.log2(_INVERSE_RTOL))
+        level = min(max(level, 1), _INVERSE_LEVELS)
+        out = np.empty_like(t)
+        for _ in range(8):
+            stops = stops_before = True
+            for s in _blocks(len(t)):
+                w = doubled[s] * math.ldexp(1.0, -level)
+                hi = self._level_end(t[s], u[s], w, level)
+                if hi is None:
+                    return None
+                stops &= bool(np.all(_stops(w, hi)))
+                stops_before &= bool(np.all(_stops(2.0 * w, 2.0 * w * np.ceil(hi / (2.0 * w)))))
+                out[s] = 0.5 * ((hi - w) + hi)
+            if level < _INVERSE_LEVELS and not stops:
+                level += 1
+            elif level > 1 and stops_before:
+                level -= 1
+            else:
+                return out
+        return None
+
+    def _newton_root(self, t):
+        """Root of M(u) = t by Newton's method.  It starts from
+        t / log(t+e)^eps, left of the root; M is convex, so after the first
+        step the iterates fall onto the root from the right."""
+        eps = self.eps
+        u = t / np.log(t + _E) ** eps
+        for _ in range(60):
+            shifted = u + _E
+            log_u = np.log(shifted)
+            power = log_u ** (eps - 1.0)
+            step = (u * log_u * power - t) / (power * (log_u + eps * u / shifted))
+            u -= step
+            # convergence is quadratic, so the next step would be ~1e-14
+            if np.all(np.abs(step) <= 1e-7 * u):
+                break
+        return u
+
+    def _level_end(self, t, u, w, level):
+        """hi at ``level`` of the bisection, the smallest multiple of w
+        where M >= t, from the root u and confirmed by M at hi and hi - w;
+        None where that does not settle or hi / w exceeds 2^_EXACT_BITS."""
+        n = np.clip(np.ceil(u / w), 1.0, 2.0**level)
+        if n.max() > 2.0**_EXACT_BITS:
+            return None
+        hi = n * w
+        for _ in range(4):
+            low = self._eval(hi) < t
+            high = self._eval(hi - w) >= t
+            if not (low.any() or high.any()):
+                return hi
+            hi = hi + w * low - w * high
+        return None
 
     # log-domain twin: x = log u  ->  log M(u) = x + eps*log(log(e^x + e))
 
@@ -387,6 +501,7 @@ class LogLinearTilde(YoungFunction):
     """M(u) = (1+u) log(1+u) - u, the closed-form conjugate of exp(u)-1."""
 
     name = "log_linear_tilde"
+    # not sharp: (1+u) log1p(u) - u cancels to u^2/2 for small u
 
     def _eval(self, u):
         return (1.0 + u) * np.log1p(u) - u
@@ -399,6 +514,7 @@ class ExpMinusOne(YoungFunction):
     """M(u) = exp(u) - 1; conjugate pair of (1+u)log(1+u) - u."""
 
     name = "exp_minus_one"
+    sharp_eval = True
 
     def _eval(self, u):
         with np.errstate(over="ignore"):
@@ -656,38 +772,6 @@ class NumericComplement(YoungFunction):
             fd = self._objective(d, v)
         best = np.maximum(best, np.maximum(fc, fd))
         return np.maximum(best, 0.0)
-
-
-class TableYoung(YoungFunction):
-    """Young function given by a sampled table, linearly interpolated.
-
-    The table must start at (0, 0), be nondecreasing and discretely convex;
-    evaluation beyond the last sample extrapolates the final slope.
-    """
-
-    def __init__(self, u_table, m_table):
-        u = np.asarray(u_table, dtype=float)
-        m = np.asarray(m_table, dtype=float)
-        if u.ndim != 1 or u.shape != m.shape or len(u) < 3:
-            raise ParameterError("table needs matching 1-D arrays, >= 3 points")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(m))):
-            raise ParameterError("table entries must be finite")
-        if u[0] != 0.0 or m[0] != 0.0:
-            raise ParameterError("table must start at (0, 0)")
-        if np.any(np.diff(u) <= 0) or np.any(np.diff(m) < 0):
-            raise ParameterError("table must be strictly increasing in u")
-        slopes = np.diff(m) / np.diff(u)
-        if np.any(np.diff(slopes) < -1e-10 * max(1.0, m[-1])):
-            raise ParameterError("table is not convex")
-        self._u = u
-        self._m = m
-        self._final_slope = slopes[-1]
-        self.name = f"table({len(u)} pts)"
-
-    def _eval(self, u):
-        out = np.interp(u, self._u, self._m)
-        beyond = u > self._u[-1]
-        return np.where(beyond, self._m[-1] + self._final_slope * (u - self._u[-1]), out)
 
 
 # ---------------------------------------------------------------------------

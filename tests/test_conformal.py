@@ -8,7 +8,10 @@ import pytest
 from neumann_bounds import bounds as bnd
 from neumann_bounds import conformal as cf
 from neumann_bounds import densities as dn
+from neumann_bounds import youngfn as yf
 from neumann_bounds.errors import ConfigError, DensityError, DomainError, ParameterError
+
+from fakes import CallableDensity
 
 
 class TestQuadrature:
@@ -202,7 +205,7 @@ class TestPullback:
 
     def test_samples_are_kept_and_shared(self, pp_map, quad32):
         calls = []
-        rho = dn.CallableDensity(lambda x: calls.append(1) or np.exp(-np.abs(x) ** 2))
+        rho = CallableDensity(lambda x: calls.append(1) or np.exp(-np.abs(x) ** 2))
         pb = cf.Pullback(pp_map, rho, quad32)
         bnd.mu_lower_esssup(pp_map, rho, quad32, pullback=pb)
         bnd.mu_lower_kq(pp_map, rho, 1.5, 4.0, quad32, pullback=pb)
@@ -212,6 +215,29 @@ class TestPullback:
         other = pb.for_density(dn.ConstantDensity(2.0))
         assert other.jacobian is pb.jacobian and other.area == pb.area
         assert np.all(other.density == 2.0)
+
+    @pytest.mark.parametrize("eps", [2.0, 3.0])
+    def test_pullback_densities_share_the_map_samples(self, pp_map, quad32, monkeypatch, eps):
+        # the densities defined through J take it, and PhiInv(J), from the
+        # pull-back, which gives the samples on_disk computes on its own
+        jacobians, inverses = [], []
+        jacobian, inverse = cf.PerturbedPowerMap.jacobian, yf.LogPow.inverse
+        monkeypatch.setattr(
+            cf.PerturbedPowerMap, "jacobian", lambda *a: jacobians.append(1) or jacobian(*a)
+        )
+        monkeypatch.setattr(
+            yf.LogPow, "inverse", lambda phi, t: inverses.append(np.size(t)) or inverse(phi, t)
+        )
+        for rho in (dn.PullbackJacobianPower(0.5), dn.PullbackOrliczCanceling(2.0)):
+            alone = rho.on_disk(pp_map, quad32.nodes)
+            jacobians.clear(), inverses.clear()
+            pb = cf.Pullback(pp_map, rho, quad32)
+            kphi = bnd.k_phi(pp_map, rho, yf.LogPow(eps), quad32, pullback=pb)
+            assert np.array_equal(pb.density, alone)
+            assert len(jacobians) == 1
+            # the norm's own bracket inverts two scalars
+            assert inverses.count(len(quad32)) == 1 + (eps != getattr(rho, "eps", eps))
+            assert kphi == bnd.k_phi(pp_map, rho, yf.LogPow(eps), quad32)
 
     def test_failed_sample_is_not_kept(self, identity_map, quad32):
         pb = cf.Pullback(identity_map, dn.GaussianDensity(5000.0), quad32)

@@ -7,6 +7,8 @@ from neumann_bounds import fem_oracle as fo
 from neumann_bounds import orlicz as ol
 from neumann_bounds.errors import MeshError, ParameterError, SolverError
 
+from fakes import CallableDensity
+
 
 class TestMesh:
     def test_euler_characteristic(self, identity_map):
@@ -99,7 +101,7 @@ class TestAssembly:
         from neumann_bounds.errors import DensityError
 
         with pytest.raises(DensityError):
-            fo.assemble(mesh, dn.CallableDensity(lambda x: x.real, name="signed"))
+            fo.assemble(mesh, CallableDensity(lambda x: x.real, name="signed"))
 
 
 class TestEigenvalue:

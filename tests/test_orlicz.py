@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from neumann_bounds import orlicz as ol
 from neumann_bounds import youngfn as yf
+from neumann_bounds.conformal import PerturbedPowerMap, build_disk_quadrature
 from neumann_bounds.errors import DomainError
 
 
@@ -165,11 +166,14 @@ class TestHolder:
             ol.holder_pairing(f, g, yf.LogLinear())
 
 
-def luxemburg_per_node(f, young):
+def luxemburg_per_node(f, young, lams=None):
     """Reference for ``luxemburg_norm``: the same bisection with Y evaluated
-    at every node, duplicates included."""
+    at every node, duplicates included.  ``lams``, a list, collects each
+    lambda the modular runs at."""
 
     def modular(lam):
+        if lams is not None:
+            lams.append(lam)
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.sum(w * np.asarray(young.eval(absvals / lam)))
         return np.inf if np.isnan(out) else out
@@ -241,6 +245,76 @@ class TestLuxemburgOncePerDistinctValue:
                 per_node = np.sum(quad32.weights * np.asarray(young.eval(absvals / lam)))
                 got = ol._modular(young, distinct, back, quad32.weights, lam)
                 assert bits(got) == bits(per_node)
+
+
+@pytest.fixture()
+def modular_lams(monkeypatch):
+    """Each lambda at which ``luxemburg_norm`` evaluates a modular."""
+    lams = []
+    modular = ol._modular
+
+    def recorded(young, distinct, back, weights, lam):
+        lams.append(lam)
+        return modular(young, distinct, back, weights, lam)
+
+    monkeypatch.setattr(ol, "_modular", recorded)
+    return lams
+
+
+@pytest.fixture(scope="module")
+def kphi_field_256():
+    """k_phi's integrand on the pp0.5k2 map at 256x256, constant density."""
+    quad = build_disk_quadrature(256, 256)
+    jac = PerturbedPowerMap(0.5, 2).jacobian(quad.nodes)
+    return ol.SampledFunction(jac / np.asarray(yf.LogPow(2.0).inverse(jac)), quad.weights * jac)
+
+
+SHARP_KINDS = [yf.LogPow(2.0), yf.PowerP(3.0), yf.ExpSquare(), yf.LogLinear(), yf.PowerP(1.5)]
+
+
+class TestLuxemburgSettledTests:
+    """A sharp kind skips the modulars whose comparison with 1 its known
+    neighbours settle; the norm must still equal the per-node bisection's
+    bit for bit, and other kinds must evaluate exactly its modulars."""
+
+    @pytest.mark.parametrize("young", SHARP_KINDS, ids=lambda y: y.name)
+    def test_sharp_kinds_keep_the_bits(self, young, quad32, pp_map, rng, kphi_field_256):
+        assert young.sharp_eval
+        jac = pp_map.jacobian(quad32.nodes)
+        fields = [
+            np.full(len(quad32), 2.5),
+            rng.choice(rng.lognormal(size=37), size=len(quad32)),
+            rng.lognormal(sigma=2.0, size=len(quad32)),
+            jac / np.asarray(yf.LogPow(2.0).inverse(jac)),
+        ]
+        for values in fields:
+            f = ol.SampledFunction(values, quad32.weights * jac)
+            assert bits(ol.luxemburg_norm(f, young)) == bits(luxemburg_per_node(f, young))
+        f = kphi_field_256
+        assert bits(ol.luxemburg_norm(f, young)) == bits(luxemburg_per_node(f, young))
+
+    def test_kphi_norm_takes_few_modulars(self, kphi_field_256, modular_lams):
+        ol.luxemburg_norm(kphi_field_256, yf.LogPow(2.0))
+        assert len(modular_lams) <= 16
+
+    @pytest.mark.parametrize(
+        "young",
+        [yf.NumericComplement(yf.LogLinear()), yf.PsiEpsAlpha(2.0, 12.0)],
+        ids=lambda y: y.name,
+    )
+    def test_other_kinds_evaluate_every_test(self, young, quad32, pp_map, rng, modular_lams):
+        assert not young.sharp_eval
+        jac = pp_map.jacobian(quad32.nodes)
+        for values in (
+            rng.choice(rng.lognormal(size=37), size=len(quad32)),
+            jac / np.asarray(yf.LogPow(2.0).inverse(jac)),
+        ):
+            f = ol.SampledFunction(values, quad32.weights * jac)
+            modular_lams.clear()
+            got = ol.luxemburg_norm(f, young)
+            plain = []
+            assert bits(got) == bits(luxemburg_per_node(f, young, plain))
+            assert modular_lams == plain
 
 
 # The distinct-value steps rely on an entrywise contract: permuting or

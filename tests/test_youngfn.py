@@ -10,6 +10,8 @@ from neumann_bounds import conformal as cf
 from neumann_bounds import youngfn as yf
 from neumann_bounds.errors import DomainError, ParameterError
 
+from fakes import TableYoung
+
 E = np.e
 
 
@@ -185,7 +187,7 @@ class TestInverseOncePerDistinctTarget:
     def test_duplicated_targets(self, rng):
         t = rng.lognormal(sigma=3.0, size=40)
         t = rng.permutation(np.repeat(t, rng.integers(1, 6, size=40)))
-        for young in (yf.LogPow(2.0), yf.TableYoung([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 8.0])):
+        for young in (yf.LogPow(2.0), TableYoung([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 8.0])):
             assert np.array_equal(bits(young.inverse(t)), bits(per_entry(young).inverse(t)))
 
     def test_scalar_target(self):
@@ -212,6 +214,107 @@ class TestInverseOncePerDistinctTarget:
         assert np.array_equal(bits(psi.eval(u)), bits(per_entry(psi).eval(u)))
         t = np.asarray(psi.eval(u[1500:1540:4]))
         assert np.array_equal(bits(psi.inverse(t)), bits(per_entry(psi).inverse(t)))
+
+
+LOG_POWERS = [1.0, 1.5, 2.0, 3.7]
+
+
+@pytest.fixture()
+def loop_calls(monkeypatch):
+    """Count the calls of the base-class inverse bisection."""
+    calls = []
+    loop = yf.YoungFunction._bisect_inverse
+
+    def counted(self, t):
+        calls.append(len(t))
+        return loop(self, t)
+
+    monkeypatch.setattr(yf.YoungFunction, "_bisect_inverse", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def quad256():
+    return cf.build_disk_quadrature(256, 256)
+
+
+class TestLogPowInverseFromNewtonRoot:
+    """LogPow reads the bisection's result off a Newton root; every value
+    must equal the per-entry loop's bit for bit."""
+
+    @pytest.mark.parametrize("eps", LOG_POWERS)
+    def test_targets_at_powers_of_two(self, eps, loop_calls):
+        # at M(2^k) the doubling stops on an exact tie, and every level of
+        # the bisection has a midpoint at 2^k
+        phi = yf.LogPow(eps)
+        at = np.asarray(phi.eval(np.ldexp(1.0, np.arange(-12, 40))))
+        t = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, np.inf)])
+        for target in t:
+            assert bits(phi.inverse(target)) == bits(per_entry(phi).inverse(target))
+        assert not loop_calls  # one target never needs the loop
+        # the targets of one call share its stop
+        for batch in (t, t[(t > 0.5) & (t < 50.0)]):
+            assert np.array_equal(bits(phi.inverse(batch)), bits(per_entry(phi).inverse(batch)))
+
+    @pytest.mark.parametrize("eps", LOG_POWERS)
+    @pytest.mark.parametrize("cmap", MAP_KINDS, ids=lambda m: m.name)
+    def test_jacobian_of_every_map_kind(self, cmap, eps, quad256, loop_calls):
+        jac = cmap.jacobian(quad256.nodes)
+        phi = yf.LogPow(eps)
+        got = phi.inverse(jac)
+        assert not loop_calls
+        assert np.array_equal(bits(got), bits(per_entry(phi).inverse(jac)))
+
+    @pytest.mark.parametrize("eps", LOG_POWERS)
+    def test_stop_level_below_the_estimate(self, eps, loop_calls):
+        # the estimate tests the stop at the root u, the loop at hi >= u;
+        # just below c = 1e10 * 2^(k-34) the loop stops at level 34 where
+        # the estimate says 35
+        phi = yf.LogPow(eps)
+        c = 1e10 * np.ldexp(1.0, np.arange(0, 30, 3) - 34)
+        t = np.asarray(phi.eval(c * (1.0 - np.array([1e-14, 1e-12, 3e-11])[:, None]))).ravel()
+        for target in t:
+            assert bits(phi.inverse(target)) == bits(per_entry(phi).inverse(target))
+        assert not loop_calls
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", LOG_POWERS)
+    def test_extreme_targets(self, eps, loop_calls):
+        # from about 1e-50 down the loop stops at its 200th level, and
+        # from about 6e-61 down it returns that level's first midpoint
+        phi = yf.LogPow(eps)
+        for target in (1e-300, 1e-299, 1e-200, 6e-61, 1e-60, 1e-55, 1e-50, 1e-40, 1e-20):
+            assert bits(phi.inverse(target)) == bits(per_entry(phi).inverse(target))
+        assert not loop_calls
+        # near the top of the double range M overflows on the way
+        for target in (1e300, 1.7e308, np.finfo(float).max):
+            assert bits(phi.inverse(target)) == bits(per_entry(phi).inverse(target))
+
+    @pytest.mark.parametrize("eps", LOG_POWERS)
+    def test_wide_span_runs_the_loop(self, eps, loop_calls):
+        phi = yf.LogPow(eps)
+        # 1e-300 needs all 200 levels; 2^-10 and 8 need 2^44 steps of the
+        # stop level's width between 0 and 8
+        for t in (np.geomspace(1e-300, 1e300, 601), np.asarray(phi.eval([2.0**-10, 8.0]))):
+            loop_calls.clear()
+            got = phi.inverse(t)
+            assert loop_calls == [len(t)]
+            assert np.array_equal(bits(got), bits(per_entry(phi).inverse(t)))
+
+    def test_peak_memory_at_most_the_loop(self, quad256):
+        import tracemalloc
+
+        jac = cf.PerturbedPowerMap(0.5, 2).jacobian(quad256.nodes)
+        phi = yf.LogPow(2.0)
+        peaks = []
+        for run in (phi._bisect_inverse, functools.partial(yf.YoungFunction._bisect_inverse, phi)):
+            tracemalloc.start()
+            try:
+                run(jac)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestComplementary:
@@ -460,7 +563,7 @@ class TestHullLookup:
         # piecewise-linear M: some 260 grid points lie on the slope-0.3
         # piece, so v near 0.3 makes them tie up to rounding noise and the
         # first float maximum can sit far from the hull vertex found
-        tab = yf.TableYoung([0.0, 1.0, 1000.0, 2000.0], [0.0, 0.1, 299.8, 999.8])
+        tab = TableYoung([0.0, 1.0, 1000.0, 2000.0], [0.0, 0.1, 299.8, 999.8])
         v = np.array([0.05, 0.2, 0.1 * 3, 0.3, 0.3 + 1e-16, 0.3 - 1e-16, 0.5, 0.69])
         with np.errstate(all="raise"):
             want, want_idx, _ = dense_conjugate(tab, v, refine, u_hi=1500.0)
@@ -587,12 +690,12 @@ def test_log_inner_shortcut_is_exact(exp_args, prec):
 
 def test_table_young():
     u = np.linspace(0.0, 4.0, 9)
-    tab = yf.TableYoung(u, u**2)
+    tab = TableYoung(u, u**2)
     assert tab.eval(2.0) == pytest.approx(4.0, rel=1e-10)
     assert tab.eval(10.0) > tab.eval(4.0)
     young_validity_check(tab, u_hi=4.0, n=9)
     with pytest.raises(ParameterError):
-        yf.TableYoung([0.0, 1.0, 2.0], [0.0, 1.0, 0.5])
+        TableYoung([0.0, 1.0, 2.0], [0.0, 1.0, 0.5])
 
 
 def test_constructor_parameter_errors():
@@ -611,4 +714,4 @@ def test_constructor_parameter_errors():
         with pytest.raises(ParameterError):
             yf.PowerP(2.0, coef=bad)
         with pytest.raises(ParameterError):
-            yf.TableYoung([0.0, 1.0, 2.0], [0.0, 1.0, bad])
+            TableYoung([0.0, 1.0, 2.0], [0.0, 1.0, bad])
