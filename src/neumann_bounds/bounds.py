@@ -193,9 +193,10 @@ _LOG_FLOAT_UNDERFLOW = (sys.float_info.min_exp - sys.float_info.mant_dig - 2) * 
 
 
 def _finish(method, bound_log, intermediates, flags, params):
-    import mpmath as mp
-
-    if isinstance(bound_log, mp.mpf):
+    # no value is an mpf unless mpmath was imported, so the float routes
+    # never pay its import
+    mp = sys.modules.get("mpmath")
+    if mp is not None and isinstance(bound_log, mp.mpf):
         # below _LOG_FLOAT_UNDERFLOW float() rounds exp to 0.0 anyway
         bound = 0.0 if bound_log < _LOG_FLOAT_UNDERFLOW else float(mp.exp(bound_log))
     else:

@@ -74,6 +74,16 @@ cores N times over.  A worker sets OPENBLAS_NUM_THREADS to 1 unless the
 environment already sets it; scipy is first imported inside the FEM oracle,
 after the fork, and reads the variable then.  The parent's environment does
 not change.
+
+Shared work: the scenarios of a config hold one ``Shared`` object.  It
+builds and certifies each distinct map spec text once, and keeps, per
+process, the map-side samples (J, PhiInv(J), image area) of the last
+(map, quadrature) a scenario used.  ``fem_oracle.mu_fem`` keeps the meshes
+and stiffness matrices of the last map's two levels, keyed on the map
+object.  A scenario on the same map then computes only its density's
+share.  Workers receive tasks in config order, so each computes a map's
+share once per run of consecutive scenarios on it.  The CSV bytes do not
+depend on what is shared, and a new config starts with nothing shared.
 """
 
 from __future__ import annotations
@@ -117,6 +127,28 @@ def _fmt_intermediates(inter):
     return "|".join(f"{key}={fmt(inter[key])}" for key in sorted(inter))
 
 
+class Shared:
+    """The work the scenarios of one config share (see "Shared work")."""
+
+    def __init__(self):
+        self._maps = {}
+        self._on_map = None
+
+    def map(self, spec):
+        """One map object per distinct spec text."""
+        if spec not in self._maps:
+            self._maps[spec] = map_from_spec(spec)
+        return self._maps[spec]
+
+    def pullback(self, cmap, rho, quad):
+        """A pull-back sharing the map-side samples of the previous call's
+        when that had the same map object and quadrature."""
+        on_map = self._on_map
+        if on_map is None or on_map.cmap is not cmap or on_map.quad is not quad:
+            on_map = self._on_map = Pullback(cmap, None, quad)
+        return on_map.for_density(rho)
+
+
 @dataclass
 class Scenario:
     sid: str
@@ -131,11 +163,16 @@ class Scenario:
     sweep_n: list = field(default_factory=lambda: [10, 100, 1000, 10000])
     young: str = "log_linear"
     line: int = 0  # config line of the section header
+    # parse_config gives every scenario of a config the defaults' object
+    shared: Shared = field(default_factory=Shared, repr=False, compare=False)
 
     def build(self):
-        """(map, density, quadrature); a bad spec or range is a ConfigError."""
+        """(map, density, quadrature); a bad spec or range is a ConfigError.
+
+        The map is ``shared``'s, so the scenarios that spell their map the
+        same way get one map object."""
         try:
-            cmap = map_from_spec(self.map_spec)
+            cmap = self.shared.map(self.map_spec)
             quad = build_disk_quadrature(self.quad_nr, self.quad_ntheta)
             rho = density_from_spec(self.density_spec)
             if isinstance(rho, SampledDensity) and rho.values.size != len(quad):
@@ -359,8 +396,8 @@ def _validate_scenario(sc, command):
 def _bound_reports(sc, cmap, rho, quad):
     """(label, result) pairs in method order; a result is a BoundReport, a
     sweep slope summary dict or an ``error:`` string.  The rows share one
-    pull-back, which goes with this call."""
-    pb = Pullback(cmap, rho, quad)
+    pull-back, whose density-side samples go with this call."""
+    pb = sc.shared.pullback(cmap, rho, quad)
     out = []
     for method in sc.methods:
         try:
@@ -432,7 +469,7 @@ def _rows_sweep(sc, built):
 
 
 def _rows_norms(sc, built):
-    pb = Pullback(*built)
+    pb = sc.shared.pullback(*built)
     rows = []
     for method in sc.methods:
         label, value = NORMS[method][1](sc, pb)

@@ -252,47 +252,66 @@ class MoebiusDiskMap(ConformalMap):
 
 class Pullback:
     """The samples of one (map, density, quadrature) that the bound routes
-    share, each computed on first use and then kept, read-only:
+    share, each computed on first use and then kept, read-only.
+
+    Map-side samples, which depend on (map, quadrature) alone:
 
     * ``jacobian``: J(z_i);
     * ``log_pow_inverse(eps)``: PhiInv(J(z_i)) for Phi = u log^eps(u+e),
       kept per eps;
-    * ``density``: rho(phi(z_i)), which the pullback-defined densities
-      form from the two above;
-    * ``log_density``: log rho(phi(z_i)), from the density's log-space twin;
     * ``area``: the image area, sum of w_i * J(z_i).
+
+    Density-side samples:
+
+    * ``density``: rho(phi(z_i)), which the pullback-defined densities
+      form from the map-side ones;
+    * ``log_density``: log rho(phi(z_i)), from the density's log-space twin.
 
     A sample whose evaluation raises is not kept, so it raises again at its
     next use: a density that underflows linear evaluation fails only the
     routes that need it.  ``rho`` may be None when only the map's samples
-    are used.  The object holds no reference to itself, so its arrays go
-    with it.
+    are used.  ``for_density`` gives the pull-back of another density that
+    shares this one's map-side samples, those computed so far and those
+    computed later by either, so each is computed once for all of them.
+    Nothing else holds the samples: they are freed with the last pull-back
+    that shares them.
     """
 
     def __init__(self, cmap, rho, quad):
         self.cmap = cmap
         self.rho = rho
         self.quad = quad
-        self._kept = {}
+        self._kept = {}  # density-side samples
+        self._on_map = {}  # map-side samples, shared with for_density's pull-backs
 
-    def _once(self, name, compute):
-        if name not in self._kept:
+    @staticmethod
+    def _once(kept, name, compute):
+        if name not in kept:
             value = compute()
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-            self._kept[name] = value
-        return self._kept[name]
+            kept[name] = value
+        return kept[name]
 
     @property
     def jacobian(self):
-        return self._once("jacobian", lambda: self.cmap.jacobian(self.quad.nodes))
+        return self._once(self._on_map, "jacobian", lambda: self.cmap.jacobian(self.quad.nodes))
 
     def log_pow_inverse(self, eps):
-        return self._once(("log_pow_inverse", eps), lambda: LogPow(eps).inverse(self.jacobian))
+        return self._once(
+            self._on_map, ("log_pow_inverse", eps), lambda: LogPow(eps).inverse(self.jacobian)
+        )
+
+    @property
+    def area(self):
+        return self._once(
+            self._on_map, "area", lambda: float(np.sum(self.quad.weights * self.jacobian))
+        )
 
     @property
     def density(self):
         return self._once(
+            self._kept,
             "density",
             lambda: np.asarray(
                 self.rho.on_disk(self.cmap, self.quad.nodes, pullback=self), dtype=float
@@ -302,13 +321,10 @@ class Pullback:
     @property
     def log_density(self):
         return self._once(
+            self._kept,
             "log_density",
             lambda: np.asarray(self.rho.log_on_disk(self.cmap, self.quad.nodes), dtype=float),
         )
-
-    @property
-    def area(self):
-        return self._once("area", lambda: float(np.sum(self.quad.weights * self.jacobian)))
 
     @property
     def mass_density(self):
@@ -322,9 +338,9 @@ class Pullback:
 
     def for_density(self, rho):
         """The pull-back of ``rho`` through the same map and nodes, sharing
-        this one's Jacobian and image area."""
+        this one's map-side samples."""
         other = Pullback(self.cmap, rho, self.quad)
-        other._kept.update(jacobian=self.jacobian, area=self.area)
+        other._on_map = self._on_map
         return other
 
 

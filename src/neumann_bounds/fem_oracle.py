@@ -8,7 +8,14 @@ the matrices are exact P1 stiffness and centroid-sampled mass, and the
 generalized eigenproblem is solved at every level by shift-invert Lanczos
 from a fixed seeded start vector, so repeated runs give identical numbers.
 
-scipy serves only this oracle, and ``assemble`` and
+The mesh and the P1 stiffness matrix depend on (map, level) alone: each
+mesh builds its stiffness once, and ``mu_fem`` keeps the meshes of the last
+two (map, level) pairs, a Richardson pair, keyed on the map object.  Calls
+for other densities on the same map then assemble only the rho-weighted
+mass matrix, with the same arithmetic, so the eigenvalues do not depend on
+what was kept.
+
+scipy serves only this oracle, and the matrix assembly and
 ``first_nonzero_neumann`` import it on first use, so the bound routes and
 the ``bound``, ``sweep`` and ``norms`` commands never load it.
 
@@ -21,7 +28,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,6 +100,25 @@ class TriMesh:
         z = self.disk_vertices[self.triangles]
         return z.mean(axis=1)
 
+    @cached_property
+    def stiffness(self):
+        """P1 stiffness matrix from exact per-triangle gradients (CSR,
+        symmetric); built on first use and kept with the mesh.  Every
+        ``assemble`` call on the mesh returns it, so its arrays are
+        read-only."""
+        p = self.vertices[self.triangles]  # (T, 3, 2)
+        x, y = p[..., 0], p[..., 1]
+        bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        area = self.triangle_areas()
+        ke = (bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]) / (
+            4.0 * area[:, None, None]
+        )
+        a_mat = _symmetric_csr(self, ke)
+        for arr in (a_mat.data, a_mat.indices, a_mat.indptr):
+            arr.flags.writeable = False
+        return a_mat
+
 
 @lru_cache(maxsize=None)
 def _disk_rings(level):
@@ -161,39 +187,33 @@ def mesh_from_map(cmap, level):
     return mesh
 
 
-def assemble(mesh, rho):
-    """P1 stiffness and rho-weighted mass matrices (both CSR, symmetric).
-
-    The stiffness uses exact per-triangle gradients; the mass samples rho at
-    the disk-side centroid of each triangle (midpoint rule, second order,
-    matching the P1 eigenvalue error) and uses the consistent element mass.
-    """
+def _symmetric_csr(mesh, elements):
+    """The global matrix of the (T, 3, 3) element matrices, symmetrized (CSR)."""
     import scipy.sparse as sp
-
-    rho_c = np.asarray(rho.on_disk(mesh.cmap, mesh.centroids_disk()), dtype=float)
-    if np.any(rho_c <= 0.0) or not np.all(np.isfinite(rho_c)):
-        raise DensityError("density must be positive and finite at all centroids")
-
-    p = mesh.vertices[mesh.triangles]  # (T, 3, 2)
-    x, y = p[..., 0], p[..., 1]
-    bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = mesh.triangle_areas()
-
-    ke = (bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]) / (
-        4.0 * area[:, None, None]
-    )
-    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = rho_c[:, None, None] * area[:, None, None] * me_ref[None, :, :]
 
     rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
     cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
     n = mesh.num_vertices
-    a_mat = sp.coo_matrix((ke.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-    m_mat = sp.coo_matrix((me.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-    a_mat = 0.5 * (a_mat + a_mat.T)
-    m_mat = 0.5 * (m_mat + m_mat.T)
-    return a_mat, m_mat
+    mat = sp.coo_matrix((elements.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    return 0.5 * (mat + mat.T)
+
+
+def assemble(mesh, rho):
+    """P1 stiffness and rho-weighted mass matrices (both CSR, symmetric).
+
+    The stiffness uses exact per-triangle gradients and depends on the mesh
+    alone, so it is the mesh's ``stiffness``, built once per mesh.  The mass
+    samples rho at the disk-side centroid of each triangle (midpoint rule,
+    second order, matching the P1 eigenvalue error) and uses the consistent
+    element mass.
+    """
+    rho_c = np.asarray(rho.on_disk(mesh.cmap, mesh.centroids_disk()), dtype=float)
+    if np.any(rho_c <= 0.0) or not np.all(np.isfinite(rho_c)):
+        raise DensityError("density must be positive and finite at all centroids")
+    area = mesh.triangle_areas()
+    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    me = rho_c[:, None, None] * area[:, None, None] * me_ref[None, :, :]
+    return mesh.stiffness, _symmetric_csr(mesh, me)
 
 
 def first_nonzero_neumann(a_mat, m_mat):
@@ -219,9 +239,17 @@ def first_nonzero_neumann(a_mat, m_mat):
     return mu, float(resid)
 
 
+@lru_cache(maxsize=2)
+def _mesh(cmap, level):
+    """``mesh_from_map``, kept for the last two (map, level) pairs, one
+    map's Richardson pair; the key is the map object."""
+    return mesh_from_map(cmap, level)
+
+
 def mu_fem(cmap, rho, level):
-    """FEM eigenvalue at one refinement level."""
-    mesh = mesh_from_map(cmap, level)
+    """FEM eigenvalue at one refinement level; the mesh and its stiffness
+    are shared with the last calls on the same map object."""
+    mesh = _mesh(cmap, level)
     a_mat, m_mat = assemble(mesh, rho)
     mu, _ = first_nonzero_neumann(a_mat, m_mat)
     return mu
@@ -250,30 +278,37 @@ def mu_fem_richardson(cmap, rho, level):
 # ---------------------------------------------------------------------------
 
 
+def _negligible(term, acc):
+    """True when ``term`` is below 1e-19 |acc| everywhere (floats or arrays)."""
+    small = abs(term) < 1e-19 * abs(acc)
+    return small if isinstance(small, bool) else bool(small.all())
+
+
 def _bessel_j0_series(x):
-    """J0 by power series; full double accuracy for |x| <= 4."""
-    x = np.asarray(x, dtype=float)
+    """J0 by power series; full double accuracy for |x| <= 4.
+
+    ``x`` is a float or a float array; the root bisection passes floats,
+    which give the same bits as 0-d arrays without numpy's per-call cost.
+    """
     q = -0.25 * x * x
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
+    term = acc = 1.0 + 0.0 * x  # ones, shaped like x
     for m in range(1, 40):
         term = term * q / (m * m)
         acc = acc + term
-        if np.all(np.abs(term) < 1e-19 * np.abs(acc)):
+        if _negligible(term, acc):
             break
     return acc
 
 
 def _bessel_j1_series(x):
-    """J1 by power series; full double accuracy for |x| <= 4."""
-    x = np.asarray(x, dtype=float)
+    """J1 by power series; full double accuracy for |x| <= 4 (float or
+    float array ``x``, as in ``_bessel_j0_series``)."""
     q = -0.25 * x * x
-    term = 0.5 * x
-    acc = np.asarray(term).copy()
+    term = acc = 0.5 * x
     for m in range(1, 40):
         term = term * q / (m * (m + 1))
         acc = acc + term
-        if np.all(np.abs(term) < 1e-19 * np.abs(acc)):
+        if _negligible(term, acc):
             break
     return acc
 

@@ -57,8 +57,9 @@ def test_determinism_across_jobs(tmp_path, argv):
     cfg = write(tmp_path, text)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run([*argv, "--config", cfg, "--out", str(out1)]) == 0
-    # forked workers inherit this process's caches: clear the mesh cache the
-    # serial run filled, so the workers build their own
+    # forked workers inherit this process's caches: clear the disk
+    # triangulations the serial run filled, so the workers build their own
+    # (the per-map meshes and pull-backs are keyed on the run's own maps)
     fem_oracle._disk_rings.cache_clear()
     assert run([*argv, "--config", cfg, "--jobs", "4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -135,6 +136,71 @@ def test_fine_quadrature_matches_reference(tmp_path, monkeypatch):
     out = tmp_path / "out.csv"
     assert run(["bound", "--config", cfg, "--jobs", "2", "--out", str(out)]) == 0
     assert out.read_bytes() == (bench / "reference" / "fine-quadrature.csv").read_bytes()
+
+
+def _two_maps(spellings):
+    """Two maps with three densities each; the i-th scenario of a map spells
+    the map's parameters as ``spellings[i]``."""
+    text = (
+        "quad_nr = 24\nquad_ntheta = 20\np = 1.5\nq = 4\neps = 2\nb_m_eps = 1\n"
+        "fem_level = 3\nmethods = esssup, lq, orlicz\n"
+    )
+    densities = ("constant", "gaussian n=2", "pullback_orlicz_canceling eps=2")
+    for c, k in (("0.3", "2"), ("0.5", "3")):
+        for i, (spelling, density) in enumerate(zip(spellings, densities)):
+            text += (
+                f"[scenario]\nid = c{c}/{i}\nmap = perturbed_power {spelling.format(c=c, k=k)}\n"
+                f"density = {density}\n"
+            )
+    return text
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_scenarios_share_their_maps_work(tmp_path, monkeypatch, command):
+    # scenarios with the same map spec text share the map, J, PhiInv(J), and
+    # the FEM meshes with their stiffness; spelling each scenario's map
+    # differently shares nothing, and the rows must not tell the two apart
+    from neumann_bounds import conformal, youngfn
+
+    nodes = 24 * 20  # no FEM level has as many triangles
+    counts, stiffness = {}, []
+    real_spec, real_jacobian = cli.map_from_spec, conformal.ConformalMap.jacobian
+    real_inverse, real_solve = youngfn.LogPow.inverse, fem_oracle.first_nonzero_neumann
+
+    def count(name, size=nodes):
+        counts[name] = counts.get(name, 0) + (size == nodes)
+
+    monkeypatch.setattr(cli, "map_from_spec", lambda spec: count("map") or real_spec(spec))
+    monkeypatch.setattr(
+        conformal.ConformalMap, "jacobian",
+        lambda cmap, z: count("jacobian", np.size(z)) or real_jacobian(cmap, z),
+    )
+    monkeypatch.setattr(
+        youngfn.LogPow, "inverse", lambda phi, t: count("inverse", np.size(t)) or real_inverse(phi, t)
+    )
+    monkeypatch.setattr(
+        fem_oracle, "first_nonzero_neumann", lambda a, m: stiffness.append(a) or real_solve(a, m)
+    )
+    csv = {}
+    for name, spellings in (
+        ("shared", ["c={c} k={k}"] * 3),
+        ("unshared", ["c={c} k={k}", "k={k} c={c}", "c={c}0 k={k}"]),
+    ):
+        counts.clear(), stiffness.clear()
+        out = tmp_path / f"{name}.csv"
+        cfg = write(tmp_path, _two_maps(spellings), f"{name}.ini")
+        assert run([command, "--config", cfg, "--jobs", "1", "--out", str(out)]) == 0
+        # the second line hashes the config text, which differs
+        csv[name] = out.read_bytes().split(b"\n", 2)[2]
+        distinct = 2 if name == "shared" else 6
+        assert counts == {"map": distinct, "jacobian": distinct, "inverse": distinct}
+        if command == "verify":  # a Richardson pair of levels per scenario
+            assert len(stiffness) == 12
+            assert len({id(a) for a in stiffness}) == 2 * distinct
+    assert csv["shared"] == csv["unshared"]
+    out = tmp_path / "jobs.csv"
+    assert run([command, "--config", cfg, "--jobs", "2", "--out", str(out)]) == 0
+    assert out.read_bytes().split(b"\n", 2)[2] == csv["unshared"]
 
 
 def test_density_failure_stays_with_its_rows(tmp_path):
@@ -489,6 +555,27 @@ def test_bound_run_never_imports_scipy(tmp_path):
     )
     assert fresh_python(script) == "[]"
     assert (tmp_path / "out.csv").read_text().count("\npp,") == 4
+
+
+def test_float_routes_never_import_mpmath(tmp_path):
+    # mpmath serves the quasidisc chain only; bound and verify runs over the
+    # float routes would otherwise pay its import in every process
+    cfg = write(
+        tmp_path,
+        "quad_nr = 16\nquad_ntheta = 16\nq = 4\neps = 2\nfem_level = 3\n"
+        "methods = esssup, lq, orlicz\n[scenario]\nid = pp\n"
+        "map = perturbed_power c=0.3 k=2\ndensity = gaussian n=2\n",
+    )
+    out = str(tmp_path / "out.csv")
+    script = (
+        "import sys\n"
+        "from neumann_bounds import cli\n"
+        f"assert cli.main(['bound', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+        f"assert cli.main(['verify', '--config', {cfg!r}, '--jobs', '1', '--out', {out!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n"
+    )
+    assert fresh_python(script) == "[]"
+    assert (tmp_path / "out.csv").read_text().count("\npp,") == 3
 
 
 def test_cli_import_loads_no_process_pool():

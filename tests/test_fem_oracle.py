@@ -118,6 +118,8 @@ class TestEigenvalue:
         mesh = fo.mesh_from_map(identity_map, 3)
         a1, m1 = fo.assemble(mesh, dn.ConstantDensity(1.0))
         a2, m2 = fo.assemble(mesh, dn.ConstantDensity(2.0))
+        # the stiffness depends on the mesh alone: built once, shared, read-only
+        assert a1 is a2 and not a1.data.flags.writeable
         mu1, r1 = fo.first_nonzero_neumann(a1, m1)
         mu2, r2 = fo.first_nonzero_neumann(a2, m2)
         assert mu1 / mu2 == pytest.approx(2.0, rel=1e-12)
@@ -170,6 +172,13 @@ class TestBesselReference:
         # frozen 12-digit oracle value for the first positive root of J1'
         assert fo.bessel_j1prime_root() == pytest.approx(1.84118378134066, abs=2e-14)
         assert fo.mu_disk_reference() == pytest.approx(3.38995771667189, abs=2e-13)
+
+    def test_root_bits(self):
+        # the bisection runs the series on floats, which give the bits the
+        # same series gives on arrays
+        assert fo.bessel_j1prime_root() == 1.8411837813406593
+        x = np.linspace(1.5, 2.2, 29)
+        assert [fo.j1_prime(float(v)) for v in x] == list(fo.j1_prime(x))
 
     def test_defining_equation(self):
         assert abs(fo.j1_prime(fo.bessel_j1prime_root())) < 1e-12
