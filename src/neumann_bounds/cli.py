@@ -17,7 +17,7 @@ bound, verify --corrupt-bounds F (hidden from --help: multiplies every
               bound by F, so a test can check that verify flags it)
 
 A flag given to a command that does not read it is a usage error (exit 2),
-and so is --jobs below 1.
+and so are --jobs below 1 and a --tol that is not finite and at least 0.
 
 The config is a flat, line-oriented ``key = value`` format with
 ``[scenario]`` section headers and ``#`` comments; no external config
@@ -50,13 +50,17 @@ file that cannot be read, holds a non-positive value or does not have one
 value per quadrature node.
 
 The method tables ``BOUNDS`` and ``NORMS`` hold one row per method: its
-range check, which calls the validator its route calls, and its call.
+range check, which calls the validator its route calls, and its call; sweep
+runs the ``gaussian_sweep`` row.  One runner runs a scenario's methods for
+all four commands.
 
 Exit codes: 0 success; 1 only when verify writes an unsound or ``error:``
 row (``sound`` is ``false``); 2 usage or config errors, with the config line
-number.  The parameter ranges of the requested methods and verify's FEM
-level are config errors.  Numeric failures inside a scenario become a
-row-level ``error:`` flag; bound and sweep keep exit code 0.
+number, and an --out that cannot be written.  The parameter ranges of the
+requested methods and verify's FEM level are config errors.  A numeric
+failure (``NeumannBoundsError``) becomes its method's ``error:`` row under
+all four commands, and a failed FEM reference one per verify method; bound,
+sweep and norms keep exit code 0.
 
 Output determinism: identical configs produce byte-identical CSV (fixed
 17-significant-digit formatting, rows in config order, seeded solvers),
@@ -121,10 +125,6 @@ def fmt(x):
         import mpmath as mp
 
         return mp.nstr(mp.mpf(x), 17)
-
-
-def _fmt_intermediates(inter):
-    return "|".join(f"{key}={fmt(inter[key])}" for key in sorted(inter))
 
 
 class Shared:
@@ -284,33 +284,30 @@ def _check_sweep(sc):
     bnd.validate_sweep(sc.sweep_n, sc.params)
 
 
-def _sweep(sc, cmap, quad):
-    """Gaussian-sweep reports, their log-log slope and the predicted slope
-    (q-2)/(q s), with s the density-norm exponent."""
-    reports = bnd.gaussian_sweep(sc.sweep_n, sc.params, cmap, quad)
+def _sweep(sc, pb):
+    """One report per Gaussian sharpness n, then the slope summary: the
+    reports' log-log slope and the predicted slope (q-2)/(q s), with s the
+    density-norm exponent."""
+    reports = bnd.gaussian_sweep(sc.sweep_n, sc.params, pb.cmap, pb.quad)
+    slope = bnd.fit_loglog_slope(sc.sweep_n, reports)
     predicted = (sc.params.q - 2.0) / (sc.params.q * sc.params.lebesgue_exponent())
-    return reports, bnd.fit_loglog_slope(sc.sweep_n, reports), predicted
-
-
-def _sweep_reports(sc, pb):
-    """One row per sharpness n, then the slope summary."""
-    reports, slope, predicted = _sweep(sc, pb.cmap, pb.quad)
-    pairs = [(f"[n={n}]", rep) for n, rep in zip(sc.sweep_n, reports)]
-    return pairs + [("[slope]", {"slope": slope, "predicted": predicted})]
+    pairs = [(f"n={n}", rep) for n, rep in zip(sc.sweep_n, reports)]
+    return pairs + [("slope", {"slope": slope, "predicted": predicted})]
 
 
 def _luxemburg(sc, pb):
     young = _young_from_name(sc.young, sc.line)
     f = SampledFunction(pb.density, pb.quad.weights, pb.quad.measure_id)
-    return f"luxemburg({young.name})", luxemburg_norm(f, young)
+    return [(f"luxemburg({young.name})", luxemburg_norm(f, young))]
 
 
 # Method tables, method -> (check, run).  check(sc) raises ParameterError or
 # ConfigError when the scenario lies outside the method's range.  run(sc, pb)
-# gets the scenario's one ``Pullback``, shared by all its rows, and returns a
-# bound method's BoundReport, or (label suffix, report) pairs when the method
-# writes several rows, and a norm method's (label, value).  Rows look each
-# route up on its module when they run.
+# gets the scenario's one ``Pullback``, shared by all its rows, and returns
+# one result, or a list of (label, result) pairs when the method writes
+# several rows or names its row.  A result is a BoundReport, the sweep's
+# slope summary dict or a norm's value.  Rows look each route up on its
+# module when they run.
 BOUNDS = {
     "esssup": (
         lambda sc: None,
@@ -326,7 +323,7 @@ BOUNDS = {
         lambda sc: sc.params.validate_jacobian_free(),
         lambda sc, pb: bnd.mu_lower_quasidisc(pb.cmap, pb.rho, sc.params, pb.quad, pullback=pb),
     ),
-    "gaussian_sweep": (_check_sweep, _sweep_reports),
+    "gaussian_sweep": (_check_sweep, _sweep),
     "orlicz": (
         _check_orlicz,
         lambda sc, pb: bnd.mu_lower_orlicz(
@@ -345,42 +342,44 @@ NORMS = {
     "luxemburg": (lambda sc: _young_from_name(sc.young, sc.line), _luxemburg),
     "kq": (
         lambda sc: sc.params.validate_q(),
-        lambda sc, pb: (
+        lambda sc, pb: [(
             f"kq(q={fmt(sc.params.q)})",
             bnd.k_q(pb.cmap, pb.rho, sc.params.q, pb.quad, pullback=pb),
-        ),
+        )],
     ),
     "kphi": (
         lambda sc: LogPow(sc.params.eps),  # the constructor range-checks eps
-        lambda sc, pb: (
+        lambda sc, pb: [(
             f"kphi(eps={fmt(sc.params.eps)})",
             bnd.k_phi(pb.cmap, pb.rho, LogPow(sc.params.eps), pb.quad, pullback=pb),
-        ),
+        )],
     ),
 }
+
+
+def _method_table(sc, command):
+    """The command's method table and the methods of it that ``sc`` runs;
+    sweep runs one method, the gaussian_sweep row, whatever ``sc.methods``."""
+    if command == "sweep":
+        return {"sweep": BOUNDS["gaussian_sweep"]}, ["sweep"]
+    return (NORMS if command == "norms" else BOUNDS), sc.methods
 
 
 def _validate_scenario(sc, command):
     """Range-check everything the requested methods will need (before work)
     and return the scenario's (map, density, quadrature)."""
-    if command == "sweep":
-        checks = [_check_sweep]
-    else:
-        table = NORMS if command == "norms" else BOUNDS
-        if not sc.methods:
+    table, methods = _method_table(sc, command)
+    if not methods:
+        raise ConfigError(f"line {sc.line}: scenario {sc.sid!r} has an empty method list")
+    for m in methods:
+        if m not in table:
             raise ConfigError(
-                f"line {sc.line}: scenario {sc.sid!r} has an empty method list"
+                f"line {sc.line}: unknown method {m!r} for {command} "
+                f"(valid: {', '.join(sorted(table))})"
             )
-        for m in sc.methods:
-            if m not in table:
-                raise ConfigError(
-                    f"line {sc.line}: unknown method {m!r} for {command} "
-                    f"(valid: {', '.join(sorted(table))})"
-                )
-        checks = [table[m][0] for m in sc.methods]
     try:
-        for check in checks:
-            check(sc)
+        for m in methods:
+            table[m][0](sc)
         if command == "verify":
             fem_oracle.check_richardson_level(sc.fem_level)
     except ParameterError as exc:
@@ -393,87 +392,83 @@ def _validate_scenario(sc, command):
 # ---------------------------------------------------------------------------
 
 
-def _bound_reports(sc, cmap, rho, quad):
-    """(label, result) pairs in method order; a result is a BoundReport, a
-    sweep slope summary dict or an ``error:`` string.  The rows share one
-    pull-back, whose density-side samples go with this call."""
-    pb = sc.shared.pullback(cmap, rho, quad)
-    out = []
-    for method in sc.methods:
-        try:
-            rep = BOUNDS[method][1](sc, pb)
-        except NeumannBoundsError as exc:
-            rep = f"error:{exc}"
-        if isinstance(rep, list):
-            out += [(method + suffix, r) for suffix, r in rep]
-        else:
-            out.append((method, rep))
-    return out
+def _attempt(call, *args):
+    """call(*args), or its NeumannBoundsError as an ``error:`` result."""
+    try:
+        return call(*args)
+    except NeumannBoundsError as exc:
+        return f"error:{exc}"
+
+
+def _run_methods(sc, built, command, failure=None):
+    """The runner of every command: (method, label, result) per row, in
+    method order; ``label`` is None on a method's one unlabelled row.  A
+    method that fails, or every method when ``failure`` (an ``error:`` result
+    of work they all need) is given, has one row with the ``error:`` result.
+    The rows share one pull-back, whose density-side samples go with this call."""
+    table, methods = _method_table(sc, command)
+    pb = sc.shared.pullback(*built)
+    rows = []
+    for method in methods:
+        result = failure or _attempt(table[method][1], sc, pb)
+        pairs = result if isinstance(result, list) else [(None, result)]
+        rows += [(method, label, value) for label, value in pairs]
+    return rows
 
 
 def _rows_bound(sc, built, corrupt=1.0):
     rows = []
-    for method, rep in _bound_reports(sc, *built):
+    for method, label, rep in _run_methods(sc, built, "bound"):
+        name = method if label is None else f"{method}[{label}]"
         if isinstance(rep, str):
-            rows.append([sc.sid, method, "nan", "nan", "", rep])
-            continue
-        if isinstance(rep, dict):  # sweep slope summary
-            rows.append([sc.sid, method, fmt(rep["slope"]), fmt(rep["predicted"]), "", ""])
-            continue
-        inter, flags = _fmt_intermediates(rep.intermediates), ";".join(rep.validity_flags)
-        rows.append([sc.sid, method, fmt(corrupt * rep.bound), fmt(rep.bound_log), inter, flags])
+            rows.append([sc.sid, name, "nan", "nan", "", rep])
+        elif isinstance(rep, dict):  # sweep slope summary
+            rows.append([sc.sid, name, fmt(rep["slope"]), fmt(rep["predicted"]), "", ""])
+        else:
+            inter = "|".join(f"{k}={fmt(v)}" for k, v in sorted(rep.intermediates.items()))
+            flags = ";".join(rep.validity_flags)
+            rows.append([sc.sid, name, fmt(corrupt * rep.bound), fmt(rep.bound_log), inter, flags])
     return rows
 
 
 def _rows_verify(sc, built, tol, corrupt=1.0):
-    cmap, rho, quad = built
-    try:
-        mu_ref = fem_oracle.mu_fem_richardson(cmap, rho, sc.fem_level)
-    except NeumannBoundsError as exc:
-        return [[sc.sid, m, "nan", "nan", "nan", "false", f"error:{exc}"] for m in sc.methods]
+    """The FEM reference comes first; its failure is every method's row."""
+    mu_ref = _attempt(fem_oracle.mu_fem_richardson, built[0], built[1], sc.fem_level)
+    failure, mu_ref = (mu_ref, math.nan) if isinstance(mu_ref, str) else (None, mu_ref)
     rows = []
-    for method, rep in _bound_reports(sc, cmap, rho, quad):
+    for method, label, rep in _run_methods(sc, built, "verify", failure):
+        name = method if label is None else f"{method}[{label}]"
         if isinstance(rep, str):
-            rows.append([sc.sid, method, "nan", fmt(mu_ref), "nan", "false", rep])
-            continue
-        if isinstance(rep, dict):  # slope summaries carry no soundness claim
-            continue
-        bound = corrupt * rep.bound
-        ratio = bound / mu_ref
-        sound, flags = "true" if ratio <= 1.0 + tol else "false", ";".join(rep.validity_flags)
-        rows.append([sc.sid, method, fmt(bound), fmt(mu_ref), fmt(ratio), sound, flags])
+            rows.append([sc.sid, name, "nan", fmt(mu_ref), "nan", "false", rep])
+        elif not isinstance(rep, dict):  # slope summaries carry no soundness claim
+            bound = corrupt * rep.bound
+            ratio = bound / mu_ref
+            sound, flags = "true" if ratio <= 1.0 + tol else "false", ";".join(rep.validity_flags)
+            rows.append([sc.sid, name, fmt(bound), fmt(mu_ref), fmt(ratio), sound, flags])
     return rows
 
 
 def _rows_sweep(sc, built):
-    cmap, _, quad = built
-    try:
-        reports, slope, predicted = _sweep(sc, cmap, quad)
-    except NeumannBoundsError as exc:
-        return [[sc.sid, "sweep", "nan", "nan", "nan", "nan", f"error:{exc}"]]
     rows = []
-    for n, rep in zip(sc.sweep_n, reports):
-        rows.append(
-            [
-                sc.sid,
-                f"n={n}",
-                fmt(rep.bound),
-                fmt(rep.bound_log),
-                fmt(rep.intermediates["log_rho_norm_s"]),
-                fmt(rep.intermediates["log_rho_norm_dominated"]),
-                ";".join(rep.validity_flags),
-            ]
-        )
-    rows.append([sc.sid, "slope", fmt(slope), fmt(predicted), "", "", ""])
+    for method, label, rep in _run_methods(sc, built, "sweep"):
+        if isinstance(rep, str):
+            rows.append([sc.sid, method, "nan", "nan", "nan", "nan", rep])
+        elif isinstance(rep, dict):
+            rows.append([sc.sid, label, fmt(rep["slope"]), fmt(rep["predicted"]), "", "", ""])
+        else:
+            inter, flags = rep.intermediates, ";".join(rep.validity_flags)
+            norms = fmt(inter["log_rho_norm_s"]), fmt(inter["log_rho_norm_dominated"])
+            rows.append([sc.sid, label, fmt(rep.bound), fmt(rep.bound_log), *norms, flags])
     return rows
 
 
 def _rows_norms(sc, built):
-    pb = sc.shared.pullback(*built)
     rows = []
-    for method in sc.methods:
-        label, value = NORMS[method][1](sc, pb)
-        rows.append([sc.sid, label, fmt(value), ""])
+    for method, label, value in _run_methods(sc, built, "norms"):
+        if isinstance(value, str):
+            rows.append([sc.sid, method, "nan", value])
+        else:
+            rows.append([sc.sid, label, fmt(value), ""])
     return rows
 
 
@@ -571,15 +566,13 @@ def main(argv=None):
             cmd.add_argument("--fem-level", type=int, default=None, help="override FEM level")
             cmd.add_argument("--tol", type=float, default=0.02, help="soundness tolerance")
         if name in ("bound", "verify"):
-            cmd.add_argument(
-                "--corrupt-bounds",
-                type=float,
-                default=1.0,
-                help=argparse.SUPPRESS,  # detector self-test hook: multiply bounds
-            )
+            # detector self-test hook: multiply bounds
+            cmd.add_argument("--corrupt-bounds", type=float, default=1.0, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    if args.command == "verify" and not 0 <= args.tol < math.inf:  # NaN fails too
+        parser.error(f"--tol must be finite and at least 0, got {args.tol}")
 
     try:
         with open(args.config) as fh:
@@ -604,7 +597,11 @@ def main(argv=None):
     items = list(zip(scenarios, built))
     blocks = _run_parallel(lambda index: worker(*items[index], args), len(items), args.jobs)
     rows = [row for block in blocks for row in block]
-    _emit(args.out, config_text, header, rows)
+    try:
+        _emit(args.out, config_text, header, rows)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     unsound = "sound" in header and any(row[header.index("sound")] == "false" for row in rows)
     return 1 if unsound else 0
 

@@ -351,9 +351,10 @@ class LogPow(YoungFunction):
             return np.log(u) + self.eps * np.log(np.log(u + _E))
 
     def _inverse(self, t):
-        # the bisection's stop is relative to max(hi, 1e-300), so targets
-        # below 1e-300 take the log-domain branch
-        tiny = (t > 0) & (t < 1e-300)
+        # the bisection's width stays above 2^-200, too wide for its 1e-10
+        # relative stop below 2^-200 / 1e-10 ~ 6.2e-51: such targets take
+        # the log-domain branch
+        tiny = (t > 0) & (t < 1e-49)
         out = super()._inverse(np.where(tiny, 0.0, t))
         if tiny.any():
             out[tiny] = np.exp(self.inverse_log(np.log(t[tiny])))

@@ -221,6 +221,24 @@ def test_density_failure_stays_with_its_rows(tmp_path):
     assert rows[1][2:4] == ["0", "-29360.769004905593"]
 
 
+def test_norms_failure_stays_with_its_rows(tmp_path, capsys):
+    # every norm reads the underflowing linear samples: three error rows,
+    # the same at --jobs 2, and no traceback
+    cfg = write(
+        tmp_path,
+        "[scenario]\nid = g5000\nmap = identity\ndensity = gaussian n=5000\nK = 1.05\n"
+        "quad_nr = 48\nquad_ntheta = 32\nmethods = luxemburg, kq, kphi\n",
+    )
+    out = {jobs: tmp_path / f"out{jobs}.csv" for jobs in ("1", "2")}
+    for jobs, path in out.items():
+        assert run(["norms", "--config", cfg, "--jobs", jobs, "--out", str(path)]) == 0
+    rows = [line.split(",") for line in out["1"].read_text().splitlines()[3:]]
+    error = "error:gaussian(n=5000): density samples must be positive and finite"
+    assert rows == [["g5000", m, "nan", error] for m in ("luxemburg", "kq", "kphi")]
+    assert out["1"].read_bytes() == out["2"].read_bytes()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestConfigParsing:
     def test_defaults_inherited(self):
         scenarios = cli.parse_config(BASIC)
@@ -335,6 +353,22 @@ def test_jobs_below_one_exits_2(tmp_path, capsys, jobs):
         run(["bound", "--config", write(tmp_path, BASIC), "--jobs", jobs])
     assert exc.value.code == 2
     assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_tol_not_finite_and_nonnegative_exits_2(tmp_path, capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--config", write(tmp_path, BASIC), f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "--tol must be finite and at least 0" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    assert run(["bound", "--config", write(tmp_path, BASIC), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["bound", "verify", "sweep", "norms"])

@@ -280,8 +280,8 @@ class TestLogPowInverseFromNewtonRoot:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("eps", LOG_POWERS)
     def test_extreme_targets(self, eps, loop_calls):
-        # from about 1e-50 down the loop stops at its 200th level, and
-        # from about 6e-61 down it returns that level's first midpoint
+        # below 1e-49, where the loop would stop at its 200th level short of
+        # its relative stop, both sides take the log-domain branch
         phi = yf.LogPow(eps)
         for target in (1e-300, 1e-299, 1e-200, 6e-61, 1e-60, 1e-55, 1e-50, 1e-40, 1e-20):
             assert bits(phi.inverse(target)) == bits(per_entry(phi).inverse(target))
@@ -293,13 +293,23 @@ class TestLogPowInverseFromNewtonRoot:
     @pytest.mark.parametrize("eps", LOG_POWERS)
     def test_wide_span_runs_the_loop(self, eps, loop_calls):
         phi = yf.LogPow(eps)
-        # 1e-300 needs all 200 levels; 2^-10 and 8 need 2^44 steps of the
-        # stop level's width between 0 and 8
+        # 1e-49 stops at level 196, where 1e300 lies 2^196 of its widths
+        # from 0; 2^-10 and 8 need 2^44 steps of the stop level's width
+        # between 0 and 8.  The targets below 1e-49 take the log-domain branch
         for t in (np.geomspace(1e-300, 1e300, 601), np.asarray(phi.eval([2.0**-10, 8.0]))):
             loop_calls.clear()
             got = phi.inverse(t)
-            assert loop_calls == [len(t)]
+            assert loop_calls == [np.count_nonzero(t >= 1e-49)]
             assert np.array_equal(bits(got), bits(per_entry(phi).inverse(t)))
+
+    @pytest.mark.parametrize("eps", [1.0, 2.0, 3.7])
+    def test_tiny_targets_meet_the_relative_stop(self, eps):
+        # the loop's widths stay above 2^-200, too wide for a 1e-10 relative
+        # stop below about 6.2e-51
+        phi = yf.LogPow(eps)
+        t = np.geomspace(1e-300, 1e-40, 521)
+        for got in (phi.inverse(t), np.array([phi.inverse(target) for target in t])):
+            assert np.all(np.abs(phi.eval(got) - t) <= 1e-10 * t)
 
     def test_peak_memory_at_most_the_loop(self, quad256):
         import tracemalloc
