@@ -82,17 +82,19 @@ not change.
 Shared work: the scenarios of a config hold one ``Shared`` object.  It
 builds and certifies each distinct map spec text once, and keeps, per
 process, the map-side samples (J, PhiInv(J), image area) of the last
-(map, quadrature) a scenario used.  ``fem_oracle.mu_fem`` keeps the meshes
-and stiffness matrices of the last map's two levels, keyed on the map
-object.  A scenario on the same map then computes only its density's
-share.  Workers receive tasks in config order, so each computes a map's
-share once per run of consecutive scenarios on it.  The CSV bytes do not
+(map, quadrature) a scenario used.  ``fem_oracle.mu_fem`` keeps the meshes,
+their stiffness matrices and the eigensolver's factorizations of them for
+the last map's two levels, keyed on the map object.  A scenario on the same
+map then computes only its density's share.  Workers receive tasks in
+config order, so each computes a map's share once per run of consecutive
+scenarios on it.  The CSV bytes do not
 depend on what is shared, and a new config starts with nothing shared.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import math
 import os
@@ -516,6 +518,21 @@ def _emit(out_path, config_text, header, rows):
             fh.write(payload)
 
 
+def _check_writable(out_path):
+    """Raise the OSError ``open(out_path, "w")`` would, in the common cases
+    (missing or unwritable directory, unwritable file, a directory), without
+    creating or truncating anything."""
+    if out_path == "-":
+        return
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+    if not os.access(out_path if os.path.exists(out_path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out_path)
+
+
 _worker_task = None  # set in each forked worker by _start_worker, never in the parent
 
 
@@ -557,8 +574,8 @@ def main(argv=None):
         description="analytic eigenvalue lower bounds with FEM verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
+    commands = {name: sub.add_parser(name) for name in _COMMANDS}
+    for name, cmd in commands.items():
         cmd.add_argument("--config", required=True, help="scenario config path")
         cmd.add_argument("--out", default="-", help="output CSV path (default stdout)")
         cmd.add_argument("--jobs", type=int, default=1, help="worker processes")
@@ -569,10 +586,11 @@ def main(argv=None):
             # detector self-test hook: multiply bounds
             cmd.add_argument("--corrupt-bounds", type=float, default=1.0, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    usage_error = commands[args.command].error  # its usage line shows the command's flags
     if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
+        usage_error(f"--jobs must be at least 1, got {args.jobs}")
     if args.command == "verify" and not 0 <= args.tol < math.inf:  # NaN fails too
-        parser.error(f"--tol must be finite and at least 0, got {args.tol}")
+        usage_error(f"--tol must be finite and at least 0, got {args.tol}")
 
     try:
         with open(args.config) as fh:
@@ -595,11 +613,16 @@ def main(argv=None):
 
     header, worker = _COMMANDS[args.command]
     items = list(zip(scenarios, built))
+    try:
+        _check_writable(args.out)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     blocks = _run_parallel(lambda index: worker(*items[index], args), len(items), args.jobs)
     rows = [row for block in blocks for row in block]
     try:
         _emit(args.out, config_text, header, rows)
-    except OSError as exc:
+    except OSError as exc:  # the output became unwritable during the run
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     unsound = "sound" in header and any(row[header.index("sound")] == "false" for row in rows)

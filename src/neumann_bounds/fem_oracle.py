@@ -8,11 +8,21 @@ the matrices are exact P1 stiffness and centroid-sampled mass, and the
 generalized eigenproblem is solved at every level by shift-invert Lanczos
 from a fixed seeded start vector, so repeated runs give identical numbers.
 
-The mesh and the P1 stiffness matrix depend on (map, level) alone: each
-mesh builds its stiffness once, and ``mu_fem`` keeps the meshes of the last
-two (map, level) pairs, a Richardson pair, keyed on the map object.  Calls
-for other densities on the same map then assemble only the rho-weighted
-mass matrix, with the same arithmetic, so the eigenvalues do not depend on
+Both matrices are scattered with ``np.bincount`` into one CSR pattern per
+level, which depends on the disk triangulation alone.  The shift-invert
+operator is the grounded inverse of the singular Neumann stiffness: A with
+vertex 0 pinned is factored, and projections on both sides of that solve
+send the constants to 0 (see ``first_nonzero_neumann``), so the Lanczos
+iteration never retrieves the zero mode, and the factor does not depend
+on rho.
+
+The mesh, the P1 stiffness matrix and its factor depend on (map, level)
+alone: each mesh builds its stiffness once, ``mu_fem`` keeps the meshes of
+the last two (map, level) pairs, a Richardson pair, keyed on the map
+object, and ``first_nonzero_neumann`` keeps the factors of the last two
+read-only stiffness matrices.  Calls for other densities on the same map
+then assemble only the rho-weighted mass matrix and run the Lanczos
+iteration, with the same arithmetic, so the eigenvalues do not depend on
 what was kept.
 
 scipy serves only this oracle, and the matrix assembly and
@@ -187,15 +197,45 @@ def mesh_from_map(cmap, level):
     return mesh
 
 
+def _csr_plan(triangles, n):
+    """The CSR pattern (indptr, indices) of a triangulation's P1 matrices,
+    read-only, and the data slot of each of its 9T element entries in
+    (triangle, row, column) order."""
+    rows = np.repeat(triangles, 3, axis=1).reshape(-1)
+    cols = np.tile(triangles, (1, 3)).reshape(-1)
+    entries = rows * n + cols
+    keys = np.unique(entries)
+    slots = np.searchsorted(keys, entries)  # return_inverse peaks higher
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+    pattern = [arr.astype(np.int32) for arr in (indptr, keys % n)]
+    for arr in pattern:
+        arr.flags.writeable = False
+    return (*pattern, slots)
+
+
+@lru_cache(maxsize=None)
+def _level_plan(level):
+    """``_csr_plan`` of ``_disk_rings(level)``, shared by every mesh of the level."""
+    disk_verts, tris, _ = _disk_rings(level)
+    return _csr_plan(tris, len(disk_verts))
+
+
 def _symmetric_csr(mesh, elements):
-    """The global matrix of the (T, 3, 3) element matrices, symmetrized (CSR)."""
+    """The global matrix of the (T, 3, 3) symmetric element matrices (CSR).
+
+    Each entry sums its triangles' contributions in triangle order, and
+    (i, j) and (j, i) sum the same triangles, so the result is exactly
+    symmetric.  The pattern arrays are the plan's and read-only.
+    """
     import scipy.sparse as sp
 
-    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
-    cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
     n = mesh.num_vertices
-    mat = sp.coo_matrix((elements.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-    return 0.5 * (mat + mat.T)
+    if mesh.triangles is _disk_rings(mesh.level)[1]:
+        indptr, indices, slots = _level_plan(mesh.level)
+    else:  # a mesh that mesh_from_map did not build
+        indptr, indices, slots = _csr_plan(mesh.triangles, n)
+    data = np.bincount(slots, weights=elements.reshape(-1), minlength=len(indices))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble(mesh, rho):
@@ -216,23 +256,77 @@ def assemble(mesh, rho):
     return mesh.stiffness, _symmetric_csr(mesh, me)
 
 
-def first_nonzero_neumann(a_mat, m_mat):
-    """Smallest nonzero eigenvalue of A u = mu M u, with solver residual.
+# (stiffness, factor) of the last two read-only stiffness matrices factored,
+# oldest first: one map's Richardson pair, like ``_mesh``
+_factors = []
 
-    The Neumann kernel (constants) is skipped rather than projected out:
-    shift-invert Lanczos around a negative shift, from a deterministic
-    seeded start vector, retrieves the zero mode and the first nonzero mode
-    together, and the larger of the two is returned.
+
+def _grounded_factor(a_mat):
+    """LU factor of the stiffness with vertex 0 pinned, A[1:, 1:].
+
+    A is symmetric positive semi-definite with the constants as kernel on a
+    connected mesh, so A[1:, 1:] is symmetric positive definite: a
+    symmetric minimum-degree ordering without pivoting factors it.  A
+    read-only matrix, such as a mesh's ``stiffness``, cannot change, so its
+    factor is kept; any other matrix is factored on every call.
     """
     import scipy.sparse.linalg as spla
 
-    v0 = np.random.default_rng(_EIG_SEED).standard_normal(a_mat.shape[0])
+    kept = not any(arr.flags.writeable for arr in (a_mat.data, a_mat.indices, a_mat.indptr))
+    if kept:
+        for a, lu in _factors:
+            if a is a_mat:
+                return lu
+        del _factors[: len(_factors) - 1]  # evict before factoring: two at most
     try:
-        w, v = spla.eigsh(a_mat, k=2, M=m_mat, sigma=-1.0, which="LM", v0=v0, tol=0)
+        lu = spla.splu(
+            a_mat[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # singular: the mesh is not connected
+        raise SolverError(f"grounded stiffness factorization failed: {exc}") from exc
+    if kept:
+        _factors.append((a_mat, lu))
+    return lu
+
+
+def first_nonzero_neumann(a_mat, m_mat):
+    """Smallest nonzero eigenvalue of A u = mu M u, with solver residual;
+    A and M are CSR matrices, as ``assemble`` returns them.
+
+    Shift-invert Lanczos at sigma = 0 from a deterministic seeded start
+    vector, with the grounded inverse of the singular A in place of
+    (A - sigma M)^-1: op(b) = P G P^T b, where G solves with vertex 0
+    pinned (x[0] = 0), P^T b = b - (1.b / 1.M1) M1 removes the part of b
+    outside the range of A, and P x = x - (M1.x / 1.M1) 1 is the
+    M-orthogonal projection off the constants.  op M sends the constants to
+    0 and every other eigenvector u to u / mu, so the largest eigenvalue of
+    op M is 1 / mu_1 and the zero mode never appears; a double mu_1 needs
+    no special case.  G depends on A alone, so a mesh's stiffness is
+    factored once for all its densities (``_grounded_factor``).
+    """
+    import scipy.sparse.linalg as spla
+
+    n = a_mat.shape[0]
+    lu = _grounded_factor(a_mat)
+    m1 = m_mat @ np.ones(n)
+    mass = m1.sum()
+
+    def op(b):
+        b = np.ravel(b)
+        x = np.zeros(n)
+        x[1:] = lu.solve(b[1:] - (b.sum() / mass) * m1[1:])
+        return x - (m1 @ x) / mass
+
+    v0 = np.random.default_rng(_EIG_SEED).standard_normal(n)
+    try:
+        w, v = spla.eigsh(
+            a_mat, k=1, M=m_mat, sigma=0, which="LM", v0=v0, tol=0,
+            OPinv=spla.LinearOperator((n, n), matvec=op, dtype=float),
+        )
     except spla.ArpackNoConvergence as exc:
         raise SolverError(f"shift-invert Lanczos failed to converge: {exc}") from exc
-    order = np.argsort(w)
-    mu, u = float(w[order[1]]), v[:, order[1]]
+    mu, u = float(w[0]), v[:, 0]
     resid = np.linalg.norm(a_mat @ u - mu * (m_mat @ u)) / np.linalg.norm(u)
     if not np.isfinite(mu) or mu <= 0:
         raise SolverError(f"eigensolver returned mu={mu}")

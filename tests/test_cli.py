@@ -138,6 +138,26 @@ def test_fine_quadrature_matches_reference(tmp_path, monkeypatch):
     assert out.read_bytes() == (bench / "reference" / "fine-quadrature.csv").read_bytes()
 
 
+def test_verify_battery_fem_matches_reference(tmp_path, monkeypatch):
+    # the live FEM oracle on the 25 acceptance fixtures: every mu_fem within
+    # 1e-12 relative of the committed benchmark reference
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    cfg = write(tmp_path, workloads.config_text("verify-battery", 0))
+    out = tmp_path / "out.csv"
+    assert run(["verify", "--config", cfg, "--jobs", "1", "--out", str(out)]) == 0
+
+    def rows(path):
+        return [line.split(",") for line in path.read_text().splitlines()[3:]]
+
+    got, ref = rows(out), rows(bench / "reference" / "verify-battery.csv")
+    assert len(got) == len(ref) == 75
+    for row, expected in zip(got, ref):
+        assert row[:2] == expected[:2]
+        assert float(row[3]) == pytest.approx(float(expected[3]), rel=1e-12, abs=0)
+
+
 def _two_maps(spellings):
     """Two maps with three densities each; the i-th scenario of a map spells
     the map's parameters as ``spellings[i]``."""
@@ -158,14 +178,18 @@ def _two_maps(spellings):
 @pytest.mark.parametrize("command", ["bound", "verify"])
 def test_scenarios_share_their_maps_work(tmp_path, monkeypatch, command):
     # scenarios with the same map spec text share the map, J, PhiInv(J), and
-    # the FEM meshes with their stiffness; spelling each scenario's map
-    # differently shares nothing, and the rows must not tell the two apart
+    # the FEM meshes with their stiffness and its grounded factor; spelling
+    # each scenario's map differently shares nothing, and the rows must not
+    # tell the two apart
+    import scipy.sparse.linalg as spla
+
     from neumann_bounds import conformal, youngfn
 
     nodes = 24 * 20  # no FEM level has as many triangles
-    counts, stiffness = {}, []
+    counts, stiffness, factored = {}, [], []
     real_spec, real_jacobian = cli.map_from_spec, conformal.ConformalMap.jacobian
     real_inverse, real_solve = youngfn.LogPow.inverse, fem_oracle.first_nonzero_neumann
+    real_splu = spla.splu
 
     def count(name, size=nodes):
         counts[name] = counts.get(name, 0) + (size == nodes)
@@ -181,12 +205,13 @@ def test_scenarios_share_their_maps_work(tmp_path, monkeypatch, command):
     monkeypatch.setattr(
         fem_oracle, "first_nonzero_neumann", lambda a, m: stiffness.append(a) or real_solve(a, m)
     )
+    monkeypatch.setattr(spla, "splu", lambda a, **kw: factored.append(a) or real_splu(a, **kw))
     csv = {}
     for name, spellings in (
         ("shared", ["c={c} k={k}"] * 3),
         ("unshared", ["c={c} k={k}", "k={k} c={c}", "c={c}0 k={k}"]),
     ):
-        counts.clear(), stiffness.clear()
+        counts.clear(), stiffness.clear(), factored.clear()
         out = tmp_path / f"{name}.csv"
         cfg = write(tmp_path, _two_maps(spellings), f"{name}.ini")
         assert run([command, "--config", cfg, "--jobs", "1", "--out", str(out)]) == 0
@@ -197,6 +222,7 @@ def test_scenarios_share_their_maps_work(tmp_path, monkeypatch, command):
         if command == "verify":  # a Richardson pair of levels per scenario
             assert len(stiffness) == 12
             assert len({id(a) for a in stiffness}) == 2 * distinct
+            assert len(factored) == 2 * distinct  # one per (map, level)
     assert csv["shared"] == csv["unshared"]
     out = tmp_path / "jobs.csv"
     assert run([command, "--config", cfg, "--jobs", "2", "--out", str(out)]) == 0
@@ -352,7 +378,9 @@ def test_jobs_below_one_exits_2(tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as exc:
         run(["bound", "--config", write(tmp_path, BASIC), "--jobs", jobs])
     assert exc.value.code == 2
-    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"--jobs must be at least 1, got {jobs}" in err
+    assert err.startswith("usage: neumann-bounds bound ")  # the command's own flags
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
@@ -360,7 +388,9 @@ def test_tol_not_finite_and_nonnegative_exits_2(tmp_path, capsys, tol):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--config", write(tmp_path, BASIC), f"--tol={tol}"])
     assert exc.value.code == 2
-    assert "--tol must be finite and at least 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--tol must be finite and at least 0" in err
+    assert err.startswith("usage: neumann-bounds verify ")
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -369,6 +399,20 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize("out", ["missing/out.csv", "."])
+def test_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys, command, out):
+    # a missing directory or a directory as the target is found before any
+    # scenario runs, and nothing is created
+    ran = []
+    monkeypatch.setattr(cli, f"_rows_{command}", lambda *args: ran.append(args) or [])
+    argv = [command, "--config", write(tmp_path, BASIC), "--out", str(tmp_path / out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: [Errno ")
+    assert ran == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
 
 
 @pytest.mark.parametrize("command", ["bound", "verify", "sweep", "norms"])

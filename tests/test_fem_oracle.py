@@ -96,6 +96,13 @@ class TestAssembly:
         mu, _ = fo.first_nonzero_neumann(a_mat, m_mat)
         assert quotient >= mu
 
+    def test_matrices_exactly_symmetric(self, pp_map):
+        # (i, j) and (j, i) sum the same symmetric element entries in the
+        # same triangle order
+        a_mat, m_mat = fo.assemble(fo.mesh_from_map(pp_map, 4), dn.GaussianDensity(2.0))
+        for mat in (a_mat, m_mat):
+            assert mat.has_canonical_format and (mat != mat.T).nnz == 0
+
     def test_density_positivity_enforced(self, identity_map):
         mesh = fo.mesh_from_map(identity_map, 2)
         from neumann_bounds.errors import DensityError
@@ -124,6 +131,29 @@ class TestEigenvalue:
         mu2, r2 = fo.first_nonzero_neumann(a2, m2)
         assert mu1 / mu2 == pytest.approx(2.0, rel=1e-12)
         assert r1 < 1e-8 and r2 < 1e-8
+
+    def test_stiffness_factored_once_and_two_kept(self, monkeypatch, rho_one):
+        import scipy.sparse.linalg as spla
+
+        factored, real_splu = [], spla.splu
+        monkeypatch.setattr(spla, "splu", lambda a, **kw: factored.append(a) or real_splu(a, **kw))
+        meshes = [fo.mesh_from_map(cf.PerturbedPowerMap(0.3, 2), level) for level in (2, 3, 4)]
+        for mesh in meshes:
+            for rho in (rho_one, dn.GaussianDensity(2.0), rho_one):
+                fo.first_nonzero_neumann(*fo.assemble(mesh, rho))
+        assert len(factored) == 3
+        kept = [a for a, _ in fo._factors]
+        assert len(kept) == 2 and all(a is m.stiffness for a, m in zip(kept, meshes[1:]))
+
+    def test_writeable_stiffness_is_factored_per_call(self, identity_map, rho_one):
+        # a matrix that can change keeps no factor: mu follows the change
+        a_ro, m_mat = fo.assemble(fo.mesh_from_map(identity_map, 3), rho_one)
+        a_mat = a_ro.copy()
+        mu, _ = fo.first_nonzero_neumann(a_mat, m_mat)
+        a_mat.data *= 2.0
+        mu2, resid = fo.first_nonzero_neumann(a_mat, m_mat)
+        assert mu2 == pytest.approx(2.0 * mu, rel=1e-12) and resid < 1e-8
+        assert all(a is not a_mat for a, _ in fo._factors)
 
     def test_residual_and_orthogonality(self, pp_map):
         mesh = fo.mesh_from_map(pp_map, 4)
@@ -160,6 +190,15 @@ class TestEigenvalue:
         a_mat, m_mat = fo.assemble(fo.mesh_from_map(identity_map, 2), rho_one)
         with pytest.raises(SolverError, match="failed to converge"):
             fo.first_nonzero_neumann(a_mat, m_mat)
+
+    def test_disconnected_stiffness_raises_solver_error(self):
+        # two components: A[1:, 1:] keeps the second one's constant kernel
+        import scipy.sparse as sp
+
+        path = sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]))
+        a_mat = sp.block_diag([path, path], format="csr")
+        with pytest.raises(SolverError, match="factorization failed"):
+            fo.first_nonzero_neumann(a_mat, sp.identity(6, format="csr"))
 
     def test_pullback_density_on_mesh(self, pp_map):
         # canceling density: mu equals the disk reference up to O(h^2)
