@@ -72,12 +72,14 @@ forks ``min(N, scenarios)`` worker processes, which inherit the built
 scenarios and receive only their indices; with one worker the scenarios run
 in-process.  The fork start method is requested explicitly, since it is not
 the default everywhere and the built scenarios are not sent by pickling.
-Each worker runs one BLAS thread.  scipy's OpenBLAS, which ARPACK calls,
-starts one thread per core by default, so N workers would oversubscribe the
-cores N times over.  A worker sets OPENBLAS_NUM_THREADS to 1 unless the
-environment already sets it; scipy is first imported inside the FEM oracle,
-after the fork, and reads the variable then.  The parent's environment does
-not change.
+Each worker runs scipy's BLAS on one thread.  scipy's OpenBLAS, which
+SuperLU calls, starts one thread per core by default, so N workers would
+oversubscribe the cores N times over.  A worker sets OPENBLAS_NUM_THREADS
+to 1 unless the environment already sets it; scipy is first imported inside
+the FEM oracle, after the fork, and reads the variable then.  numpy's own
+OpenBLAS is loaded in the parent, before the fork, so the variable does not
+reach it; the oracle's Lanczos loop uses it only for products with a few
+dozen vectors.  The parent's environment does not change.
 
 Shared work: the scenarios of a config hold one ``Shared`` object.  It
 builds and certifies each distinct map spec text once, and keeps, per

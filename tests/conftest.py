@@ -36,14 +36,11 @@ def rng():
 
 
 @pytest.fixture()
-def stalled_eigsh(monkeypatch):
-    """Make every shift-invert Lanczos call fail to converge."""
-    import scipy.sparse.linalg as spla
+def stalled_lanczos(monkeypatch):
+    """Make every shift-invert Lanczos call reach its step cap unconverged."""
+    from neumann_bounds import fem_oracle
 
-    def stalled(*args, **kwargs):
-        raise spla.ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(spla, "eigsh", stalled)
+    monkeypatch.setattr(fem_oracle, "_LANCZOS_MAX_STEPS", 1)
 
 
 @pytest.fixture()

@@ -530,7 +530,7 @@ class TestVerifyCommand:
         assert any(r[5] == "false" for r in rows)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_solver_failure_becomes_error_rows(self, tmp_path, stalled_eigsh, capsys, jobs):
+    def test_solver_failure_becomes_error_rows(self, tmp_path, stalled_lanczos, capsys, jobs):
         # at --jobs 2 the SolverError is raised in a forked worker
         out = tmp_path / "v.csv"
         argv = ["verify", "--config", write(tmp_path, BASIC), "--fem-level", "3", "--jobs", jobs]

@@ -14,7 +14,9 @@ class TestMesh:
     def test_euler_characteristic(self, identity_map):
         for level in (1, 2, 3):
             mesh = fo.mesh_from_map(identity_map, level)
-            assert mesh.euler_characteristic() == 1
+            edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+            num_edges = len(np.unique(edges, axis=0))
+            assert mesh.num_vertices - num_edges + mesh.num_triangles == 1
 
     def test_disk_area_converges(self, identity_map):
         mesh3 = fo.mesh_from_map(identity_map, 3)
@@ -41,7 +43,7 @@ class TestMesh:
 
     def test_positive_areas_and_boundary(self, pp_map):
         mesh = fo.mesh_from_map(pp_map, 3)
-        assert np.all(mesh.triangle_areas() > 0)
+        assert np.all(mesh.triangle_areas > 0)
         assert mesh.boundary.sum() == 6 * 2**3
         assert np.all(np.abs(mesh.disk_vertices[mesh.boundary]) == pytest.approx(1.0))
 
@@ -186,10 +188,39 @@ class TestEigenvalue:
         assert mu == pytest.approx(w[1], rel=1e-10)
         assert resid <= 1e-8
 
-    def test_no_convergence_raises_solver_error(self, identity_map, rho_one, stalled_eigsh):
+    def test_no_convergence_raises_solver_error(self, identity_map, rho_one, stalled_lanczos):
         a_mat, m_mat = fo.assemble(fo.mesh_from_map(identity_map, 2), rho_one)
         with pytest.raises(SolverError, match="failed to converge"):
             fo.first_nonzero_neumann(a_mat, m_mat)
+
+    @pytest.mark.parametrize(
+        "cmap, rho",
+        [(cf.IdentityMap(), dn.ConstantDensity(1.0)),  # mu_1 is double
+         (cf.PerturbedPowerMap(0.5, 3), dn.GaussianDensity(4.0))],
+        ids=["identity-constant", "pp-gaussian"],
+    )
+    def test_one_eigensolver_path(self, monkeypatch, cmap, rho):
+        # the oracle runs its own Lanczos loop and never reaches ARPACK
+        import scipy.sparse.linalg as spla
+
+        def no_arpack(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(spla, "eigsh", no_arpack)
+        solves, real_solve = [], fo.first_nonzero_neumann
+        monkeypatch.setattr(
+            fo, "first_nonzero_neumann", lambda a, m: solves.append(real_solve(a, m)) or solves[-1]
+        )
+        mu = fo.mu_fem_richardson(cmap, rho, 4)
+        (mu3, r3), (mu4, r4) = solves
+        assert mu == mu4 + (mu4 - mu3) / 3.0 and 0.0 < mu4 < mu3
+        assert r3 <= 1e-8 and r4 <= 1e-8
+
+    def test_growing_basis_keeps_the_bits(self, monkeypatch, pp_map):
+        a_mat, m_mat = fo.assemble(fo.mesh_from_map(pp_map, 3), dn.GaussianDensity(2.0))
+        expected = fo.first_nonzero_neumann(a_mat, m_mat)
+        monkeypatch.setattr(fo, "_LANCZOS_ROWS", 1)  # doubled at steps 1, 2, 4, 8, ...
+        assert fo.first_nonzero_neumann(a_mat, m_mat) == expected
 
     def test_disconnected_stiffness_raises_solver_error(self):
         # two components: A[1:, 1:] keeps the second one's constant kernel
