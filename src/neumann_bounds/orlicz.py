@@ -27,8 +27,9 @@ __all__ = [
     "weighted_median",
 ]
 
-_LUXEMBURG_RTOL = 1e-12  # relative width at which the norm bisection stops
-_SETTLED = 1e-12  # relative distance at which a known modular settles a test
+_LUXEMBURG_RTOL = 1e-12  # relative width at which the norm's root search stops
+# each trial lies at least this far inside the bracket, in log lambda
+_LUXEMBURG_MARGIN = 0.4 * _LUXEMBURG_RTOL
 
 
 @dataclass(frozen=True)
@@ -69,146 +70,76 @@ def _same_measure(f, g):
         )
 
 
-def _modular(young, distinct, back, weights, lam):
-    """Integral of Y(|f|/lambda) against the measure (may be inf).
-
-    |f| = distinct[back]: Y is evaluated once per distinct value and the
-    weighted terms are summed in node order, as if Y ran on every node.
-    """
+def _modular(young, absvals, weights, lam):
+    """Integral of Y(|f|/lambda) against the measure (may be inf)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.sum(weights * np.asarray(young.eval(distinct / lam))[back])
+        out = np.sum(weights * np.asarray(young.eval(absvals / lam)))
     return np.inf if np.isnan(out) else out
 
 
-class _Within:
-    """The test "modular(lambda) <= 1" of one Luxemburg norm.
-
-    ``true`` is the smallest lambda found to pass and ``false`` the largest
-    found to fail, with their modulars.  For a kind with ``sharp_eval`` a
-    lambda at least a relative ``_SETTLED`` beyond one of them is settled
-    without a modular.  The modular's elasticity in lambda is at most -1,
-    as Y is convex with Y(0) = 0, so that step moves it by a relative
-    ``_SETTLED`` or more, thousands of times what rounding moves a sharp
-    kind's modular; it stays on the known side of 1.
-    """
-
-    def __init__(self, young, absvals, weights):
-        self.young = young
-        self.weights = weights
-        if young.sharp_eval:
-            # a sharp kind evaluates every node, which costs less than
-            # finding the distinct values for the few modulars it needs
-            self.distinct, self.back = absvals, slice(None)
-        else:
-            self.distinct, self.back = np.unique(absvals, return_inverse=True)
-        self.true, self.true_modular = np.inf, 0.0
-        self.false, self.false_modular = 0.0, np.inf
-
-    def modular(self, lam):
-        m = _modular(self.young, self.distinct, self.back, self.weights, lam)
-        if m <= 1.0 and lam < self.true:
-            self.true, self.true_modular = lam, m
-        elif m > 1.0 and lam > self.false:
-            self.false, self.false_modular = lam, m
-        return m
-
-    def __call__(self, lam):
-        if self.young.sharp_eval:
-            if lam >= self.true * (1.0 + _SETTLED):
-                return True
-            if lam <= self.false * (1.0 - _SETTLED):
-                return False
-        return self.modular(lam) <= 1.0
-
-    def approach(self):
-        """Evaluate next to the root of the modular before the bisection.
-
-        Regula falsi with the Illinois rule on (log lambda, log modular)
-        between the known ends; once |log modular| <= 1e-13, one probe
-        2 * ``_SETTLED`` across the root gives the other side, so the
-        bisection's tests near the root are mostly settled.  Only the
-        bisection decides the result.
-        """
-        a, b = math.log(self.false), math.log(self.true)
-        ga, gb = _log(self.false_modular), _log(self.true_modular)
-        c, gc = (b, gb) if abs(gb) <= abs(ga) else (a, ga)
-        kept = 0  # +1 when a moved last, -1 when b did
-        for _ in range(40):
-            if abs(gc) <= 1e-13:
-                self.modular(math.exp(c) * (1.0 + (2.0 if gc > 0 else -2.0) * _SETTLED))
-                return
-            if b - a <= _SETTLED:
-                return
-            c = 0.5 * (a + b)
-            if math.isfinite(ga) and math.isfinite(gb):
-                c = b - gb * (b - a) / (gb - ga)
-                if not a < c < b:
-                    c = 0.5 * (a + b)
-            gc = _log(self.modular(math.exp(c)))
-            if gc > 0:
-                a, ga = c, gc
-                gb = 0.5 * gb if kept == 1 else gb
-                kept = 1
-            else:
-                b, gb = c, gc
-                ga = 0.5 * ga if kept == -1 else ga
-                kept = -1
-
-
-def _log(m):
-    return math.log(m) if m > 0.0 else -math.inf
-
-
 def luxemburg_norm(f, young):
-    """inf{lambda > 0 : integral of Y(|f|/lambda) <= 1} by bisection.
+    """inf{lambda > 0 : integral of Y(|f|/lambda) <= 1}.
 
-    Returns 0 for the zero function.  For continuous strictly increasing Y
-    the defining integral at the returned lambda lies in [1 - 1e-8, 1].
-    Each modular evaluates Y once per distinct value of |f|; the sum keeps
-    node order, so the result is that of evaluating Y at every node.
-
-    For a kind whose ``sharp_eval`` is set, Y runs on every node, and the
-    bisection evaluates only the modulars it cannot settle from those
-    already known (see ``_Within``): a test at a lambda beyond a relative
-    1e-12 of a known passing or failing lambda takes that lambda's answer.
-    Illinois steps first place such modulars next to the root, so a norm
-    takes about a dozen modulars where the bisection alone takes 40 to 60.
-    Every test still gets the answer the modular would give, so the result
-    keeps the bisection's bits.  Other kinds run the bisection as it is.
+    Returns 0 for the zero function.  The root of the log modular in
+    log lambda is bracketed from the harmonic estimates and found by
+    regula falsi with the Illinois rule, bisecting where the log modular
+    is not finite.  Each trial lies at least a relative 0.4e-12 inside the
+    bracket, so a trial that lands on the root from one side is followed
+    by one on its other side.  The search stops once the bracket is within
+    a relative 1e-12, or after 200 trials, and returns its upper end, where
+    the modular is <= 1: the result never lies below the norm, and for
+    continuous strictly increasing Y its modular lies in [1 - 1e-8, 1].
+    Each modular evaluates Y at every node.
     """
     absvals = np.abs(f.values)
     fmax = absvals.max() if len(absvals) else 0.0
     if fmax == 0.0:
         return 0.0
     w = f.weights
-    within = _Within(young, absvals, w)
+
+    def log_modular(lam):
+        m = _modular(young, absvals, w, lam)
+        return math.log(m) if m > 0.0 else -math.inf
+
     # harmonic starting bracket: at hi the modular is <= 1 by construction,
     # at lo the heaviest node alone already pushes it to >= 1
     hi = fmax / float(young.inverse(1.0 / f.total_measure))
     lo = fmax / float(young.inverse(1.0 / w.min()))
     for _ in range(2048):
-        if within(hi):
+        g_hi = log_modular(hi)
+        if g_hi <= 0.0:
             break
         hi *= 2.0
     else:
-        raise ConvergenceError("luxemburg bisection: no upper bracket")
+        raise ConvergenceError("luxemburg norm: no upper bracket")
     for _ in range(2048):
-        if lo < hi and not within(lo):
-            break
+        if lo < hi:
+            g_lo = log_modular(lo)
+            if g_lo > 0.0:
+                break
         lo *= 0.5
         if lo < 1e-300:
             # tiny support and flat Y: the infimum is effectively hi
             return hi
-    if young.sharp_eval:
-        within.approach()
+    a, b = math.log(lo), math.log(hi)
+    kept = 0  # +1 when lo moved last, -1 when hi did
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if within(mid):
-            hi = mid
-        else:
-            lo = mid
         if hi - lo <= _LUXEMBURG_RTOL * hi:
             break
+        c = 0.5 * (a + b)
+        if math.isfinite(g_lo) and math.isfinite(g_hi):
+            c = b - g_hi * (b - a) / (g_hi - g_lo)
+        c = min(max(c, a + _LUXEMBURG_MARGIN), b - _LUXEMBURG_MARGIN)
+        lam = math.exp(c)
+        g = log_modular(lam)
+        if g > 0.0:
+            lo, a, g_lo = lam, c, g
+            g_hi = 0.5 * g_hi if kept == 1 else g_hi
+            kept = 1
+        else:
+            hi, b, g_hi = lam, c, g
+            g_lo = 0.5 * g_lo if kept == -1 else g_lo
+            kept = -1
     return hi
 
 

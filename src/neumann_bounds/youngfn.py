@@ -6,18 +6,15 @@ by the eigenvalue bounds (power functions, exponential types, the
 ``u log(u+e)`` family and its powered variant, and the conjugate-power
 compositions built from them), together with
 
-* numerical inverses (bracketed bisection, with a log-domain branch for the
-  ``u log^eps(u+e)`` family so that arguments far outside double range stay
-  usable); the bisection runs once per distinct target, and an entry's
-  value depends only on itself and, through the shared stop, on the set of
-  distinct targets of its call.  ``LogPow`` computes the same bits from a
-  Newton root, confirmed by evaluations at the ends the bisection decides
-  on, and runs the bisection itself only when its targets span too wide a
-  range for that,
+* numerical inverses: Newton's method for the ``u log^eps(u+e)`` family,
+  with a log-domain twin so that arguments far outside double range stay
+  usable, and a bracketed bisection for kinds without a closed form; each
+  entry stops at its own tolerance, so an inverse depends on its target
+  alone,
 * complementary (convex conjugate) functions, closed-form where registered
   and a one-sided numeric fallback otherwise,
 * probes for the submultiplicativity / supermultiplicativity growth
-  conditions and for "essentially greater growth" ratios.
+  conditions.
 
 ``YoungFunction.eval``, ``log_eval`` and ``inverse`` are the one argument
 gate: they reject a negative or non-finite argument with ``DomainError``,
@@ -28,8 +25,7 @@ and ``_inverse`` (default: zero at zero, bisection elsewhere) on that
 array, and its constructor rejects parameters out of range, non-finite
 ones included, with ``ParameterError``.  Instances are
 immutable after construction; ``NumericComplement`` only fills a cache of
-fixed grids, so its value at v depends on v alone (see the class docstring
-for the one exception under refinement).
+fixed grids, so its value at v depends on v alone.
 Exponential kinds carry a log-space twin (``log_eval``) because downstream
 constants are composed entirely in log space.
 """
@@ -37,7 +33,6 @@ constants are composed entirely in log space.
 from __future__ import annotations
 
 import logging
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +43,6 @@ __all__ = [
     "YoungFunction",
     "PowerP",
     "ExpSquare",
-    "ExpPow",
     "LogLinear",
     "LogPow",
     "LogLinearTilde",
@@ -59,7 +53,6 @@ __all__ = [
     "default_probe_grid",
     "probe_delta_prime",
     "probe_nabla_prime",
-    "essentially_greater",
 ]
 
 log = logging.getLogger(__name__)
@@ -68,8 +61,11 @@ _E = float(np.e)
 _EPS = float(np.finfo(float).eps)
 _INVERSE_RTOL = 1e-10  # relative width at which the inverse bisection stops
 _INVERSE_LEVELS = 200  # the inverse bisection stops at this level in any case
-_EXACT_BITS = 40  # LogPow's inverse needs hi / w <= 2^this at the stop level
-_BLOCK = 8192  # entries per block of LogPow's inverse, which bounds its temporaries
+_NEWTON_RTOL = 1e-13  # relative step at which LogPow's Newton inverse stops
+_NEWTON_STEPS = 100  # LogPow's Newton inverse raises after this many steps
+# the inflection of x -> log log(e^x + e) lies at u = e^x = _U_BEND, where
+# log(u + e) = u / e
+_U_BEND = 5.833958031974924
 
 
 def _gate(method, x, name):
@@ -86,16 +82,6 @@ def _gate(method, x, name):
         raise DomainError(f"{name} must be nonnegative, got {x!r}")
     out = method(np.atleast_1d(arr))
     return float(out[0]) if arr.ndim == 0 else out
-
-
-def _blocks(n):
-    """Slices of at most ``_BLOCK`` entries that cover range(n)."""
-    return [slice(s, s + _BLOCK) for s in range(0, n, _BLOCK)]
-
-
-def _stops(width, hi):
-    """The inverse bisection's stop test on a bracket [hi - width, hi]."""
-    return width <= _INVERSE_RTOL * np.maximum(hi, 1e-300)
 
 
 def _log_expm1(y):
@@ -157,10 +143,6 @@ class YoungFunction:
     name = "young"
     #: registered submultiplicativity constant, if known (M(uv) <= C M(u)M(v))
     delta_prime_constant = None
-    #: eval is a closed form, entry by entry, that rounds within a few ulp
-    #: of M after its argument's own rounding; ``luxemburg_norm`` then
-    #: settles the modular's comparisons far from 1 without evaluating them
-    sharp_eval = False
 
     def eval(self, u):
         """M(u)."""
@@ -175,11 +157,8 @@ class YoungFunction:
 
         ``inverse(0) == 0``.  Without a closed form this is a bracketed
         bisection, which raises when 2048 bracket doublings fail to enclose
-        ``t``.  It runs once per distinct target and stops when the slowest
-        one converges, so a value depends on the set of distinct targets in
-        the call, not on their order or on how often each is repeated.
-        ``LogPow`` returns the bisection's bits without running it, from a
-        Newton root per target and one shared stop level.
+        ``t``.  Each entry stops at its own relative width, so its value
+        depends on its target alone.
         """
         return _gate(self._inverse, t, "inverse target")
 
@@ -201,9 +180,6 @@ class YoungFunction:
         return out
 
     def _bisect_inverse(self, t):
-        # each target's path depends on its own value alone, and the shared
-        # stop waits on the same distinct values, so this is exact
-        t, back = np.unique(t, return_inverse=True)
         lo = np.zeros_like(t)
         hi = np.ones_like(t)
         with np.errstate(over="ignore"):
@@ -217,16 +193,16 @@ class YoungFunction:
                 raise ConvergenceError(
                     f"{self.name}: no bracket for inverse after 2048 doublings"
                 )
+            todo = np.arange(len(t))  # entries wider than their own stop
             for _ in range(_INVERSE_LEVELS):
-                mid = 0.5 * (lo + hi)
-                high = self.eval(mid) >= t
-                # 0 <= lo <= mid <= hi, so hi - mid is exact (Sterbenz) and
-                # these select mid or keep the old end bit for bit
-                hi = hi - (hi - mid) * high
-                lo = np.maximum(lo, mid * ~high)
-                if np.all(_stops(hi - lo, hi)):
+                mid = 0.5 * (lo[todo] + hi[todo])
+                high = self.eval(mid) >= t[todo]
+                hi[todo[high]] = mid[high]
+                lo[todo[~high]] = mid[~high]
+                todo = todo[hi[todo] - lo[todo] > _INVERSE_RTOL * np.maximum(hi[todo], 1e-300)]
+                if not len(todo):
                     break
-        return (0.5 * (lo + hi))[back]
+        return 0.5 * (lo + hi)
 
     # -- conjugation -------------------------------------------------------
 
@@ -234,8 +210,7 @@ class YoungFunction:
         """Convex conjugate sup{uv - M(u)}; numeric unless a closed form exists.
 
         The numeric fallback is memoized per instance.  Its value at v
-        depends on v alone, not on what was evaluated before or with it
-        (see ``NumericComplement`` for the one exception).
+        depends on v alone, not on what was evaluated before or with it.
         """
         memo = self.__dict__.get("_numeric_complement")
         if memo is None:
@@ -249,8 +224,6 @@ class YoungFunction:
 
 class PowerP(YoungFunction):
     """M(u) = coef * u^p.  ``coef=1/p`` gives the normalized pairing variant."""
-
-    sharp_eval = True
 
     def __init__(self, p, coef=None, normalized=False):
         if not 1 <= p < np.inf:  # NaN fails too
@@ -289,7 +262,6 @@ class ExpSquare(YoungFunction):
     """M(u) = exp(u^2) - 1, the optimal-embedding target function."""
 
     name = "exp_square"
-    sharp_eval = True
 
     def _eval(self, u):
         with np.errstate(over="ignore"):
@@ -303,35 +275,9 @@ class ExpSquare(YoungFunction):
         return np.sqrt(np.log1p(t))
 
 
-class ExpPow(YoungFunction):
-    """M(u) = exp(u^(2/eps)) - 1 for eps > 1; grows essentially slower
-    than exp(u^2) - 1 and restores compactness of the embedding."""
-
-    sharp_eval = True
-
-    def __init__(self, eps):
-        if not 1 < eps < np.inf:
-            raise ParameterError(f"eps must satisfy 1 < eps < inf, got {eps}")
-        self.eps = float(eps)
-        self.name = f"exp_pow(eps={self.eps:g})"
-
-    def _eval(self, u):
-        with np.errstate(over="ignore"):
-            return np.expm1(u ** (2.0 / self.eps))
-
-    def _log_eval(self, u):
-        with np.errstate(over="ignore"):
-            return _log_expm1(u ** (2.0 / self.eps))
-
-    def _inverse(self, t):
-        return np.log1p(t) ** (self.eps / 2.0)
-
-
 class LogPow(YoungFunction):
     """M(u) = u * log(u+e)^eps.  ``eps=1`` is the submultiplicative
     companion of exp(u)-1 used throughout the Jacobian functionals."""
-
-    sharp_eval = True
 
     def __init__(self, eps=1.0):
         if not 1 <= eps < np.inf:  # NaN fails too
@@ -351,99 +297,33 @@ class LogPow(YoungFunction):
             return np.log(u) + self.eps * np.log(np.log(u + _E))
 
     def _inverse(self, t):
-        # the bisection's width stays above 2^-200, too wide for its 1e-10
-        # relative stop below 2^-200 / 1e-10 ~ 6.2e-51: such targets take
-        # the log-domain branch
-        tiny = (t > 0) & (t < 1e-49)
-        out = super()._inverse(np.where(tiny, 0.0, t))
-        if tiny.any():
-            out[tiny] = np.exp(self.inverse_log(np.log(t[tiny])))
-        return out
-
-    def _bisect_inverse(self, t):
-        # What the base-class bisection returns, read off a Newton root.  On
-        # a target t that loop doubles to 2^k, the first k >= 0 with
-        # M(2^k) >= t; at level j its bracket is [hi - w, hi] with
-        # w = 2^(k-j) and hi the smallest multiple of w where M >= t; it
-        # returns the bracket's midpoint at the first level J <= 200 where
-        # every entry of the call passes the stop test.  k comes from M at
-        # the powers of two, as in the loop; evaluations of M confirm hi
-        # and J at the ends the loop decides on, and every other point the
-        # loop evaluates lies at least w >= 2^-_EXACT_BITS * hi from those
-        # ends; since uM'/M >= 1 that moves M far beyond its rounding, so
-        # the loop decides those points as the root does.
-        # A call whose ends need more bits than that, or whose checks do
-        # not settle, runs the loop itself.
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._newton_inverse(t)
-        return super()._bisect_inverse(t) if out is None else out
-
-    def _newton_inverse(self, t):
-        u = np.empty_like(t)
-        for s in _blocks(len(t)):
-            u[s] = self._newton_root(t[s])
-        # the doubling: 2^k for the first k >= 0 with M(2^k) >= t
-        top = max(math.frexp(float(u.max()))[1], 0) + 1
-        if top > 1000:
-            return None
-        powers = np.ldexp(1.0, np.arange(top + 1))
-        k = np.searchsorted(self._eval(powers), t)
-        if k.max() > top:
-            return None
-        doubled = powers[k]
-        level = math.ceil(math.log2(float(np.max(doubled / u))) - math.log2(_INVERSE_RTOL))
-        level = min(max(level, 1), _INVERSE_LEVELS)
-        out = np.empty_like(t)
-        for _ in range(8):
-            stops = stops_before = True
-            for s in _blocks(len(t)):
-                w = doubled[s] * math.ldexp(1.0, -level)
-                hi = self._level_end(t[s], u[s], w, level)
-                if hi is None:
-                    return None
-                stops &= bool(np.all(_stops(w, hi)))
-                stops_before &= bool(np.all(_stops(2.0 * w, 2.0 * w * np.ceil(hi / (2.0 * w)))))
-                out[s] = 0.5 * ((hi - w) + hi)
-            if level < _INVERSE_LEVELS and not stops:
-                level += 1
-            elif level > 1 and stops_before:
-                level -= 1
-            else:
-                return out
-        return None
-
-    def _newton_root(self, t):
-        """Root of M(u) = t by Newton's method.  It starts from
-        t / log(t+e)^eps, left of the root; M is convex, so after the first
-        step the iterates fall onto the root from the right."""
+        # Newton's method on log M(e^x) = log t in x = log u: each step
+        # is x += log(t / M(u)) / (d log M / d log u).  log M(e^x) is convex
+        # in x below u = _U_BEND and concave above it, whatever eps, so the
+        # steps reach the root without crossing it from a start on the
+        # matching side: from the left, max(t / log(t+e)^eps, _U_BEND), when
+        # M(_U_BEND) <= t, and from the right, min(t, _U_BEND), otherwise.
+        # log(t / M(u)) is the log of a ratio, so M never overflows; only at
+        # a large eps can that ratio leave double range, and then it is a
+        # sum of logs.  An entry stops once its own step falls below a
+        # relative _NEWTON_RTOL, or turns back, which only rounding can do.
         eps = self.eps
-        u = t / np.log(t + _E) ** eps
-        for _ in range(60):
-            shifted = u + _E
-            log_u = np.log(shifted)
-            power = log_u ** (eps - 1.0)
-            step = (u * log_u * power - t) / (power * (log_u + eps * u / shifted))
-            u -= step
-            # convergence is quadratic, so the next step would be ~1e-14
-            if np.all(np.abs(step) <= 1e-7 * u):
-                break
-        return u
-
-    def _level_end(self, t, u, w, level):
-        """hi at ``level`` of the bisection, the smallest multiple of w
-        where M >= t, from the root u and confirmed by M at hi and hi - w;
-        None where that does not settle or hi / w exceeds 2^_EXACT_BITS."""
-        n = np.clip(np.ceil(u / w), 1.0, 2.0**level)
-        if n.max() > 2.0**_EXACT_BITS:
-            return None
-        hi = n * w
-        for _ in range(4):
-            low = self._eval(hi) < t
-            high = self._eval(hi - w) >= t
-            if not (low.any() or high.any()):
-                return hi
-            hi = hi + w * low - w * high
-        return None
+        up = self._eval(np.array(_U_BEND)) <= t
+        todo = t > 0
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            u = np.where(up, np.maximum(t / np.log(t + _E) ** eps, _U_BEND), np.minimum(t, _U_BEND))
+            for _ in range(_NEWTON_STEPS):
+                if not todo.any():
+                    return u
+                log_u = np.log(u + _E)
+                g = np.log(t / u / log_u**eps)
+                far = todo & ~np.isfinite(g)
+                if far.any():
+                    g[far] = np.log(t[far]) - np.log(u[far]) - eps * np.log(log_u[far])
+                dx = g / (1.0 + eps * (u / (u + _E)) / log_u)
+                u = np.where(todo, u * np.exp(dx), u)
+                todo &= np.where(up, dx, -dx) > _NEWTON_RTOL
+        raise ConvergenceError(f"{self.name}: inverse did not settle in {_NEWTON_STEPS} steps")
 
     # log-domain twin: x = log u  ->  log M(u) = x + eps*log(log(e^x + e))
 
@@ -502,7 +382,6 @@ class LogLinearTilde(YoungFunction):
     """M(u) = (1+u) log(1+u) - u, the closed-form conjugate of exp(u)-1."""
 
     name = "log_linear_tilde"
-    # not sharp: (1+u) log1p(u) - u cancels to u^2/2 for small u
 
     def _eval(self, u):
         return (1.0 + u) * np.log1p(u) - u
@@ -515,7 +394,6 @@ class ExpMinusOne(YoungFunction):
     """M(u) = exp(u) - 1; conjugate pair of (1+u)log(1+u) - u."""
 
     name = "exp_minus_one"
-    sharp_eval = True
 
     def _eval(self, u):
         with np.errstate(over="ignore"):
@@ -692,12 +570,8 @@ class NumericComplement(YoungFunction):
     depends only on the constructor arguments and k, so a grid value
     depends on v alone, not on the other entries of the call or on earlier
     calls, and threads sharing an instance can only build equal levels.
-    Refinement starts from each v's own bracket but evaluates M for all
-    entries at once, so a refined value inherits any batch dependence of
-    ``of.eval`` itself.  ``PsiAlpha`` has some: its inverse runs once per
-    distinct target and stops with the slowest, so a refined value depends
-    on the set of distinct other entries of the call, though not on their
-    order or on how often each is repeated.
+    Refinement runs from each v's own bracket, and every kind's eval is
+    entry by entry, so a refined value depends on v alone too.
 
     The discrete supremum is found through the lower convex hull of the grid
     points (u_j, M(u_j)), built once per level: a binary search on the
@@ -840,27 +714,3 @@ def probe_nabla_prime(young, grid=None, c_max=1e6):
         else:
             lo = mid
     return float(np.exp(hi))
-
-
-def essentially_greater(y1, y2, k_list, u_max, tol=1e-6, n_samples=64):
-    """Numerical probe of the growth ordering: does Y1(k u)/Y2(u) -> 0?
-
-    True iff, for each k, the log-space ratio is non-increasing across the
-    top decade [u_max/10, u_max] and falls below ``tol`` at ``u_max``.  This
-    is a finite-range probe, not a proof; slowly separating pairs (ratios
-    decaying like 1/log u) need a larger ``tol`` to register.
-    """
-    if u_max < 1e3:
-        raise ParameterError("u_max must be at least 1e3")
-    u = np.geomspace(u_max / 10.0, u_max, n_samples)
-    for k in k_list:
-        if k <= 0:
-            raise ParameterError("scale factors k must be positive")
-        lr = np.asarray(y1.log_eval(k * u)) - np.asarray(y2.log_eval(u))
-        if not np.all(np.isfinite(lr)):
-            return False
-        if np.any(np.diff(lr) > 1e-9 * np.maximum(np.abs(lr[:-1]), 1.0)):
-            return False
-        if lr[-1] >= np.log(tol):
-            return False
-    return True
