@@ -500,11 +500,16 @@ def gaussian_sweep(n_list, params, cmap, quad):
 
 
 def fit_loglog_slope(n_list, reports):
-    """Least-squares slope of bound_log against log n."""
+    """Least-squares slope of bound_log against log n, in closed form:
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, with no LAPACK call.
+    NaN when fewer than two distinct n leave the slope undefined."""
     x = np.log(np.asarray(n_list, dtype=float))
     y = np.asarray([float(r.bound_log) for r in reports])
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)
+    dx = x - x.mean()
+    spread = float(np.sum(dx * dx))
+    if not spread > 0.0:
+        return math.nan
+    return float(np.sum(dx * (y - y.mean())) / spread)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,10 @@ oversubscribe the cores N times over.  A worker sets OPENBLAS_NUM_THREADS
 to 1 unless the environment already sets it; scipy is first imported inside
 the FEM oracle, after the fork, and reads the variable then.  numpy's own
 OpenBLAS is loaded in the parent, before the fork, so the variable does not
-reach it; the oracle's Lanczos loop uses it only for products with a few
-dozen vectors.  The parent's environment does not change.
+reach it.  It serves only the oracle: the Lanczos loop's products with a
+few dozen basis vectors and the ``eigh`` of its small tridiagonal matrix.
+The quadrature rules and the bound routes call no LAPACK, in the parent or
+in a worker.  The parent's environment does not change.
 
 Shared work: the scenarios of a config hold one ``Shared`` object.  It
 builds and certifies each distinct map spec text once, and keeps, per

@@ -9,6 +9,12 @@ The quadrature is a tensor rule: Gauss-Legendre in the r^2 variable times a
 uniform (trapezoidal) angular grid.  It integrates polynomials in (x, y) of
 radial degree up to 2*n_radial - 1 and trigonometric degree up to
 n_angular - 1 exactly, weights sum to pi, and no node touches |z| = 1.
+
+The Gauss-Legendre rule comes from ``gauss_legendre``: Newton's method on
+the three-term recurrence of P_n, in plain numpy elementwise arithmetic
+(N. Hale and A. Townsend, SIAM J. Sci. Comput. 35 (2013)).  No process
+calls LAPACK to build a rule, so a rule costs the same in a forked worker
+as in a warm loop, and its bits do not depend on the LAPACK build.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParameterError
+from .errors import ConfigError, ConvergenceError, DomainError, ParameterError
 from .spec import parse_spec
 from .youngfn import LogPow
 
@@ -29,6 +35,7 @@ __all__ = [
     "PolynomialMap",
     "MoebiusDiskMap",
     "DiskQuadrature",
+    "gauss_legendre",
     "build_disk_quadrature",
     "build_disk_quadrature_graded",
     "Pullback",
@@ -73,16 +80,74 @@ def _tensor_rule(t, a, n_angular):
     return DiskQuadrature(nodes=z, weights=w, n_radial=len(t), n_angular=int(n_angular))
 
 
+_NEWTON_STEPS = 20  # Newton steps allowed per rule; 3 or 4 settle it
+
+
+def gauss_legendre(n):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], for n >= 1.
+
+    Newton's method runs on P_n, vectorised over the positive roots, from
+    Tricomi's asymptotic guesses (1 - (n-1)/(8n^3) - (39 - 28/sin^2 th)/(384n^4))
+    cos th, th = pi (4i - 1)/(4n + 2), and stops after the first step of at
+    most four ulp of 1; quadratic convergence leaves the nodes at rounding
+    level.  P_n and P_{n-1} come from the three-term recurrence, scaled as
+    q_k = 2^k P_k / (leading coefficient of P_k), which stays O(sqrt k) on
+    [-1, 1]; P_n' follows from n (x P_n - P_{n-1}) / (x^2 - 1).  The
+    weights are 2 / ((1 - x^2) P_n'(x)^2) at the final nodes; the scaling
+    leaves a common factor, which sum(w) = 2 fixes.  The positive half is
+    mirrored, so nodes and weights are symmetric bit for bit, and an odd n
+    gets the node 0 exactly.  Only elementwise numpy runs: no LAPACK.
+    """
+    n = int(n)
+    half = (n + 1) // 2  # the roots in [0, 1), descending
+    theta = np.pi * (4.0 * np.arange(1, half + 1) - 1.0) / (4.0 * n + 2.0)
+    x = np.cos(theta) * (
+        1.0 - (n - 1.0) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
+    )
+    if n % 2:
+        x[-1] = 0.0  # P_n is odd: exactly 0 there, so Newton never moves it
+    c = [4.0 * k * k / (4.0 * k * k - 1.0) for k in range(n)]
+    r = 2.0 * n / (2.0 * n - 1.0)  # P_{n-1} = r q_{n-1} in the units where P_n = q_n
+    prev, cur, tmp = np.empty(half), np.empty(half), np.empty(half)
+    settled = False
+    for _ in range(_NEWTON_STEPS + 1):
+        two_x = 2.0 * x
+        prev.fill(1.0)
+        cur[:] = two_x
+        for k in range(1, n):  # q_{k+1} = 2x q_k - c_k q_{k-1}, in place
+            np.multiply(two_x, cur, out=tmp)
+            prev *= c[k]
+            np.subtract(tmp, prev, out=prev)
+            prev, cur = cur, prev
+        slope = x * cur - r * prev  # (x^2 - 1) P_n' / n in q units
+        if settled:
+            break
+        step = (x * x - 1.0) * cur / (n * slope)
+        x = x - step
+        settled = bool(np.all(np.abs(step) <= 4.0 * np.finfo(float).eps))
+    else:
+        raise ConvergenceError(f"Gauss-Legendre n={n}: Newton did not settle")
+    w = (1.0 - x * x) / (slope * slope)
+    nodes = np.concatenate([-x[: n // 2], x[::-1]])
+    weights = np.concatenate([w[: n // 2], w[::-1]])
+    weights *= 2.0 / weights.sum()
+    return nodes, weights
+
+
 @lru_cache(maxsize=None)
 def build_disk_quadrature(n_radial, n_angular):
     """Tensor Gauss-Legendre (in r^2) x uniform-angle rule on the disk.
 
-    The rule depends on the two orders alone, so it is cached and shared by
-    every caller; its arrays are read-only for that reason.
+    The radial rule is ``gauss_legendre``'s, by Newton's method on the
+    Legendre recurrence: no LAPACK call, so no BLAS thread pool to wake or
+    stall, and the same bits whatever LAPACK numpy links.  The rule
+    depends on the two orders alone, so it is cached and shared by every
+    caller; its arrays are read-only for that reason.
     """
     if n_radial < 4:
         raise ConfigError(f"n_radial must be >= 4, got {n_radial}")
-    t, a = np.polynomial.legendre.leggauss(int(n_radial))
+    t, a = gauss_legendre(n_radial)
     # Gauss-Legendre nodes in t = r^2 on (0, 1)
     return _tensor_rule(0.5 * (t + 1.0), 0.5 * a, n_angular)
 
@@ -99,7 +164,7 @@ def build_disk_quadrature_graded(n_angular):
     which keeps near-machine accuracy for integrands sharply concentrated at
     the center (Gaussian densities with large sharpness).
     """
-    x, a = np.polynomial.legendre.leggauss(_GRADED_PER_PANEL)
+    x, a = gauss_legendre(_GRADED_PER_PANEL)
     ts, ws = [], []
     edges = [1.0] + [2.0**-j for j in range(1, _GRADED_PANELS)] + [0.0]
     for hi, lo in zip(edges[:-1], edges[1:]):

@@ -337,19 +337,23 @@ class LogPow(YoungFunction):
 
         Works for targets far outside double range in either direction; this
         is the asymptotic branch used for tiny and huge arguments.  Accepts
-        any float or float array.
+        any float or float array.  Each entry stops at its own width, so its
+        value depends on its target alone.
         """
         log_t = np.asarray(log_t, dtype=float)
-        hi = log_t.copy()  # log M(e^x) >= x, so x <= log t
-        lo = log_t - self.eps * np.log(_log_exp_plus_e(log_t)) - 1.0
+        t = log_t.ravel()
+        hi = t.copy()  # log M(e^x) >= x, so x <= log t
+        lo = t - self.eps * np.log(_log_exp_plus_e(t)) - 1.0
+        todo = np.arange(t.size)  # entries wider than their own stop
         for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            high = self.log_eval_from_log(mid) >= log_t
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-            if np.all(hi - lo <= 1e-14 * np.maximum(np.abs(hi), 1.0)):
+            mid = 0.5 * (lo[todo] + hi[todo])
+            high = self.log_eval_from_log(mid) >= t[todo]
+            hi[todo[high]] = mid[high]
+            lo[todo[~high]] = mid[~high]
+            todo = todo[hi[todo] - lo[todo] > 1e-14 * np.maximum(np.abs(hi[todo]), 1.0)]
+            if not len(todo):
                 break
-        return 0.5 * (lo + hi)
+        return (0.5 * (lo + hi)).reshape(log_t.shape)[()]
 
     def inverse_log_tiny(self, log_s):
         """log of the inverse at s = e^log_s far below double range, as an

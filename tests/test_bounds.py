@@ -261,6 +261,17 @@ class TestGaussianSweep:
                 <= r.intermediates["log_rho_norm_dominated"] + 1e-12
             )
 
+    def test_slope_closed_form(self):
+        # the least-squares line through (log n, bound_log), against
+        # LAPACK's fit, used here as a reference only; one distinct n leaves
+        # the slope undefined
+        ns = [10, 100, 1000, 10000]
+        y = [0.2 * math.log(n) - 3.0 + 1e-3 * (-1) ** i for i, n in enumerate(ns)]
+        reports = [bd.BoundReport(method="x", bound_log=v, bound=math.exp(v)) for v in y]
+        expected = np.polyfit(np.log(ns), y, 1)[0]
+        assert bd.fit_loglog_slope(ns, reports) == pytest.approx(expected, rel=1e-13)
+        assert math.isnan(bd.fit_loglog_slope([10, 10], reports[:2]))
+
     def test_analytic_norm_value(self, identity_map):
         # n = 1 on the unit disk: quadrature must not exceed (pi/s)^(1/s)
         params = bd.ScenarioParams(p=1.5, q=4.0, alpha=12.0, K=1.05)

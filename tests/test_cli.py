@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neumann_bounds import cli, fem_oracle
+from neumann_bounds import cli, conformal, fem_oracle
 from neumann_bounds.errors import ConfigError
 
 BASIC = """\
@@ -194,6 +194,30 @@ def test_verify_battery_fem_matches_reference(tmp_path, monkeypatch):
 
     assert len(_csv_rows(out)[1]) == 75
     assert_matches_reference(out, reference, rel)
+
+
+def test_bound_calls_no_lapack(tmp_path, monkeypatch):
+    # every bound method, with the default b_m_eps and rules built afresh,
+    # runs on elementwise numpy alone: no LAPACK routine and no leggauss
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on the bound path")
+
+    for name in ("eigvalsh", "eigh", "eig", "lstsq", "solve", "inv", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    conformal.build_disk_quadrature.cache_clear()
+    fem_oracle.b_m2_disk_estimate.cache_clear()
+    text = (
+        "p = 1.5\nq = 4\nalpha = 12\neps = 2\nK = 1.05\nquad_nr = 48\nquad_ntheta = 32\n"
+        "methods = esssup, lq, quasidisc, gaussian_sweep, orlicz, orlicz_quasidisc\n"
+        "[scenario]\nid = pp\nmap = perturbed_power c=0.3 k=2\ndensity = gaussian n=4\n"
+    )
+    out = tmp_path / "out.csv"
+    assert run(["bound", "--config", write(tmp_path, text), "--jobs", "1", "--out", str(out)]) == 0
+    _, rows = _csv_rows(out)
+    methods = {row["method"].split("[")[0] for row in rows}
+    assert methods == {"esssup", "lq", "quasidisc", "gaussian_sweep", "orlicz", "orlicz_quasidisc"}
+    assert not [row for row in rows if row["flags"].startswith("error:")]
 
 
 def _two_maps(spellings):

@@ -37,6 +37,14 @@ class TestQuadrature:
         got = np.sum(quad.weights * np.abs(quad.nodes) ** (2 * m))
         assert got == pytest.approx(np.pi / (m + 1), rel=1e-13)
 
+    def test_radial_exactness_at_order_boundary_256(self):
+        # the same boundary at the benchmark's order: t^511 on the 256-node
+        # rule, whose largest node carries 511 times its rounding
+        quad = cf.build_disk_quadrature(256, 8)
+        m = 2 * 256 - 1
+        got = np.sum(quad.weights * np.abs(quad.nodes) ** (2 * m))
+        assert got == pytest.approx(np.pi / (m + 1), rel=1e-13)
+
     def test_invalid_orders(self):
         with pytest.raises(ConfigError):
             cf.build_disk_quadrature(3, 16)
@@ -77,7 +85,7 @@ class TestQuadrature:
     def test_graded_rule_matches_plain(self, pp_map):
         plain = cf.build_disk_quadrature(64, 16)
         graded = cf.build_disk_quadrature_graded(16)
-        assert graded.weights.sum() == pytest.approx(np.pi, rel=1e-12)
+        assert graded.weights.sum() == pytest.approx(np.pi, rel=1e-14)
         a1 = cf.image_area(pp_map, plain)
         a2 = cf.image_area(pp_map, graded)
         assert a1 == pytest.approx(a2, rel=1e-12)
@@ -88,6 +96,38 @@ class TestQuadrature:
         c = 25000.0
         got = np.sum(graded.weights * np.exp(-c * np.abs(graded.nodes) ** 2))
         assert got == pytest.approx(np.pi / c, rel=1e-13)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [7, 8, 9, 47, 48, 96, 256])
+    def test_even_moments(self, n):
+        # sum w x^(2k) = 2/(2k+1) for every k < n: the rule is exact to
+        # degree 2n - 1, and the odd moments vanish by symmetry
+        x, w = cf.gauss_legendre(n)
+        k = np.arange(n)
+        moments = np.sum(w * x ** (2 * k[:, None]), axis=1)
+        assert np.max(np.abs(moments - 2.0 / (2 * k + 1))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [7, 9, 47])
+    def test_odd_order_has_an_exact_center(self, n):
+        x, w = cf.gauss_legendre(n)
+        assert len(x) == len(w) == n
+        center = x[n // 2]
+        assert center == 0.0 and not np.signbit(center)
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 47, 48, 96, 256])
+    def test_symmetric_bit_for_bit(self, n):
+        x, w = cf.gauss_legendre(n)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 47, 48, 96, 256])
+    def test_nodes_match_leggauss(self, n):
+        # leggauss runs LAPACK's eigvalsh; it serves here as a reference only
+        ref, _ = np.polynomial.legendre.leggauss(n)
+        x, _ = cf.gauss_legendre(n)
+        assert np.max(np.abs(x - ref)) <= 2e-16
 
 
 class TestMaps:

@@ -126,6 +126,16 @@ def test_inverse_log_branches():
         )
 
 
+@pytest.mark.parametrize("eps", [1.0, 2.0, 3.7])
+def test_inverse_log_stops_each_entry_on_its_own(eps):
+    # an array call gives each entry the bits of its own scalar call
+    phi = yf.LogPow(eps)
+    log_t = np.array([-700.0, 3.0, 700.0, 1e5, -1e6, 0.0, 127834.0, 1e-3])
+    alone = np.array([phi.inverse_log(v) for v in log_t])
+    assert bits(phi.inverse_log(log_t)).tolist() == bits(alone).tolist()
+    assert bits(phi.inverse_log(log_t[::-1])).tolist() == bits(alone[::-1]).tolist()
+
+
 def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
