@@ -58,7 +58,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _E = float(np.e)
-_EPS = float(np.finfo(float).eps)
 _INVERSE_RTOL = 1e-10  # relative width at which the inverse bisection stops
 _INVERSE_LEVELS = 200  # the inverse bisection stops at this level in any case
 _NEWTON_RTOL = 1e-13  # relative step at which LogPow's Newton inverse stops
@@ -66,6 +65,7 @@ _NEWTON_STEPS = 100  # LogPow's Newton inverse raises after this many steps
 # the inflection of x -> log log(e^x + e) lies at u = e^x = _U_BEND, where
 # log(u + e) = u / e
 _U_BEND = 5.833958031974924
+_CONJ_U_LO, _CONJ_U_HI, _CONJ_N = 1e-8, 1e4, 2048  # NumericComplement's level 0
 
 
 def _gate(method, x, name):
@@ -337,23 +337,29 @@ class LogPow(YoungFunction):
 
         Works for targets far outside double range in either direction; this
         is the asymptotic branch used for tiny and huge arguments.  Accepts
-        any float or float array.  Each entry stops at its own width, so its
-        value depends on its target alone.
+        any float or float array; +-inf map to +-inf and NaN raises
+        ``DomainError``.  Each entry stops at its own width, so its value
+        depends on its target alone.
         """
-        log_t = np.asarray(log_t, dtype=float)
-        t = log_t.ravel()
+        out = np.array(log_t, dtype=float)  # log M(e^x) -> +-inf as x -> +-inf
+        if np.isnan(out).any():
+            raise DomainError(f"inverse_log target must not be NaN, got {log_t!r}")
+        fin = np.isfinite(out)
+        t = out[fin]
         hi = t.copy()  # log M(e^x) >= x, so x <= log t
         lo = t - self.eps * np.log(_log_exp_plus_e(t)) - 1.0
         todo = np.arange(t.size)  # entries wider than their own stop
         for _ in range(120):
-            mid = 0.5 * (lo[todo] + hi[todo])
+            # a midpoint as lo + half the width: lo + hi overflows near 1.8e308
+            mid = lo[todo] + 0.5 * (hi[todo] - lo[todo])
             high = self.log_eval_from_log(mid) >= t[todo]
             hi[todo[high]] = mid[high]
             lo[todo[~high]] = mid[~high]
             todo = todo[hi[todo] - lo[todo] > 1e-14 * np.maximum(np.abs(hi[todo]), 1.0)]
             if not len(todo):
                 break
-        return (0.5 * (lo + hi)).reshape(log_t.shape)[()]
+        out[fin] = lo + 0.5 * (hi - lo)
+        return out[()]
 
     def inverse_log_tiny(self, log_s):
         """log of the inverse at s = e^log_s far below double range, as an
@@ -486,76 +492,23 @@ class PsiEpsAlpha(PsiAlpha):
 class _ConjugateGrid(NamedTuple):
     """One level of a ``NumericComplement`` grid ladder."""
 
-    u: np.ndarray  # geometric grid on [u_lo, u_hi]
+    u: np.ndarray  # geometric grid on [_CONJ_U_LO, u_hi]
     m: np.ndarray  # M on the grid (may hold inf at the top)
-    hull: np.ndarray  # grid indices of the lower convex hull's vertices
-    slopes: np.ndarray  # slopes of the hull's edges, strictly increasing
+    slopes: np.ndarray  # running maximum of the secant slopes, inf once steep
     u_hi: float
 
 
-def _lower_hull(u, m):
-    """Lower convex hull of the finite points (u_j, m_j), u increasing.
-
-    A vertex whose incoming slope is not below its outgoing slope lies on or
-    above the chord of its neighbours, so it is not a hull vertex; removing
-    every such vertex until none is left gives the hull.  Slopes too steep
-    for float64 become inf, which keeps their order.
-    """
-    idx = np.flatnonzero(np.isfinite(m))
-    with np.errstate(over="ignore", under="ignore"):
-        slopes = np.diff(m[idx]) / np.diff(u[idx])
-        while len(slopes) > 1:
-            keep = np.ones(len(idx), dtype=bool)
-            keep[1:-1] = slopes[:-1] < slopes[1:]
-            if keep.all():
-                break
-            idx = idx[keep]
-            slopes = np.diff(m[idx]) / np.diff(u[idx])
-    return idx, slopes
-
-
-_WINDOW = 4  # grid points on each side of the hull maximiser
-
-
-def _conjugate_argmax(grid, v):
+def _grid_max(grid, v):
     """First index of max_j v*u_j - M(u_j) and that max, for each v.
 
-    Along the hull the objective rises to the vertex found by the slope
-    search and falls after it, and a point off the hull scores no more
-    than the hull vertices around it.  So a window around that vertex
-    holds the first maximum of the float objective unless the maximum
-    sits on the window's edge or the nearest hull vertex outside comes
-    within rounding of it (a near-collinear run); such rows widen.
+    The objective rises across the cell [u_j, u_{j+1}] exactly when v
+    exceeds the cell's secant slope, and M is convex, so its first maximum
+    sits at the first j whose slope is at least v.  ``grid.slopes`` is a
+    running maximum, so the search stays sorted where rounding is not.
     """
-    n = len(grid.u)
-    centre = grid.hull[np.searchsorted(grid.slopes, v)]
-    idx = np.empty(len(v), dtype=np.intp)
-    best = np.empty(len(v))
-    rows = np.arange(len(v))
-    half = _WINDOW
-    while len(rows):
-        width = min(2 * half + 1, n)
-        start = np.clip(centre[rows] - half, 0, n - width)
-        cols = start[:, None] + np.arange(width)
-        vr = v[rows]
-        with np.errstate(over="ignore", invalid="ignore"):
-            obj = vr[:, None] * grid.u[cols] - grid.m[cols]
-        obj = np.where(np.isnan(obj), -np.inf, obj)
-        at = np.argmax(obj, axis=1)
-        b = obj[np.arange(len(rows)), at]
-        idx[rows], best[rows] = start + at, b
-        widen = ((at == 0) & (start > 0)) | ((at == width - 1) & (start + width < n))
-        left = np.searchsorted(grid.hull, start) - 1
-        right = np.searchsorted(grid.hull, start + width)
-        for k, ok in ((left, left >= 0), (right, right < len(grid.hull))):
-            j = grid.hull[np.where(ok, k, 0)]
-            with np.errstate(over="ignore"):
-                vu = vr * grid.u[j]
-                slack = 8.0 * _EPS * (vu + grid.m[j] + np.abs(b))
-                widen |= ok & (vu - grid.m[j] >= b - slack)
-        rows = rows[widen]
-        half *= 2
-    return idx, best
+    idx = np.searchsorted(grid.slopes, v)
+    with np.errstate(over="ignore"):
+        return idx, v * grid.u[idx] - grid.m[idx]
 
 
 class NumericComplement(YoungFunction):
@@ -566,44 +519,46 @@ class NumericComplement(YoungFunction):
     exceeds the true conjugate; the deficit is controlled by the grid density
     and refinement.
 
-    The grids form a fixed ladder: level k spans [u_lo, u_hi * 64^k] with
-    ``n_grid`` points, is built on first use and then kept.  Each v starts
-    on level 0 and climbs while its maximiser sits on one of the top two
+    The grids form a fixed ladder: level k spans [1e-8, 1e4 * 64^k] with
+    2048 points, is built on first use and then kept.  Each v starts on
+    level 0 and climbs while its maximiser sits on one of the top two
     points of its level, up to level 12 or to the first level whose top
     reaches 1e120; a maximiser beyond that stays one-sided low.  A level
-    depends only on the constructor arguments and k, so a grid value
-    depends on v alone, not on the other entries of the call or on earlier
-    calls, and threads sharing an instance can only build equal levels.
+    depends only on M and k, so a grid value depends on v alone, not on
+    the other entries of the call or on earlier calls, and threads sharing
+    an instance can only build equal levels.
     Refinement runs from each v's own bracket, and every kind's eval is
     entry by entry, so a refined value depends on v alone too.
 
-    The discrete supremum is found through the lower convex hull of the grid
-    points (u_j, M(u_j)), built once per level: a binary search on the
-    hull's edge slopes gives the maximising vertex for each v, and the float
-    objective v*u_j - M(u_j) is then evaluated on a few grid points around
-    it (see ``_conjugate_argmax``).  So the value and the first maximising
-    index are those of the full grid scan, at O(log G) per v after an O(G)
-    hull per level, and the result stays one-sided low.
+    The grid maximum is M's discrete Legendre transform (Y. Lucet, *Numer.
+    Algorithms* 16 (1997)): each level keeps the running maximum of its
+    secant slopes, inf where too steep for float64, and a binary search for
+    v among them finds the maximiser (``_grid_max``), O(log G) per v.  For
+    a strictly convex M that is the full scan's first maximum.  Where M is
+    linear, rounding scatters the slopes around the line's, and a v within
+    that scatter may stop early on the line, a few eps * (v*u + M(u)) / h
+    below the scan's maximum (h the level's relative spacing): still
+    one-sided low.
     """
 
-    def __init__(self, of, u_lo=1e-8, u_hi=1e4, n_grid=2048, refine=True):
+    _n = _CONJ_N  # points per level; bench/tracing.py reads it too
+
+    def __init__(self, of, refine=True):
         self.of = of
         self.name = f"conjugate({of.name})"
-        self._u_lo = float(u_lo)
-        self._u_hi = float(u_hi)
-        self._n = int(n_grid)
         self._refine = bool(refine)
         self._levels = {}  # ladder level k -> _ConjugateGrid
 
     def _level(self, k):
         grid = self._levels.get(k)
         if grid is None:
-            top = self._u_hi * 64.0**k
-            u = np.geomspace(self._u_lo, top, self._n)
-            with np.errstate(over="ignore"):
+            top = _CONJ_U_HI * 64.0**k
+            u = np.geomspace(_CONJ_U_LO, top, self._n)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 m = np.asarray(self.of.eval(u))
-            hull, slopes = _lower_hull(u, m)
-            grid = self._levels[k] = _ConjugateGrid(u, m, hull, slopes, top)
+                slopes = np.diff(m) / np.diff(u)
+            slopes = np.maximum.accumulate(np.where(np.isfinite(slopes), slopes, np.inf))
+            grid = self._levels[k] = _ConjugateGrid(u, m, slopes, top)
         return grid
 
     def _objective(self, u, v):
@@ -628,7 +583,7 @@ class NumericComplement(YoungFunction):
         rows = np.arange(len(v))  # entries still climbing the ladder
         for k in range(13):
             grid = self._level(k)
-            idx, best[rows] = _conjugate_argmax(grid, v[rows])
+            idx, best[rows] = _grid_max(grid, v[rows])
             lo[rows] = grid.u[np.maximum(idx - 1, 0)]
             hi[rows] = grid.u[np.minimum(idx + 1, self._n - 1)]
             rows = rows[idx >= self._n - 2]
