@@ -65,7 +65,7 @@ _NEWTON_STEPS = 100  # LogPow's Newton inverse raises after this many steps
 # the inflection of x -> log log(e^x + e) lies at u = e^x = _U_BEND, where
 # log(u + e) = u / e
 _U_BEND = 5.833958031974924
-_CONJ_U_LO, _CONJ_U_HI, _CONJ_N = 1e-8, 1e4, 2048  # NumericComplement's level 0
+_CONJ_U_LO, _CONJ_U_HI = 1e-8, 1e4  # the span of NumericComplement's level 0
 
 
 def _gate(method, x, name):
@@ -531,17 +531,17 @@ class NumericComplement(YoungFunction):
     entry by entry, so a refined value depends on v alone too.
 
     The grid maximum is M's discrete Legendre transform (Y. Lucet, *Numer.
-    Algorithms* 16 (1997)): each level keeps the running maximum of its
-    secant slopes, inf where too steep for float64, and a binary search for
-    v among them finds the maximiser (``_grid_max``), O(log G) per v.  For
-    a strictly convex M that is the full scan's first maximum.  Where M is
-    linear, rounding scatters the slopes around the line's, and a v within
-    that scatter may stop early on the line, a few eps * (v*u + M(u)) / h
-    below the scan's maximum (h the level's relative spacing): still
-    one-sided low.
+    Algorithms* 16 (1997)): a binary search for v among each level's
+    running maximum of secant slopes (inf where too steep for float64)
+    finds the maximiser, O(log G) per v (``_grid_max``).  For a strictly
+    convex M that is the full scan's maximum up to rounding of the
+    objective; the tests check it bit for bit on the registered kinds.
+    Where M is linear, rounding scatters the slopes, and a v within that
+    scatter may stop early on the line, a few eps * (v*u + M(u)) / h below
+    the scan's maximum (h the level's relative spacing): still one-sided low.
     """
 
-    _n = _CONJ_N  # points per level; bench/tracing.py reads it too
+    _n = 2048  # points per level; bench/tracing.py reads it too
 
     def __init__(self, of, refine=True):
         self.of = of

@@ -1,6 +1,7 @@
 import functools
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -328,7 +329,7 @@ class TestComplementary:
 
 @functools.lru_cache(maxsize=None)
 def _dense_grid(of, top):
-    grid = np.geomspace(yf._CONJ_U_LO, top, yf._CONJ_N)
+    grid = np.geomspace(yf._CONJ_U_LO, top, yf.NumericComplement._n)
     with np.errstate(over="ignore"):
         return grid, np.asarray(of.eval(grid))
 
@@ -350,7 +351,7 @@ def dense_conjugate(of, v, refine):
     v at a time it gives the value that v alone has.
     """
 
-    n, u_hi = yf._CONJ_N, yf._CONJ_U_HI
+    n, u_hi = yf.NumericComplement._n, yf._CONJ_U_HI
     grid, m_grid = _dense_grid(of, u_hi)
     obj, idx = dense_scan(v, grid, m_grid)
     for _ in range(12):
@@ -417,6 +418,8 @@ def near_slopes(slopes, rng):
 
 
 def _collinear_cases():
+    """(id, young, v, scatter): scatter marks the cases whose v sit within
+    the rounding scatter of a linear piece's float secant slopes."""
     rng = np.random.default_rng(20261019)
     # slopes 0.1, 0.3 and 0.7: hundreds of grid points on the slope-0.3 piece
     cases = [
@@ -424,17 +427,44 @@ def _collinear_cases():
             "table-0.3",
             TableYoung([0.0, 1.0, 1000.0, 2000.0], [0.0, 0.1, 299.8, 999.8]),
             np.array([0.05, 0.2, 0.1 * 3, 0.3, 0.3 + 1e-16, 0.3 - 1e-16, 0.5, 0.69]),
+            False,
         )
     ]
     for seed in range(12):
         tab, slopes = convex_table(seed)
-        cases.append((f"table-{seed}", tab, near_slopes(slopes, rng)))
+        cases.append((f"table-{seed}", tab, near_slopes(slopes, rng), True))
     for young in HULL_KINDS:
-        cases.append((young.name, young, np.exp(rng.uniform(-12.0, 12.0, 60))))
+        cases.append((young.name, young, np.exp(rng.uniform(-12.0, 12.0, 60)), False))
     return cases
 
 
 COLLINEAR_CASES = _collinear_cases()
+TABLE_CASES = [c for c in COLLINEAR_CASES if isinstance(c[1], TableYoung)]
+
+
+def deficit_tol(scatter, h):
+    """The deficit below the dense maximum that a lookup may show, in units
+    of eps * (v*u_d + M(u_d)) at the dense maximiser u_d.
+
+    Each TableYoung value carries up to three roundings, so on a linear
+    piece of slope s a float secant slope over a cell h*u wide (h the
+    level's relative spacing) can exceed s by about 3*eps*s/h.  A v that
+    far above s may stop the search early on the piece, which gives up
+    (v - s)*u_d at most; the two objective values add their own rounding.
+    Where no v lies within that scatter, only the rounding is left.
+    """
+    return 4.0 + 3.0 / h if scatter else 4.0
+
+
+def exact_table_conjugate(tab, v):
+    """sup_u v*u - M(u) of a TableYoung's piecewise-linear M, in exact
+    arithmetic on its float knots, and the largest knot index attaining it;
+    (None, None) past the last slope, where the supremum is +inf."""
+    if v > tab._final_slope:
+        return None, None
+    vals = [Fraction(v) * Fraction(u) - Fraction(m) for u, m in zip(tab._u, tab._m)]
+    best = max(vals)
+    return best, max(k for k, val in enumerate(vals) if val == best)
 
 
 class TestHullLookup:
@@ -558,27 +588,46 @@ class TestHullLookup:
 
     @pytest.mark.parametrize("case", COLLINEAR_CASES, ids=lambda c: c[0])
     def test_collinear_runs_stay_within_rounding(self, case):
-        # On a linear piece of M the float secant slopes scatter around the
-        # piece's slope s: each TableYoung value carries up to three
-        # roundings, so a slope over a cell h*u wide (h the level's relative
-        # spacing) can exceed s by about 3*eps*s/h.  A v that far above s may
-        # stop the search early on the piece, which gives up (v - s)*u_d at
-        # most; the two objective values add their own rounding.  On each
-        # level the lookup must then sit at or below the dense maximum, and
-        # no further below it than that.
-        _, young, v = case
+        # on each level the lookup must sit at or below the dense maximum,
+        # and no further below it than deficit_tol allows
+        _, young, v, scatter = case
         conj = yf.NumericComplement(young, refine=False)
         with np.errstate(all="raise"):
             for k in (0, 1, 12):
                 grid = conj._level(k)
-                h = grid.u[1] / grid.u[0] - 1.0
+                tol = deficit_tol(scatter, grid.u[1] / grid.u[0] - 1.0)
                 idx, got = yf._grid_max(grid, v)
                 obj, want_idx = dense_scan(v, grid.u, grid.m)
                 want = obj[np.arange(len(v)), want_idx]
                 u_d, m_d = grid.u[want_idx], grid.m[want_idx]
                 assert np.all(got <= want)
-                assert np.all(want - got <= (4.0 + 3.0 / h) * _EPS * (v * u_d + m_d))
+                assert np.all(want - got <= tol * _EPS * (v * u_d + m_d))
                 assert np.array_equal(got, obj[np.arange(len(v)), idx])
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["grid", "refined"])
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: c[0])
+    def test_eval_on_collinear_tables(self, case, refine):
+        # eval end to end, through the ladder climb and, refined, the
+        # golden-section ascent.  Below: the grid value keeps deficit_tol
+        # against the dense reference applied to that v alone, and
+        # refining never lowers it.  Above: no value passes the exact
+        # conjugate by more than the rounding of its own objective, about
+        # eps * (v*u + M(u)) near the maximiser.
+        _, tab, v, scatter = case
+        with np.errstate(all="raise"):
+            on_grid = np.asarray(yf.NumericComplement(tab, refine=False).eval(v))
+            got = np.asarray(yf.NumericComplement(tab, refine=refine).eval(v))
+        assert np.all(on_grid <= got)
+        for x, g, val in zip(v, on_grid, got):
+            want, idx, grid = dense_conjugate(tab, np.array([x]), False)
+            u_d = grid[idx[0]]
+            tol = deficit_tol(scatter, grid[1] / grid[0] - 1.0)
+            assert g <= want[0]
+            assert want[0] - g <= tol * _EPS * (x * u_d + float(tab.eval(u_d)))
+            exact, k = exact_table_conjugate(tab, x)
+            if exact is not None:
+                slack = 2.0 * _EPS * (x * tab._u[k] + tab._m[k])
+                assert Fraction(val) <= exact + Fraction(slack)
 
 
 def test_numeric_complement_binds_eval_itself():
