@@ -44,7 +44,6 @@ print("the bound coincide with the disk reference (tight case).")
 
 print("\ngrid-max convergence of the supremum for |1 + 0.5 z|^2 (true sup 2.25):")
 pp = PerturbedPowerMap(0.5, 2)
-val, diag = bd.k_esssup_refined(pp, ConstantDensity(1.0), build_disk_quadrature(16, 16))
-for i, v in enumerate(diag["values"]):
-    print(f"  grid {16 * 2**i:>3} x {16 * 2**i:<3}: {v:.8f}")
-print(f"  aitken limit: {diag['aitken']:.8f}   stalled: {diag['stalled']}")
+for n in (16, 32, 64):
+    v = bd.k_esssup(pp, ConstantDensity(1.0), build_disk_quadrature(n, n))
+    print(f"  grid {n:>3} x {n:<3}: {v:.8f}")

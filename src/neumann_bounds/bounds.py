@@ -39,7 +39,6 @@ from .youngfn import (
     LogPow,
     NumericComplement,
     PsiAlpha,
-    PsiEpsAlpha,
     probe_nabla_prime,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "b_qp_disk",
     "mu_pq_disk_bracket",
     "k_esssup",
-    "k_esssup_refined",
     "mu_lower_esssup",
     "k_q",
     "mu_lower_kq",
@@ -261,30 +259,9 @@ def k_esssup(cmap, rho, quad, pullback=None):
     """Grid maximum of the mass-weighted pullback rho(phi(z)) J(z).
 
     This under-estimates the true essential supremum (continuous fixtures,
-    so the grid max converges under refinement; see k_esssup_refined).
+    so the grid max converges under refinement).
     """
-    return float(_pullback(cmap, rho, quad, pullback).mass_density.values.max())
-
-
-def k_esssup_refined(cmap, rho, quad):
-    """Esssup probe on three successively doubled grids.
-
-    Returns (value, diagnostics) where value is the finest-grid maximum and
-    diagnostics carries the per-level values, the Aitken-accelerated limit
-    when the increments contract, and a stall indicator.
-    """
-    n_r, n_t = quad.n_radial, quad.n_angular
-    values = [
-        k_esssup(cmap, rho, build_disk_quadrature(n_r * 2**i, n_t * 2**i)) for i in range(3)
-    ]
-    diag = {"values": values, "aitken": None, "stalled": False}
-    d1 = values[1] - values[0]
-    d2 = values[2] - values[1]
-    if abs(d2) >= abs(d1) and abs(d2) > 1e-14 * abs(values[2]):
-        diag["stalled"] = True
-    elif abs(d2 - d1) > 0:
-        diag["aitken"] = values[2] - d2**2 / (d2 - d1)
-    return values[2], diag
+    return float(_pullback(cmap, rho, quad, pullback).mass_density.max())
 
 
 def mu_lower_esssup(cmap, rho, quad, pullback=None):
@@ -314,7 +291,7 @@ def k_q(cmap, rho, q, quad, pullback=None):
     ScenarioParams(q=q).validate_q()
     g = _pullback(cmap, rho, quad, pullback).mass_density
     r = q / (q - 2.0)
-    log_terms = r * np.log(g.values) + np.log(g.weights)
+    log_terms = r * np.log(g) + np.log(quad.weights)
     return float(math.exp(_logsumexp(log_terms) / r))
 
 
@@ -609,7 +586,7 @@ def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None, pullba
     alpha, eps = params.alpha, params.eps
 
     phi_eps = LogPow(eps)
-    psi_eps = PsiEpsAlpha(eps, alpha)
+    psi_eps = PsiAlpha(alpha, eps)
     psi = PsiAlpha(alpha)
     c_psi = probe_nabla_prime(psi_eps)
     if c_psi is None:

@@ -58,10 +58,6 @@ class DiskQuadrature:
     def measure_id(self):
         return f"disk:{self.n_radial}x{self.n_angular}"
 
-    @property
-    def total_measure(self):
-        return float(self.weights.sum())
-
     def __len__(self):
         return len(self.nodes)
 
@@ -393,13 +389,10 @@ class Pullback:
 
     @property
     def mass_density(self):
-        """rho(phi(z_i)) * J(z_i) on the disk measure, the disk-side
+        """rho(phi(z_i)) * J(z_i) at the nodes, the disk-side
         density-to-inverse-Jacobian ratio of the esssup and Lq functionals.
         Not kept: one product costs less than holding it for the scenario."""
-        from .orlicz import SampledFunction
-
-        values = self.density * self.jacobian
-        return SampledFunction(values, self.quad.weights, self.quad.measure_id)
+        return self.density * self.jacobian
 
     def for_density(self, rho):
         """The pull-back of ``rho`` through the same map and nodes, sharing

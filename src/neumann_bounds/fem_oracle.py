@@ -79,7 +79,6 @@ class TriMesh:
 
     vertices: np.ndarray  # (V, 2) mapped coordinates
     triangles: np.ndarray  # (T, 3) vertex indices, counterclockwise
-    boundary: np.ndarray  # (V,) bool
     disk_vertices: np.ndarray  # (V,) complex preimages
     cmap: ConformalMap
     level: int
@@ -87,10 +86,6 @@ class TriMesh:
     @property
     def num_vertices(self):
         return len(self.vertices)
-
-    @property
-    def num_triangles(self):
-        return len(self.triangles)
 
     @cached_property
     def triangle_areas(self):
@@ -169,10 +164,8 @@ def _disk_rings(level):
             for i in range(k - 1):
                 tris.append((out[i + 1], inn[i + 1], inn[i]))
     tris = np.asarray(tris, dtype=int)
-    boundary = np.zeros(len(verts), dtype=bool)
-    boundary[ring_start[rings]:] = True
-    _read_only(verts, tris, boundary)
-    return verts, tris, boundary
+    _read_only(verts, tris)
+    return verts, tris
 
 
 def mesh_from_map(cmap, level):
@@ -183,13 +176,12 @@ def mesh_from_map(cmap, level):
     """
     if not 1 <= level <= _MAX_LEVEL:
         raise ParameterError(f"mesh level must be in [1, {_MAX_LEVEL}], got {level}")
-    disk_verts, tris, boundary = _disk_rings(level)
+    disk_verts, tris = _disk_rings(level)
     mapped = cmap.map(disk_verts)
     vertices = np.column_stack([mapped.real, mapped.imag])
     mesh = TriMesh(
         vertices=vertices,
         triangles=tris,
-        boundary=boundary,
         disk_vertices=disk_verts,
         cmap=cmap,
         level=level,
@@ -220,7 +212,7 @@ def _csr_plan(triangles, n):
 @lru_cache(maxsize=None)
 def _level_plan(level):
     """``_csr_plan`` of ``_disk_rings(level)``, shared by every mesh of the level."""
-    disk_verts, tris, _ = _disk_rings(level)
+    disk_verts, tris = _disk_rings(level)
     return _csr_plan(tris, len(disk_verts))
 
 

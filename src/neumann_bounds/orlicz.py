@@ -59,9 +59,6 @@ class SampledFunction:
     def total_measure(self):
         return float(self.weights.sum())
 
-    def scaled(self, c):
-        return SampledFunction(c * self.values, self.weights, self.measure_id)
-
 
 def _same_measure(f, g):
     if f.measure_id != g.measure_id or f.values.shape != g.values.shape:

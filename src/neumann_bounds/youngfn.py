@@ -48,7 +48,6 @@ __all__ = [
     "LogLinearTilde",
     "ExpMinusOne",
     "PsiAlpha",
-    "PsiEpsAlpha",
     "NumericComplement",
     "default_probe_grid",
     "probe_delta_prime",
@@ -141,8 +140,6 @@ class YoungFunction:
     """
 
     name = "young"
-    #: registered submultiplicativity constant, if known (M(uv) <= C M(u)M(v))
-    delta_prime_constant = None
 
     def eval(self, u):
         """M(u)."""
@@ -235,7 +232,6 @@ class PowerP(YoungFunction):
         self.p = float(p)
         self.coef = float(coef)
         self.name = f"power(p={self.p:g},coef={self.coef:g})"
-        self.delta_prime_constant = 1.0 / self.coef
 
     def _eval(self, u):
         with np.errstate(over="ignore"):
@@ -284,9 +280,6 @@ class LogPow(YoungFunction):
             raise ParameterError(f"log power must satisfy 1 <= eps < inf, got {eps}")
         self.eps = float(eps)
         self.name = f"log_pow(eps={self.eps:g})"
-        if self.eps == 1.0:
-            # global submultiplicativity constant for u log(u+e)
-            self.delta_prime_constant = 2.0
 
     def _eval(self, u):
         with np.errstate(over="ignore"):
@@ -422,31 +415,27 @@ class ExpMinusOne(YoungFunction):
 class PsiAlpha(YoungFunction):
     """The conjugate-power composition
 
-        Psi(u) = (2/alpha) * (w * (e^w - e))^((alpha-2)/2),   w = Minv(u),
+        Psi(u) = (2/alpha) * (w * (e^y - e))^((alpha-2)/2),
+        w = Minv(u),   y = w^(1/eps),
 
-    where Minv is the inverse of u log(u+e).  Vanishes for u <= log(1+e)+...
-    (where e^w <= e) and satisfies
+    where Minv is the inverse of u log^eps(u+e).  ``eps=1`` is Psi_alpha,
+    built on u log(u+e), and eps > 1 the variant Psi_{eps,alpha}.  Vanishes
+    where e^y <= e, and at eps = 1 satisfies
     Psi(M(u / Minv(u))) = (2/alpha) u^((alpha-2)/2).
     """
 
-    def __init__(self, alpha, eps=None):
+    def __init__(self, alpha, eps=1.0):
         if not 2 < alpha < np.inf:
             raise ParameterError(f"alpha must satisfy 2 < alpha < inf, got {alpha}")
         self.alpha = float(alpha)
-        self.eps = None if eps is None else float(eps)
-        self._phi = LogLinear() if eps is None else LogPow(eps)
-        tag = "" if eps is None else f",eps={self.eps:g}"
+        self._phi = LogPow(eps)
+        self.eps = self._phi.eps
+        tag = "" if self.eps == 1.0 else f",eps={self.eps:g}"
         self.name = f"psi(alpha={self.alpha:g}{tag})"
-
-    def _inner_exponent(self, w):
-        """Exponent y such that the inner factor is w*(e^y - e)."""
-        if self.eps is None:
-            return w
-        return w ** (1.0 / self.eps)
 
     def _eval(self, u):
         w = self._phi.inverse(u)
-        y = self._inner_exponent(w)
+        y = w ** (1.0 / self.eps)
         with np.errstate(over="ignore", invalid="ignore"):
             inner = w * _E * np.expm1(y - 1.0)
             inner = np.maximum(inner, 0.0)
@@ -455,7 +444,7 @@ class PsiAlpha(YoungFunction):
 
     def _log_eval(self, u):
         w = self._phi.inverse(u)
-        y = self._inner_exponent(w)
+        y = w ** (1.0 / self.eps)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_inner = np.log(w) + 1.0 + _log_expm1(y - 1.0)
             out = np.log(2.0 / self.alpha) + 0.5 * (self.alpha - 2.0) * log_inner
@@ -464,7 +453,7 @@ class PsiAlpha(YoungFunction):
     def log_eval_from_log(self, log_u):
         """log Psi(u) from log u, as an mpmath float.
 
-        The inner factor is exp(w)-scale with w itself potentially far beyond
+        The inner factor is exp(y)-scale with y itself potentially far beyond
         double range, so the final sum is carried out with arbitrary-exponent
         arithmetic.  Accepts a float log u of any magnitude.
         """
@@ -472,30 +461,18 @@ class PsiAlpha(YoungFunction):
 
         x = float(self._phi.inverse_log(log_u))  # x = log w
         half = mp.mpf(self.alpha - 2.0) / 2
-        w = mp.exp(x)
-        y = w if self.eps is None else mp.exp(x / self.eps)
+        y = mp.exp(x / self.eps)
         if y <= 1:
             return mp.mpf("-inf")
         return mp.log(mp.mpf(2.0) / self.alpha) + half * _log_inner(x, y)
 
 
-class PsiEpsAlpha(PsiAlpha):
-    """Variant of ``PsiAlpha`` built on u log^eps(u+e), with inner factor
-    w * (e^(w^(1/eps)) - e)."""
-
-    def __init__(self, eps, alpha):
-        if not 1 < eps < np.inf:
-            raise ParameterError(f"eps must satisfy 1 < eps < inf, got {eps}")
-        super().__init__(alpha, eps=eps)
-
-
 class _ConjugateGrid(NamedTuple):
     """One level of a ``NumericComplement`` grid ladder."""
 
-    u: np.ndarray  # geometric grid on [_CONJ_U_LO, u_hi]
+    u: np.ndarray  # geometric grid on [_CONJ_U_LO, 1e4 * 64^k], top exact
     m: np.ndarray  # M on the grid (may hold inf at the top)
     slopes: np.ndarray  # running maximum of the secant slopes, inf once steep
-    u_hi: float
 
 
 def _grid_max(grid, v):
@@ -558,7 +535,7 @@ class NumericComplement(YoungFunction):
                 m = np.asarray(self.of.eval(u))
                 slopes = np.diff(m) / np.diff(u)
             slopes = np.maximum.accumulate(np.where(np.isfinite(slopes), slopes, np.inf))
-            grid = self._levels[k] = _ConjugateGrid(u, m, slopes, top)
+            grid = self._levels[k] = _ConjugateGrid(u, m, slopes)
         return grid
 
     def _objective(self, u, v):
@@ -587,7 +564,7 @@ class NumericComplement(YoungFunction):
             lo[rows] = grid.u[np.maximum(idx - 1, 0)]
             hi[rows] = grid.u[np.minimum(idx + 1, self._n - 1)]
             rows = rows[idx >= self._n - 2]
-            if not len(rows) or grid.u_hi >= 1e120:
+            if not len(rows) or grid.u[-1] >= 1e120:
                 break
         if not self._refine:
             return np.maximum(best, 0.0)

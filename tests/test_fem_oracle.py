@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ class TestMesh:
             mesh = fo.mesh_from_map(identity_map, level)
             edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
             num_edges = len(np.unique(edges, axis=0))
-            assert mesh.num_vertices - num_edges + mesh.num_triangles == 1
+            assert mesh.num_vertices - num_edges + len(mesh.triangles) == 1
 
     def test_disk_area_converges(self, identity_map):
         mesh3 = fo.mesh_from_map(identity_map, 3)
@@ -44,8 +46,8 @@ class TestMesh:
     def test_positive_areas_and_boundary(self, pp_map):
         mesh = fo.mesh_from_map(pp_map, 3)
         assert np.all(mesh.triangle_areas > 0)
-        assert mesh.boundary.sum() == 6 * 2**3
-        assert np.all(np.abs(mesh.disk_vertices[mesh.boundary]) == pytest.approx(1.0))
+        # the outer ring, the one on the unit circle, has 6 * 2^level vertices
+        assert np.isclose(np.abs(mesh.disk_vertices), 1.0).sum() == 6 * 2**3
 
     def test_degenerate_rejected(self):
         class Collapse(cf.ConformalMap):
@@ -104,6 +106,19 @@ class TestAssembly:
         a_mat, m_mat = fo.assemble(fo.mesh_from_map(pp_map, 4), dn.GaussianDensity(2.0))
         for mat in (a_mat, m_mat):
             assert mat.has_canonical_format and (mat != mat.T).nnz == 0
+
+    def test_own_triangles_get_their_own_plan(self, pp_map):
+        # a mesh whose triangles are not its level's shared array gets a CSR
+        # plan of its own, with the bits of the level plan's matrices
+        rho = dn.GaussianDensity(2.0)
+        mesh = fo.mesh_from_map(pp_map, 3)
+        own = dataclasses.replace(mesh, triangles=mesh.triangles.copy())
+        assert own.triangles is not fo._disk_rings(3)[1]
+        for want, got in zip(fo.assemble(mesh, rho), fo.assemble(own, rho)):
+            for attr in ("indptr", "indices", "data"):
+                want_arr, got_arr = getattr(want, attr), getattr(got, attr)
+                assert want_arr.dtype == got_arr.dtype
+                assert want_arr.tobytes() == got_arr.tobytes(), attr
 
     def test_density_positivity_enforced(self, identity_map):
         mesh = fo.mesh_from_map(identity_map, 2)

@@ -50,7 +50,7 @@ def test_psi_young_invariants(alpha):
     # the conjugate-power composition is convex for alpha >= 4; below that the
     # printed formula dips concave at its positivity knee (see ledger)
     young_validity_check(yf.PsiAlpha(alpha), u_hi=20.0)
-    young_validity_check(yf.PsiEpsAlpha(2.0, alpha), u_hi=20.0)
+    young_validity_check(yf.PsiAlpha(alpha, eps=2.0), u_hi=20.0)
 
 
 def test_eval_examples():
@@ -255,8 +255,8 @@ _PURE_CASES = [
     ("inverse", yf.LogPow(2.0)),
     ("inverse", TableYoung([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 8.0])),
     ("eval", yf.PsiAlpha(12.0)),
-    ("eval", yf.PsiEpsAlpha(2.0, 12.0)),
-    ("eval", yf.NumericComplement(yf.PsiEpsAlpha(2.0, 12.0), refine=True)),
+    ("eval", yf.PsiAlpha(12.0, eps=2.0)),
+    ("eval", yf.NumericComplement(yf.PsiAlpha(12.0, eps=2.0), refine=True)),
 ]
 
 
@@ -386,7 +386,7 @@ def dense_conjugate(of, v, refine):
 
 
 HULL_KINDS = [
-    yf.PsiEpsAlpha(2.0, 12.0),
+    yf.PsiAlpha(12.0, eps=2.0),
     yf.PsiAlpha(12.0),
     yf.LogLinear(),
     yf.LogLinearTilde(),
@@ -501,7 +501,7 @@ class TestHullLookup:
                 assert list(conj._levels) == [0]
                 batches = [v]
             want = [dense_conjugate(young, b, refine) for b in batches]
-            levels = {grid.u_hi: grid for grid in conj._levels.values()}
+            levels = {grid.u[-1]: grid for grid in conj._levels.values()}
             for b, (_, want_idx, want_grid) in zip(batches, want):
                 grid = levels[want_grid[-1]]
                 assert np.array_equal(grid.u, want_grid)
@@ -642,7 +642,6 @@ class TestProbes:
     def test_delta_prime_log_linear(self):
         sup = yf.probe_delta_prime(yf.LogLinear())
         assert sup <= 2.0 + 1e-9
-        assert yf.LogLinear().delta_prime_constant == 2.0
 
     def test_delta_prime_power_exact(self):
         sup = yf.probe_delta_prime(yf.PowerP(2.0, normalized=True))
@@ -687,7 +686,7 @@ def test_psi_composition_identity(alpha):
 def test_psi_eps_variant_uses_eps_root():
     # the eps-variant inner exponent is w^(1/eps): cross-check one point by hand
     eps, alpha = 2.0, 4.0
-    psi = yf.PsiEpsAlpha(eps, alpha)
+    psi = yf.PsiAlpha(alpha, eps=eps)
     phi_eps = yf.LogPow(eps)
     u = 50.0
     w = phi_eps.inverse(u)
@@ -709,6 +708,35 @@ def test_psi_log_eval_from_log_huge():
     psi = yf.PsiAlpha(4.0)
     g = psi.log_eval_from_log(127834.0)
     assert mp.isfinite(g) and g > mp.mpf(10) ** 55000
+
+
+@pytest.mark.parametrize("alpha", [4.0, 12.0])
+def test_psi_alpha_is_the_eps_free_formula(alpha):
+    # at eps = 1 the inner exponent is w itself: Psi_alpha's bits are those
+    # of the formula with y = w, the flat region Psi = 0 (w <= 1) included
+    import mpmath as mp
+
+    phi, psi = yf.LogLinear(), yf.PsiAlpha(alpha)
+    u = np.r_[0.0, np.geomspace(1e-6, 1e6, 200), np.linspace(1.0, 1.5, 51)]
+    w = np.asarray(phi.inverse(u))
+    assert np.any(w <= 1.0) and np.any(w > 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inner = np.maximum(w * E * np.expm1(w - 1.0), 0.0)
+        want = np.where(w <= 0, 0.0, (2.0 / alpha) * inner ** ((alpha - 2.0) / 2.0))
+        log_inner = np.log(w) + 1.0 + yf._log_expm1(w - 1.0)
+        want_log = np.where(
+            w <= 1.0, -np.inf, np.log(2.0 / alpha) + 0.5 * (alpha - 2.0) * log_inner
+        )
+    assert np.array_equal(np.asarray(psi.eval(u)), want)
+    assert np.array_equal(np.asarray(psi.log_eval(u)), want_log)
+    for log_u in np.r_[np.linspace(-10.0, 10.0, 41), 50.0, 700.0, 127834.0]:
+        x = float(phi.inverse_log(log_u))
+        w = mp.exp(x)
+        if w <= 1:
+            want = mp.mpf("-inf")
+        else:
+            want = mp.log(mp.mpf(2.0) / alpha) + mp.mpf(alpha - 2.0) / 2 * yf._log_inner(x, w)
+        assert psi.log_eval_from_log(log_u)._mpf_ == want._mpf_, log_u
 
 
 @pytest.mark.parametrize("prec", [53, 120])
@@ -747,9 +775,9 @@ def test_constructor_parameter_errors():
     with pytest.raises(ParameterError):
         yf.PsiAlpha(2.0)
     with pytest.raises(ParameterError):
-        yf.PsiEpsAlpha(1.0, 4.0)
+        yf.PsiAlpha(4.0, eps=0.5)
     for bad in (np.nan, np.inf):
-        for kind in (yf.PowerP, yf.LogPow, yf.PsiAlpha, lambda x: yf.PsiEpsAlpha(x, 4.0)):
+        for kind in (yf.PowerP, yf.LogPow, yf.PsiAlpha, lambda x: yf.PsiAlpha(4.0, eps=x)):
             with pytest.raises(ParameterError):
                 kind(bad)
         with pytest.raises(ParameterError):
