@@ -6,14 +6,14 @@ exp(K^2 pi^2 (2+pi^4)^2 / (2 log 3)), whose logarithm is around 5e4, and
 the Orlicz-route refinement applies a doubly-exponential composition on
 top of that, so even the *logarithm* of the final constant leaves double
 range.  The package composes the first chain in plain log space and the
-second on arbitrary-exponent floats, and flags two caveats in every report:
+second in log-log space: each of its values is +-e^l for a double l (a
+``SignedExp``), and it flags two caveats in every report:
 
 * NuGeOne - the printed formula's auxiliary quantity nu exceeds one for all
   usable parameters, so |1 - nu| is substituted (see the decisions ledger);
 * BoundUnderflow - the bound is a positive real whose float64 value is 0.0.
 """
 
-import mpmath as mp
 import numpy as np
 
 from neumann_bounds import ConstantDensity, PerturbedPowerMap, build_disk_quadrature
@@ -41,9 +41,9 @@ inter = rep.intermediates
 print("the doubly-exponential Orlicz refinement (alpha=4, K=1.2, eps=2):")
 print(f"  log C_J                 = {inter['log_c_j']:.2f}")
 print(f"  log of the inner arg    = {inter['log_t']:.2f}")
-print(f"  log Psi(that)           = {mp.nstr(inter['log_psi_of_t'], 6)}")
-print(f"  log C~ (extended float) = {mp.nstr(inter['log_c_tilde_j'], 6)}")
-print(f"  bound_log               = {mp.nstr(rep.bound_log, 6)}")
+print(f"  log Psi(that)           = {inter['log_psi_of_t']}")
+print(f"  log C~ (log-log double) = {inter['log_c_tilde_j']}")
+print(f"  bound_log               = {rep.bound_log}")
 print(f"  flags: {rep.validity_flags}")
 print("\nfor comparison, the map-dependent Orlicz route on the same scenario:")
 rep2 = bd.mu_lower_orlicz(cmap, rho, 2.0, b_m_eps=0.6, quad=quad)

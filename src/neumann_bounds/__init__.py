@@ -14,23 +14,35 @@ fem_oracle  P1 finite elements and the Bessel-root disk reference
 cli         batch driver (``neumann-bounds`` command)
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from . import bounds, conformal, densities, fem_oracle, orlicz, youngfn  # noqa: F401
-from .bounds import BoundReport, ScenarioParams  # noqa: F401
-from .conformal import (  # noqa: F401
-    DiskQuadrature,
-    IdentityMap,
-    MoebiusDiskMap,
-    PerturbedPowerMap,
-    PolynomialMap,
-    build_disk_quadrature,
-    build_disk_quadrature_graded,
-)
-from .densities import (  # noqa: F401
-    ConstantDensity,
-    GaussianDensity,
-    PullbackJacobianPower,
-    PullbackOrliczCanceling,
-)
-from .orlicz import SampledFunction  # noqa: F401
+# Nothing loads on ``import neumann_bounds``: a submodule or re-exported name
+# loads its module on first access (PEP 562), so the command's entry point
+# runs before numpy loads (see "Parallel runs" in ``cli``).
+_SUBMODULES = ("bounds", "conformal", "densities", "fem_oracle", "orlicz", "youngfn")
+_EXPORTS = {
+    "BoundReport": "bounds",
+    "ScenarioParams": "bounds",
+    "DiskQuadrature": "conformal",
+    "IdentityMap": "conformal",
+    "MoebiusDiskMap": "conformal",
+    "PerturbedPowerMap": "conformal",
+    "PolynomialMap": "conformal",
+    "build_disk_quadrature": "conformal",
+    "build_disk_quadrature_graded": "conformal",
+    "ConstantDensity": "densities",
+    "GaussianDensity": "densities",
+    "PullbackJacobianPower": "densities",
+    "PullbackOrliczCanceling": "densities",
+    "SampledFunction": "orlicz",
+}
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

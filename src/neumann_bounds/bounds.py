@@ -7,7 +7,7 @@ every named intermediate constant, and validity flags.  All image-domain
 integrals are pulled back to the disk (no meshing), and every constant that
 can leave double range is composed in log space; the one chain that leaves
 even *log* range (the jacobian-free Orlicz route, whose inner constant is a
-double exponential) runs on arbitrary-exponent floats from mpmath.
+double exponential) carries log log |value| as a double, in ``SignedExp``.
 
 Flags used in reports:
 
@@ -25,7 +25,6 @@ Flags used in reports:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +38,7 @@ from .youngfn import (
     LogPow,
     NumericComplement,
     PsiAlpha,
+    SignedExp,
     probe_nabla_prime,
 )
 
@@ -150,9 +150,9 @@ class ScenarioParams:
 class BoundReport:
     """One analytic lower bound with its provenance.
 
-    ``bound_log`` may be an mpmath float when the value leaves double log
-    range; ``bound`` is always a float64 (0.0 with ``BoundUnderflow`` when
-    exp underflows).
+    ``bound_log`` is a ``SignedExp`` when it leaves double range, as on
+    the ``orlicz_quasidisc`` route, and a float otherwise; ``bound`` is
+    always a float64 (0.0 with ``BoundUnderflow`` when exp underflows).
     """
 
     method: str
@@ -185,21 +185,13 @@ def _logsumexp(a):
     return float(out)
 
 
-# log of 2^-1076, a quarter of float64's smallest subnormal: exp of an mpf
-# below it converts to 0.0, with a bit of margin for the rounding of exp
-_LOG_FLOAT_UNDERFLOW = (sys.float_info.min_exp - sys.float_info.mant_dig - 2) * math.log(2.0)
-
-
 def _finish(method, bound_log, intermediates, flags, params):
-    # no value is an mpf unless mpmath was imported, so the float routes
-    # never pay its import
-    mp = sys.modules.get("mpmath")
-    if mp is not None and isinstance(bound_log, mp.mpf):
-        # below _LOG_FLOAT_UNDERFLOW float() rounds exp to 0.0 anyway
-        bound = 0.0 if bound_log < _LOG_FLOAT_UNDERFLOW else float(mp.exp(bound_log))
-    else:
-        bound_log = float(bound_log)
-        bound = math.exp(bound_log) if bound_log > -745.0 else 0.0
+    # a SignedExp bound_log stays one; its float() is -inf when negative
+    # beyond double range, which gives bound 0.0
+    log_value = float(bound_log)
+    if not isinstance(bound_log, SignedExp):
+        bound_log = log_value
+    bound = math.exp(log_value) if log_value > -745.0 else 0.0
     flags = list(flags)
     if bound == 0.0:
         flags.append(FLAG_UNDERFLOW)
@@ -572,12 +564,12 @@ def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None, pullba
         log C~ = log 288 + log C_psi - log PhiInv(1 / Psi(T)),
         T = (alpha/(alpha-2))^((alpha-2)/2) * C_J^(alpha/2),
 
-    on mpmath floats: Psi(T) is a double exponential, so even its log
-    leaves double range.  The resulting bound_log is an mpmath float;
-    ``bound`` underflows to 0.0 by construction.
+    in log-log doubles: Psi(T) is a double exponential, so even its log
+    leaves double range, and log Psi(T), log C~ and bound_log are
+    ``SignedExp`` values, each +-e^l for a double l.  Adding the O(1)
+    terms to them is float arithmetic on l; ``bound`` underflows to 0.0 by
+    construction.
     """
-    import mpmath as mp
-
     if quad is None:
         quad = build_disk_quadrature(48, 32)
     params.validate_quasidisc()
@@ -609,9 +601,9 @@ def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None, pullba
     lcj, flags, inter_cj = log_c_j(alpha, params.K, area)
 
     log_t = 0.5 * (alpha - 2.0) * math.log(alpha / (alpha - 2.0)) + 0.5 * alpha * lcj
-    log_psi_t = psi.log_eval_from_log(log_t)  # mpf, astronomically large
+    log_psi_t = psi.log_eval_from_log(log_t)  # SignedExp, astronomically large
     log_phi_inv = LogLinear().inverse_log_tiny(-log_psi_t)  # log PhiInv(1/Psi(T))
-    log_c_tilde = mp.log(288.0) + mp.log(c_psi) - log_phi_inv
+    log_c_tilde = math.log(288.0) + math.log(c_psi) - log_phi_inv
 
     # bound_log = log PhiEpsInv(1/norm) - log C~ - 2 log B
     log_phi_eps_inv = float(
@@ -619,7 +611,7 @@ def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None, pullba
         if norm_psi_star > 0
         else 0.0
     )
-    bound_log = mp.mpf(log_phi_eps_inv) - log_c_tilde - 2.0 * mp.log(b_m_eps)
+    bound_log = log_phi_eps_inv - log_c_tilde - 2.0 * math.log(b_m_eps)
 
     inter = {
         "c_psi": c_psi,

@@ -72,16 +72,19 @@ forks ``min(N, scenarios)`` worker processes, which inherit the built
 scenarios and receive only their indices; with one worker the scenarios run
 in-process.  The fork start method is requested explicitly, since it is not
 the default everywhere and the built scenarios are not sent by pickling.
-Each worker runs scipy's BLAS on one thread.  scipy's OpenBLAS, which
-SuperLU calls, starts one thread per core by default, so N workers would
-oversubscribe the cores N times over.  A worker sets OPENBLAS_NUM_THREADS
-to 1 unless the environment already sets it; scipy is first imported inside
-the FEM oracle, after the fork, and reads the variable then.  numpy's own
-OpenBLAS is loaded in the parent, before the fork, so the variable does not
-reach it.  It serves only the oracle: the Lanczos loop's products with a
-few dozen basis vectors and the ``eigh`` of its small tridiagonal matrix.
-The quadrature rules and the bound routes call no LAPACK, in the parent or
-in a worker.  The parent's environment does not change.
+Every process of a run uses one BLAS thread.  OpenBLAS starts one thread
+per core by default, so N workers would oversubscribe the cores N times
+over, and a bare ``import numpy`` would pay for starting the pool.  Importing
+this module sets OPENBLAS_NUM_THREADS to 1 unless the environment already
+sets it, before it imports numpy, whose OpenBLAS reads the variable once as
+it loads; the package's ``__init__`` imports nothing, so the command's
+process has not loaded numpy before then.  Forked workers inherit the
+variable, and scipy, first imported inside the FEM oracle, reads it too.
+numpy's BLAS serves only the oracle: the Lanczos loop's products with a few
+dozen basis vectors and the ``eigh`` of its small tridiagonal matrix.  The
+quadrature rules and the bound routes call no LAPACK, in the parent or in a
+worker.  A program that imports numpy before this module keeps numpy's own
+thread pool.
 
 Shared work: the scenarios of a config hold one ``Shared`` object.  It
 builds and certifies each distinct map spec text once, and keeps, per
@@ -105,6 +108,9 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 
+# before numpy loads its OpenBLAS, which reads this once (see "Parallel runs")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -118,19 +124,15 @@ from .youngfn import ExpSquare, LogLinear, LogPow, PowerP
 
 
 def fmt(x):
-    """Fixed 17-significant-digit formatting; mpmath values supported."""
+    """Fixed 17-significant-digit formatting; a ``SignedExp`` beyond double
+    range prints as its float, +-inf."""
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, complex):
         return f"{x.real:.17g}{x.imag:+.17g}j"
-    try:
-        return f"{float(x):.17g}"
-    except (OverflowError, TypeError):
-        import mpmath as mp
-
-        return mp.nstr(mp.mpf(x), 17)
+    return f"{float(x):.17g}"
 
 
 class Shared:
@@ -543,7 +545,6 @@ _worker_task = None  # set in each forked worker by _start_worker, never in the 
 def _start_worker(task):
     global _worker_task
     _worker_task = task
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # see "Parallel runs" above
 
 
 def _run_in_worker(index):

@@ -33,6 +33,10 @@ constants are composed entirely in log space.
 from __future__ import annotations
 
 import logging
+import math
+import operator
+import sys
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +52,7 @@ __all__ = [
     "LogLinearTilde",
     "ExpMinusOne",
     "PsiAlpha",
+    "SignedExp",
     "NumericComplement",
     "default_probe_grid",
     "probe_delta_prime",
@@ -101,34 +106,91 @@ def _log_exp_plus_e(x):
     return np.maximum(x, 1.0) + np.log1p(np.exp(-np.abs(x - 1.0)))
 
 
-def _mpf_absorbs(total, log_bound):
-    """True when adding any term of magnitude below exp(log_bound) to the mpf
-    ``total`` rounds back to ``total`` at the current mpmath precision.
+@dataclass(frozen=True)
+class SignedExp:
+    """The real number sign * e^log_abs, for values beyond double range.
 
-    |total| >= 2^(mag-1), so neighbouring mpfs lie at least 2^(mag-1-prec)
-    apart and round-to-nearest discards anything below half of that; one
-    more bit of margin covers the rounding of exp, log1p and of this test.
-    Callers use it to skip an exp of an astronomically large argument whose
-    result rounding would throw away.
+    The quasidisk chain's log Psi(T) is such a value: its log, not the
+    value, is a double.  ``float()`` gives the value, +-inf beyond double
+    range.  Negation, ordering against floats and other instances, and
+    adding a float stay in log space: log |v + f| = log_abs +
+    log1p(sign f e^-log_abs), which holds while |f| < e^log_abs, and so for
+    every float once log_abs > 710.  mpmath converts an instance through
+    ``_mpmath_``; the package itself never imports mpmath.
     """
-    import mpmath as mp
 
-    return log_bound < (mp.mag(total) - mp.mp.prec - 3) * mp.ln2
+    sign: float  # +1.0 or -1.0
+    log_abs: float
+
+    def __float__(self):
+        try:
+            return self.sign * math.exp(self.log_abs)
+        except OverflowError:
+            return self.sign * math.inf
+
+    def __neg__(self):
+        return SignedExp(-self.sign, self.log_abs)
+
+    def __add__(self, other):
+        if not isinstance(other, _REALS):
+            return NotImplemented
+        r = self.sign * float(other) * math.exp(-self.log_abs)
+        return SignedExp(self.sign, self.log_abs + math.log1p(r))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, _REALS) else NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __lt__(self, other):
+        return _compare(operator.lt, self, other)
+
+    def __le__(self, other):
+        return _compare(operator.le, self, other)
+
+    def __gt__(self, other):
+        return _compare(operator.gt, self, other)
+
+    def __ge__(self, other):
+        return _compare(operator.ge, self, other)
+
+    def __str__(self):
+        """Six significant digits in mantissa-exponent form, e.g. -6.31894e+127510."""
+        log10 = self.log_abs / math.log(10.0)
+        exponent = math.floor(log10)
+        mantissa = f"{10.0 ** (log10 - exponent):.6g}"
+        if mantissa == "10":
+            mantissa, exponent = "1", exponent + 1
+        return f"{'-' if self.sign < 0 else ''}{mantissa}e{exponent:+d}"
+
+    def _mpmath_(self, prec, rounding):
+        mp = sys.modules["mpmath"]  # loaded: only mpmath calls this hook
+        with mp.workprec(prec):
+            return self.sign * mp.exp(self.log_abs)
 
 
-def _log_inner(x, y):
-    """log(w * (e^y - e)) = log w + 1 + (y-1) + log1p(-exp(1-y)), w = e^x.
+_REALS = (int, float, np.integer, np.floating)
 
-    For y > 2, |log1p(-exp(1-y))| < 2 exp(1-y) < exp(2-y); once that is
-    below what rounding discards from the partial sum, the term is skipped,
-    which gives the same mpf without an exp of a huge negative argument.
-    """
-    import mpmath as mp
 
-    partial = mp.mpf(x) + 1 + (y - 1)
-    if y > 2 and _mpf_absorbs(partial, 2 - y):
-        return partial
-    return partial + mp.log1p(-mp.exp(1 - y))
+def _order_key(v):
+    """(sign, sign * log |v|): tuples that order as the values v do."""
+    if isinstance(v, SignedExp):
+        return v.sign, v.sign * v.log_abs
+    v = float(v)
+    if v == 0.0:
+        return 0.0, 0.0
+    sign = math.copysign(1.0, v)
+    return sign, sign * math.log(abs(v))
+
+
+def _compare(op, a, b):
+    # other number types (mpmath's) compare by converting the SignedExp
+    if not isinstance(b, (SignedExp, *_REALS)):
+        return NotImplemented
+    return op(_order_key(a), _order_key(b))
 
 
 class YoungFunction:
@@ -355,22 +417,18 @@ class LogPow(YoungFunction):
         return out[()]
 
     def inverse_log_tiny(self, log_s):
-        """log of the inverse at s = e^log_s far below double range, as an
-        mpmath float.
+        """log of the inverse at s = e^log_s near zero, for a float or a
+        ``SignedExp`` log_s.
 
-        Near zero, u log^eps(u+e) ~ u, so log Minv(s) is log s minus an
-        exp(log s)-scale correction; evaluated with arbitrary-exponent floats.
+        Near zero, u log^eps(u+e) ~ u, so log Minv(s) is log s minus
+        eps log log(s+e), an exp(log s)-scale correction.  Below log s = -746
+        the correction underflows, so a ``SignedExp`` far below double range
+        comes back as it is.
         """
-        import mpmath as mp
-
-        log_s = mp.mpf(log_s) if not hasattr(log_s, "_mpf_") else log_s
-        # log(u+e) = 1 + log1p(u/e);  log Minv(s) = log s - eps*log(log(u+e))
-        log_u_over_e = log_s - 1
-        # log1p(u/e) <= u/e: once 1 + u/e rounds to 1 the log is exactly 0
-        if _mpf_absorbs(mp.mpf(1), log_u_over_e):
+        if isinstance(log_s, SignedExp) and log_s < -746.0:
             return log_s
-        u_over_e = mp.exp(log_u_over_e)
-        return log_s - self.eps * mp.log(1 + mp.log1p(u_over_e))
+        log_s = float(log_s)
+        return log_s - self.eps * float(np.log(_log_exp_plus_e(log_s)))
 
 
 class LogLinear(LogPow):
@@ -451,20 +509,27 @@ class PsiAlpha(YoungFunction):
         return np.where(y <= 1.0, -np.inf, out)
 
     def log_eval_from_log(self, log_u):
-        """log Psi(u) from log u, as an mpmath float.
+        """log Psi(u) from a float log u of any magnitude.
 
-        The inner factor is exp(y)-scale with y itself potentially far beyond
-        double range, so the final sum is carried out with arbitrary-exponent
-        arithmetic.  Accepts a float log u of any magnitude.
+        With x = log Minv(u) and y = e^(x/eps), log Psi is a float while y
+        and log Psi fit in a double.  Beyond that it is the ``SignedExp``
+        of log log Psi = log h + x/eps + log1p(r), h = (alpha-2)/2 and
+        r = (x + log(2/alpha) / h) e^(-x/eps), where the log(1 - e^(1-y))
+        of the inner factor has long underflowed.  log(2/alpha) is taken as
+        -log1p(h), which keeps its digits as alpha nears 2.
         """
-        import mpmath as mp
-
         x = float(self._phi.inverse_log(log_u))  # x = log w
-        half = mp.mpf(self.alpha - 2.0) / 2
-        y = mp.exp(x / self.eps)
-        if y <= 1:
-            return mp.mpf("-inf")
-        return mp.log(mp.mpf(2.0) / self.alpha) + half * _log_inner(x, y)
+        half = 0.5 * (self.alpha - 2.0)
+        log_two_over_alpha = -math.log1p(half)
+        with np.errstate(over="ignore"):
+            y = np.exp(x / self.eps)
+            if y <= 1.0:
+                return -np.inf
+            out = log_two_over_alpha + half * (x + 1.0 + float(_log_expm1(y - 1.0)))
+        if np.isfinite(out):
+            return float(out)
+        r = (x + log_two_over_alpha / half) * math.exp(-x / self.eps)
+        return SignedExp(1.0, math.log(half) + x / self.eps + math.log1p(r))
 
 
 class _ConjugateGrid(NamedTuple):

@@ -41,23 +41,3 @@ def stalled_lanczos(monkeypatch):
     from neumann_bounds import fem_oracle
 
     monkeypatch.setattr(fem_oracle, "_LANCZOS_MAX_STEPS", 1)
-
-
-@pytest.fixture()
-def exp_args(monkeypatch):
-    """Record the argument of every mpmath.exp call, as an mpf.
-
-    Compare the recorded values, never print them: formatting an mpf of
-    exp(-1e127510) scale does not finish.
-    """
-    import mpmath as mp
-
-    seen = []
-    real_exp = mp.exp
-
-    def exp(x):
-        seen.append(mp.mpf(x))
-        return real_exp(x)
-
-    monkeypatch.setattr(mp, "exp", exp)
-    return seen

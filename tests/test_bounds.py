@@ -353,7 +353,7 @@ def report(pp_map, rho_one):
 class TestOrliczQuasidisc:
     @pytest.mark.parametrize("b_m_eps", [0.0, -1.0])
     def test_nonpositive_embedding_constant(self, pp_map, rho_one, b_m_eps):
-        # mp.log of a negative constant is complex, of zero -inf: both rejected
+        # the chain takes the log of the constant, so it must be positive
         params = bd.ScenarioParams(p=1.5, q=4.0, alpha=4.0, K=1.2, eps=2.0)
         with pytest.raises(ParameterError):
             bd.mu_lower_orlicz_quasidisc(
@@ -392,38 +392,61 @@ class TestOrliczQuasidisc:
         assert inter["log_t"] == pytest.approx(expected, rel=1e-14)
 
 
-class TestMpmathShortcuts:
-    """Each huge-argument shortcut returns the full formula's exact mpf."""
+def _mp_log_log_psi(alpha, x):
+    """log log Psi at log w = x, from the full formula at 40 digits, with
+    y = e^x:  log Psi = log(2/alpha) + (alpha-2)/2 (x + y + log1p(-e^(1-y))).
+    The last term is below e^-40000 wherever this is called, far below 40
+    digits, and mpmath would take seconds for its exp."""
+    with mp.workdps(40):
+        y = mp.exp(mp.mpf(x))
+        assert y > 1e4
+        return mp.log(mp.log(mp.mpf(2) / alpha) + mp.mpf(alpha - 2) / 2 * (x + y))
 
-    @pytest.mark.parametrize("prec", [53, 120])
+
+def _mp_log_abs(value):
+    """log |value| at 40 digits, for a float or a SignedExp."""
+    with mp.workdps(40):
+        return mp.log(abs(mp.mpf(value)))
+
+
+class TestLogLogChain:
+    """The chain's doubles against 40-digit mpmath references."""
+
+    @pytest.mark.parametrize("wrap", ["float", "signed_exp"])
     @pytest.mark.parametrize("eps_exponent", [1.0, 2.0])
-    def test_log_phi_inv_tiny(self, exp_args, prec, eps_exponent):
-        grid = np.arange(-100.0, -20.0, 0.125)
-        skipped = 0
-        with mp.workprec(prec):
-            for log_s in grid:
-                calls = len(exp_args)
-                got = yf.LogPow(eps_exponent).inverse_log_tiny(log_s)
-                skipped += len(exp_args) == calls
-                s = mp.mpf(log_s)
+    def test_log_phi_inv_tiny(self, wrap, eps_exponent):
+        # across where the correction underflows, and where a SignedExp
+        # comes back as it is, within two ulps of log s of the full formula
+        phi = yf.LogPow(eps_exponent)
+        for log_s in np.arange(-800.0, -1.0, 0.125):
+            arg = float(log_s) if wrap == "float" else yf.SignedExp(-1.0, math.log(-log_s))
+            got = phi.inverse_log_tiny(arg)
+            if wrap == "signed_exp" and log_s < -746.5:
+                assert got is arg
+            with mp.workdps(40):
+                s = mp.mpf(arg)
                 full = s - eps_exponent * mp.log(1 + mp.log1p(mp.exp(s - 1)))
-                assert got._mpf_ == full._mpf_, log_s
-        assert 0 < skipped < len(grid)
+                assert abs(got - full) <= 2 * math.ulp(-log_s), log_s
 
-    def test_finish_underflow(self, exp_args):
-        grid = np.arange(-760.0, -730.0, 0.0625)
-        skipped = 0
-        for bound_log in grid:
-            calls = len(exp_args)
-            rep = bd._finish("m", mp.mpf(bound_log), {}, [], {})
-            skipped += len(exp_args) == calls
-            assert rep.bound == float(mp.exp(mp.mpf(bound_log))), bound_log
+    def test_finish_underflow(self):
+        # a SignedExp bound_log stays in the report; the bound is within an
+        # ulp of the exp of its float, and 0.0 with the flag beyond that
+        for log_abs in [*np.log(np.arange(730.0, 760.0, 0.0625)), 1e3, 293604.46875859057764]:
+            bound_log = yf.SignedExp(-1.0, float(log_abs))
+            rep = bd._finish("m", bound_log, {}, [], {})
+            assert rep.bound_log is bound_log
+            if log_abs < 7.0:
+                with mp.workdps(40):
+                    want = float(mp.exp(mp.mpf(float(bound_log))))
+                assert abs(rep.bound - want) <= math.ulp(want), log_abs
+            else:
+                assert float(bound_log) == -math.inf and rep.bound == 0.0
             assert (bd.FLAG_UNDERFLOW in rep.validity_flags) == (rep.bound == 0.0)
-        assert 0 < skipped < len(grid)
 
-    def test_chain_passes_no_huge_exp_argument(self, exp_args):
-        # the full chain at alpha=12, K=1.05 has log Psi(T) ~ 6e127510; an
-        # exp of such an argument costs seconds, and none may come back
+    def test_chain_runs_in_log_log_doubles(self):
+        # at alpha=12, K=1.05, log Psi(T) ~ 6e127510: each chain value is
+        # +-e^l for the one l of log Psi(T), whose O(10) addends fall below
+        # its last bit, and l is the full formula's to 1e-10
         params = bd.ScenarioParams(p=1.5, q=4.0, alpha=12.0, K=1.05, eps=2.0)
         rep = bd.mu_lower_orlicz_quasidisc(
             cf.PerturbedPowerMap(0.3, 2),
@@ -432,12 +455,45 @@ class TestMpmathShortcuts:
             b_m_eps=0.6,
             quad=cf.build_disk_quadrature(48, 32),
         )
-        assert exp_args
-        huge = [abs(x) > 2**64 for x in exp_args]
-        assert not any(huge)
-        double_exponential = rep.intermediates["log_psi_of_t"] > mp.mpf(10) ** 127510
-        assert double_exponential
+        inter = rep.intermediates
+        ell = inter["log_psi_of_t"].log_abs
+        assert ell > 127510 * math.log(10.0)
+        assert inter["log_psi_of_t"] == yf.SignedExp(1.0, ell)
+        assert inter["log_phi_inv_of_inv_psi"] == yf.SignedExp(-1.0, ell)
+        assert inter["log_c_tilde_j"] == yf.SignedExp(1.0, ell)
+        assert rep.bound_log == yf.SignedExp(-1.0, ell)
         assert rep.bound == 0.0
+        x = float(yf.LogLinear().inverse_log(inter["log_t"]))
+        want = _mp_log_log_psi(12.0, x)
+        assert abs(ell - want) <= 1e-10 * want
+
+    def test_every_admissible_log_t_lies_beyond_double_range(self):
+        # K in [1.0001, 10], alpha across (2, 2K^2/(K^2-1)), area in
+        # [1e-6, 1e3]: log_c_j >= 4.4e4, so Psi(T) takes the SignedExp path,
+        # whose l is the full formula's to 1e-10, and the chain's float
+        # additions are mpmath's to one ulp of l
+        for K in np.geomspace(1.0001, 10.0, 7):
+            asup = bd.ScenarioParams(K=K).alpha_sup()
+            for frac in (1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6):
+                alpha = 2.0 + frac * (asup - 2.0)
+                psi = yf.PsiAlpha(alpha)
+                for area in (1e-6, 1.0, 1e3):
+                    lcj = bd.log_c_j(alpha, K, area)[0]
+                    log_t = 0.5 * (alpha - 2.0) * math.log(alpha / (alpha - 2.0)) + 0.5 * alpha * lcj
+                    log_psi_t = psi.log_eval_from_log(log_t)
+                    assert isinstance(log_psi_t, yf.SignedExp), (K, alpha, area)
+                    x = float(yf.LogLinear().inverse_log(log_t))
+                    want = _mp_log_log_psi(alpha, x)
+                    assert abs(log_psi_t.log_abs - want) <= 1e-10 * want, (K, alpha, area)
+                    log_phi_inv = yf.LogLinear().inverse_log_tiny(-log_psi_t)
+                    log_c_tilde = math.log(288.0) + math.log(2.5) - log_phi_inv
+                    bound_log = -1.2 - log_c_tilde - 2.0 * math.log(0.6)
+                    with mp.workdps(40):
+                        mp_c_tilde = math.log(288.0) + math.log(2.5) - mp.mpf(log_phi_inv)
+                        mp_bound_log = -1.2 - mp_c_tilde - 2.0 * math.log(0.6)
+                    for got, ref in ((log_c_tilde, mp_c_tilde), (bound_log, mp_bound_log)):
+                        assert got.sign == mp.sign(ref)
+                        assert abs(got.log_abs - _mp_log_abs(ref)) <= math.ulp(got.log_abs)
 
 
 class TestHomogeneityAcrossMethods:

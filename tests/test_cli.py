@@ -97,22 +97,30 @@ def test_pool_is_bounded_by_the_work(tmp_path, monkeypatch, jobs, scenarios, poo
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "pools", [])
     monkeypatch.setattr(cli, "_worker_task", None)  # the in-process workers set it
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     text = "quad_nr = 16\nquad_ntheta = 16\nmethods = esssup\n" + "[scenario]\n" * scenarios
     out = tmp_path / "out.csv"
     assert run(["bound", "--config", write(tmp_path, text), "--jobs", jobs, "--out", str(out)]) == 0
     assert RecordingPool.pools == pools
     assert len(out.read_text().splitlines()) == 3 + scenarios
-    # the worker start-up gives each worker one BLAS thread by default
-    assert os.environ.get("OPENBLAS_NUM_THREADS") == ("1" if pools else None)
 
 
-def test_worker_keeps_a_set_blas_thread_count(monkeypatch):
-    monkeypatch.setattr(cli, "_worker_task", None)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    cli._start_worker(str)
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-    assert cli._run_in_worker(7) == "7"
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_cli_import_sets_one_blas_thread_before_numpy(monkeypatch, preset, want):
+    # numpy's OpenBLAS reads the variable once, as it loads; the package
+    # __init__ loads no numpy, so the CLI module sets it first, and forked
+    # workers inherit it.  A value already set stays.
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    script = (
+        "import os, sys\n"
+        "import neumann_bounds\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import neumann_bounds.cli\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    assert fresh_python(script) == want
 
 
 def _csv_rows(path):
@@ -716,6 +724,40 @@ def test_float_routes_never_import_mpmath(tmp_path):
     )
     assert fresh_python(script) == "[]"
     assert (tmp_path / "out.csv").read_text().count("\npp,") == 3
+
+
+def test_quasidisk_routes_never_import_mpmath(tmp_path):
+    # the double-exponential chain runs in log-log doubles, so no route of a
+    # bound run needs mpmath
+    cfg = write(
+        tmp_path,
+        "quad_nr = 16\nquad_ntheta = 16\nK = 1.05\nalpha = 12\neps = 2\n"
+        "methods = quasidisc, orlicz_quasidisc, gaussian_sweep\n[scenario]\nid = pp\n"
+        "map = perturbed_power c=0.3 k=2\ndensity = gaussian n=4\n",
+    )
+    out = str(tmp_path / "out.csv")
+    script = (
+        "import sys\n"
+        "from neumann_bounds import cli\n"
+        f"assert cli.main(['bound', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n"
+    )
+    assert fresh_python(script) == "[]"
+    assert [r["method"] for r in _csv_rows(out)[1]][:2] == ["quasidisc", "orlicz_quasidisc"]
+    assert "error:" not in Path(out).read_text()
+
+
+def test_package_import_loads_no_numpy():
+    # the package __init__ is lazy, so the CLI can set the BLAS thread
+    # count before numpy loads; a re-exported name still loads its module
+    script = (
+        "import sys\n"
+        "import neumann_bounds\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy', 'mpmath')))\n"
+        "from neumann_bounds import IdentityMap, bounds\n"
+        "print(IdentityMap.__module__, bounds.__name__)\n"
+    )
+    assert fresh_python(script) == "[]\nneumann_bounds.conformal neumann_bounds.bounds"
 
 
 def test_cli_import_loads_no_process_pool():

@@ -1,4 +1,5 @@
 import functools
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -714,8 +715,6 @@ def test_psi_log_eval_from_log_huge():
 def test_psi_alpha_is_the_eps_free_formula(alpha):
     # at eps = 1 the inner exponent is w itself: Psi_alpha's bits are those
     # of the formula with y = w, the flat region Psi = 0 (w <= 1) included
-    import mpmath as mp
-
     phi, psi = yf.LogLinear(), yf.PsiAlpha(alpha)
     u = np.r_[0.0, np.geomspace(1e-6, 1e6, 200), np.linspace(1.0, 1.5, 51)]
     w = np.asarray(phi.inverse(u))
@@ -729,34 +728,101 @@ def test_psi_alpha_is_the_eps_free_formula(alpha):
         )
     assert np.array_equal(np.asarray(psi.eval(u)), want)
     assert np.array_equal(np.asarray(psi.log_eval(u)), want_log)
+    half = 0.5 * (alpha - 2.0)
     for log_u in np.r_[np.linspace(-10.0, 10.0, 41), 50.0, 700.0, 127834.0]:
         x = float(phi.inverse_log(log_u))
-        w = mp.exp(x)
+        with np.errstate(over="ignore"):
+            w = float(np.exp(x))
+            if w > 1:
+                want = -math.log1p(half) + half * (x + 1.0 + float(yf._log_expm1(w - 1.0)))
         if w <= 1:
-            want = mp.mpf("-inf")
-        else:
-            want = mp.log(mp.mpf(2.0) / alpha) + mp.mpf(alpha - 2.0) / 2 * yf._log_inner(x, w)
-        assert psi.log_eval_from_log(log_u)._mpf_ == want._mpf_, log_u
+            want = -np.inf
+        elif not math.isfinite(want):
+            r = (x - math.log1p(half) / half) * math.exp(-x)
+            want = yf.SignedExp(1.0, math.log(half) + x + math.log1p(r))
+        assert psi.log_eval_from_log(log_u) == want, log_u
 
 
-@pytest.mark.parametrize("prec", [53, 120])
-def test_log_inner_shortcut_is_exact(exp_args, prec):
-    # log1p(-exp(1-y)) is skipped once rounding would discard it; scanning y
-    # across that threshold, both branches must equal the full formula
+def _mp_log_psi(alpha, eps, log_u):
+    """log Psi(u) at 40 digits from the full formula, with the float
+    x = log Minv(u) that the code uses: log(2/alpha) + (alpha-2)/2
+    (x + y + log1p(-e^(1-y))), y = e^(x/eps).  Past y = 1e4 the last term
+    is below 40 digits, and mpmath would take seconds for its exp."""
     import mpmath as mp
 
-    grid = np.arange(20.0, 100.0, 0.125)
-    skipped = 0
-    with mp.workprec(prec):
-        for y in grid:
-            x = float(np.log(y))
-            my = mp.mpf(y)
-            calls = len(exp_args)
-            got = yf._log_inner(x, my)
-            skipped += len(exp_args) == calls
-            full = mp.mpf(x) + 1 + (my - 1) + mp.log1p(-mp.exp(1 - my))
-            assert got._mpf_ == full._mpf_, y
-    assert 0 < skipped < len(grid)
+    x = float(yf.LogPow(eps).inverse_log(log_u))
+    with mp.workdps(40):
+        y = mp.exp(mp.mpf(x) / eps)
+        if y <= 1:
+            return None, None
+        tail = mp.log1p(-mp.exp(1 - y)) if y < 1e4 else 0
+        head, body = mp.log(mp.mpf(2) / alpha), mp.mpf(alpha - 2) / 2 * (x + y + tail)
+        return head + body, abs(head) + abs(body)
+
+
+@pytest.mark.parametrize("eps", [1.0, 2.0])
+def test_log_eval_from_log_matches_the_full_formula(eps):
+    # across where y and then log Psi leave double range: the float path is
+    # within 2e-15 of the sum's scale, and the SignedExp path's l within
+    # 1e-15 of the log of the full formula
+    import mpmath as mp
+
+    paths = set()
+    for alpha in (2.0001, 4.0, 12.0, 1e6):
+        psi = yf.PsiAlpha(alpha, eps)
+        for log_u in np.r_[np.linspace(-10, 10, 41), np.linspace(700, 722, 45), np.linspace(1410, 1440, 31), 1e5]:
+            got = psi.log_eval_from_log(log_u)
+            want, scale = _mp_log_psi(alpha, eps, log_u)
+            if want is None:
+                assert got == -np.inf
+                continue
+            paths.add(type(got))
+            if isinstance(got, yf.SignedExp):
+                with mp.workdps(40):
+                    assert got.sign == 1.0 and abs(got.log_abs - mp.log(want)) <= 1e-15 * mp.log(want)
+            else:
+                assert abs(got - want) <= 2e-15 * scale, (alpha, log_u)
+    assert paths == {float, yf.SignedExp}
+
+
+def test_signed_exp_addition_matches_mpmath():
+    # l + log1p(sign f e^-l) is within one ulp of l of log |v + f|, from the
+    # moderate l where f shows to the chain's, where it falls below the last bit
+    import mpmath as mp
+
+    for ell in np.r_[np.linspace(1.0, 50.0, 99), 100.0, 700.0, 745.0, 1e4, 293604.46875859057764]:
+        for f in (-1e3, -17.3, -2.5, -0.5, 1e-3, 0.7, 3.0, 288.0, 1e3):
+            if ell < 700.0 and abs(f) > math.exp(ell) / 2:
+                continue
+            for sign in (1.0, -1.0):
+                v = yf.SignedExp(sign, float(ell))
+                for got in (v + f, f + v, v - -f):
+                    with mp.workdps(40):
+                        want = sign * mp.exp(mp.mpf(float(ell))) + f
+                        assert got.sign == mp.sign(want)
+                        assert abs(got.log_abs - mp.log(abs(want))) <= math.ulp(got.log_abs), (ell, f)
+
+
+def test_signed_exp_reads_as_a_number():
+    import mpmath as mp
+
+    big = yf.SignedExp(1.0, 293604.46875859057764)
+    assert float(big) == math.inf and float(-big) == -math.inf
+    assert float(yf.SignedExp(-1.0, math.log(3.0))) == pytest.approx(-3.0, rel=1e-15)
+    assert -big == yf.SignedExp(-1.0, big.log_abs)
+    assert -big < -1.7e308 < -1.0 < 0.0 < 1.0 < 1.7e308 < big
+    assert yf.SignedExp(-1.0, 3.0) < -20.0 < yf.SignedExp(-1.0, 2.0)
+    assert 0.0 - big == -big and 1.0 - big == -big
+    small = yf.SignedExp(1.0, 2.0)
+    assert -small < 1.0 - small < small - 1.0 < small < small + 1.0
+    assert str(-big) == "-6.31894e+127510"
+    assert str(yf.SignedExp(1.0, math.log(9.9999999))) == "1e+1"
+    assert f"{yf.SignedExp(1.0, math.log(0.015))}" == "1.5e-2"
+    # mpmath converts it, and compares and combines it as its value
+    with mp.workdps(30):
+        assert mp.mpf(yf.SignedExp(-1.0, math.log(3.0))) == pytest.approx(-3.0, rel=1e-15)
+        assert mp.mpf(10) ** 127510 < big and big > mp.mpf(10) ** 127510
+        assert mp.isfinite(big) and mp.log(big) == pytest.approx(big.log_abs, rel=1e-15)
 
 
 def test_table_young():
