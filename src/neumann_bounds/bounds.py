@@ -187,11 +187,11 @@ def _logsumexp(a):
 
 def _finish(method, bound_log, intermediates, flags, params):
     # a SignedExp bound_log stays one; its float() is -inf when negative
-    # beyond double range, which gives bound 0.0
+    # beyond double range, and math.exp gives 0.0 below the least subnormal
     log_value = float(bound_log)
     if not isinstance(bound_log, SignedExp):
         bound_log = log_value
-    bound = math.exp(log_value) if log_value > -745.0 else 0.0
+    bound = math.exp(log_value)
     flags = list(flags)
     if bound == 0.0:
         flags.append(FLAG_UNDERFLOW)

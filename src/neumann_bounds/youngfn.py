@@ -33,8 +33,8 @@ constants are composed entirely in log space.
 from __future__ import annotations
 
 import logging
+import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -106,16 +106,16 @@ def _log_exp_plus_e(x):
     return np.maximum(x, 1.0) + np.log1p(np.exp(-np.abs(x - 1.0)))
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class SignedExp:
     """The real number sign * e^log_abs, for values beyond double range.
 
     The quasidisk chain's log Psi(T) is such a value: its log, not the
     value, is a double.  ``float()`` gives the value, +-inf beyond double
-    range.  Negation, ordering against floats and other instances, and
-    adding a float stay in log space: log |v + f| = log_abs +
-    log1p(sign f e^-log_abs), which holds while |f| < e^log_abs, and so for
-    every float once log_abs > 710.  mpmath converts an instance through
+    range.  Negation, ordering against floats and adding a float stay in
+    log space: log |v + f| = log_abs + log1p(sign f e^-log_abs), which holds
+    while |f| < e^log_abs, and so for every float once log_abs > 710.  mpmath converts an instance through
     ``_mpmath_``; the package itself never imports mpmath.
     """
 
@@ -146,16 +146,13 @@ class SignedExp:
         return -self + other
 
     def __lt__(self, other):
-        return _compare(operator.lt, self, other)
-
-    def __le__(self, other):
-        return _compare(operator.le, self, other)
-
-    def __gt__(self, other):
-        return _compare(operator.gt, self, other)
-
-    def __ge__(self, other):
-        return _compare(operator.ge, self, other)
+        # against a float; total_ordering gives the other three
+        if not isinstance(other, _REALS):
+            return NotImplemented
+        f = float(other)
+        if f == 0.0 or (f > 0.0) != (self.sign > 0.0):
+            return self.sign < 0.0
+        return self.sign * self.log_abs < self.sign * math.log(abs(f))
 
     def __str__(self):
         """Six significant digits in mantissa-exponent form, e.g. -6.31894e+127510."""
@@ -173,24 +170,6 @@ class SignedExp:
 
 
 _REALS = (int, float, np.integer, np.floating)
-
-
-def _order_key(v):
-    """(sign, sign * log |v|): tuples that order as the values v do."""
-    if isinstance(v, SignedExp):
-        return v.sign, v.sign * v.log_abs
-    v = float(v)
-    if v == 0.0:
-        return 0.0, 0.0
-    sign = math.copysign(1.0, v)
-    return sign, sign * math.log(abs(v))
-
-
-def _compare(op, a, b):
-    # other number types (mpmath's) compare by converting the SignedExp
-    if not isinstance(b, (SignedExp, *_REALS)):
-        return NotImplemented
-    return op(_order_key(a), _order_key(b))
 
 
 class YoungFunction:
@@ -425,7 +404,7 @@ class LogPow(YoungFunction):
         the correction underflows, so a ``SignedExp`` far below double range
         comes back as it is.
         """
-        if isinstance(log_s, SignedExp) and log_s < -746.0:
+        if isinstance(log_s, SignedExp) and float(log_s) < -746.0:
             return log_s
         log_s = float(log_s)
         return log_s - self.eps * float(np.log(_log_exp_plus_e(log_s)))

@@ -429,19 +429,25 @@ class TestLogLogChain:
                 assert abs(got - full) <= 2 * math.ulp(-log_s), log_s
 
     def test_finish_underflow(self):
-        # a SignedExp bound_log stays in the report; the bound is within an
-        # ulp of the exp of its float, and 0.0 with the flag beyond that
-        for log_abs in [*np.log(np.arange(730.0, 760.0, 0.0625)), 1e3, 293604.46875859057764]:
-            bound_log = yf.SignedExp(-1.0, float(log_abs))
+        # across the subnormal range, for a float or a SignedExp bound_log:
+        # the bound is within an ulp of the 40-digit exp of its float, 0.0
+        # exactly where that exp rounds to 0.0, and flagged exactly then
+        grid = [*np.arange(-760.0, -730.0, 0.0625), -745.13, -745.1, -745.05, -745.0]
+        values = [*grid, *(yf.SignedExp(-1.0, math.log(-x)) for x in grid)]
+        values += [yf.SignedExp(-1.0, 1e3), yf.SignedExp(-1.0, 293604.46875859057764)]
+        for bound_log in values:
             rep = bd._finish("m", bound_log, {}, [], {})
-            assert rep.bound_log is bound_log
-            if log_abs < 7.0:
-                with mp.workdps(40):
-                    want = float(mp.exp(mp.mpf(float(bound_log))))
-                assert abs(rep.bound - want) <= math.ulp(want), log_abs
+            if isinstance(bound_log, yf.SignedExp):
+                assert rep.bound_log is bound_log
             else:
-                assert float(bound_log) == -math.inf and rep.bound == 0.0
+                assert type(rep.bound_log) is float and rep.bound_log == bound_log
+            with mp.workdps(40):
+                want = float(mp.exp(mp.mpf(float(bound_log))))
+            assert abs(rep.bound - want) <= math.ulp(want), bound_log
+            assert (rep.bound == 0.0) == (want == 0.0), bound_log
             assert (bd.FLAG_UNDERFLOW in rep.validity_flags) == (rep.bound == 0.0)
+        # the window the old -745.0 cut sent to 0.0 keeps its subnormal
+        assert bd._finish("m", -745.1, {}, [], {}).bound == 5e-324
 
     def test_chain_runs_in_log_log_doubles(self):
         # at alpha=12, K=1.05, log Psi(T) ~ 6e127510: each chain value is

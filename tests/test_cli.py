@@ -769,13 +769,15 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_pooled_verify_leaves_the_parent_as_it_was(tmp_path):
-    # the workers, not the parent, load scipy, so each reads its own
-    # OPENBLAS_NUM_THREADS default after the fork; none outlives main
+    # the workers, not the parent, load scipy; importing cli adds the one
+    # key OPENBLAS_NUM_THREADS=1 (unset here), which the workers inherit,
+    # and the run changes the environment no further; no worker outlives main
     out = tmp_path / "out.csv"
     script = (
         "import multiprocessing, os, sys\n"
+        "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+        "env = {**os.environ, 'OPENBLAS_NUM_THREADS': '1'}\n"
         "from neumann_bounds import cli\n"
-        "env = dict(os.environ)\n"
         f"argv = ['verify', '--config', {write(tmp_path, BASIC)!r}, '--fem-level', '3']\n"
         f"assert cli.main([*argv, '--jobs', '2', '--out', {str(out)!r}]) == 0\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"

@@ -814,7 +814,9 @@ def test_signed_exp_reads_as_a_number():
     assert yf.SignedExp(-1.0, 3.0) < -20.0 < yf.SignedExp(-1.0, 2.0)
     assert 0.0 - big == -big and 1.0 - big == -big
     small = yf.SignedExp(1.0, 2.0)
-    assert -small < 1.0 - small < small - 1.0 < small < small + 1.0
+    for got, want in [(1.0 - small, 1.0 - math.e**2), (small - 1.0, math.e**2 - 1.0), (small + 1.0, math.e**2 + 1.0)]:
+        assert float(got) == pytest.approx(want, rel=1e-15)
+        assert -small < float(got) < small + 2.0
     assert str(-big) == "-6.31894e+127510"
     assert str(yf.SignedExp(1.0, math.log(9.9999999))) == "1e+1"
     assert f"{yf.SignedExp(1.0, math.log(0.015))}" == "1.5e-2"
