@@ -163,26 +163,13 @@ class BoundReport:
     params: dict = field(default_factory=dict)
 
 
-def _logsumexp(a):
-    """log(sum(exp(a))) of a 1-D float array, without overflow.
-
-    Reproduces ``scipy.special.logsumexp(a)`` bit for bit (scipy 1.17
-    arithmetic), so the bound routes need no scipy import: the maximal
-    entries are counted and summed apart from the shifted rest, and a
-    non-finite result falls back to the direct sum.
-    """
-    a = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max()
-        at_max = a == a_max
-        m = np.sum(at_max, dtype=float)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
-        if s != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a)))
-    return float(out)
+def _log_norm(log_f, log_w, r):
+    """log (sum_i w_i f_i^r)^(1/r) from finite log f and log w, without
+    overflow: (top + log sum exp(a - top)) / r, a = r log f + log w and
+    top = max a."""
+    a = r * log_f + log_w
+    top = a.max()
+    return float((top + np.log(np.sum(np.exp(a - top)))) / r)
 
 
 def _finish(method, bound_log, intermediates, flags, params):
@@ -282,9 +269,7 @@ def k_q(cmap, rho, q, quad, pullback=None):
     """
     ScenarioParams(q=q).validate_q()
     g = _pullback(cmap, rho, quad, pullback).mass_density
-    r = q / (q - 2.0)
-    log_terms = r * np.log(g) + np.log(quad.weights)
-    return float(math.exp(_logsumexp(log_terms) / r))
+    return math.exp(_log_norm(np.log(g), np.log(quad.weights), q / (q - 2.0)))
 
 
 def mu_lower_kq(cmap, rho, p, q, quad, pullback=None):
@@ -389,10 +374,8 @@ def _log_rho_norm_pullback(pullback, s):
     Uses the density's log-space twin, so sharply concentrated densities
     whose tails underflow linear evaluation stay usable.
     """
-    log_terms = (
-        s * pullback.log_density + np.log(pullback.jacobian) + np.log(pullback.quad.weights)
-    )
-    return float(_logsumexp(log_terms) / s)
+    log_w = np.log(pullback.jacobian) + np.log(pullback.quad.weights)
+    return _log_norm(pullback.log_density, log_w, s)
 
 
 def mu_lower_quasidisc(cmap, rho, params, quad, pullback=None):
@@ -602,15 +585,12 @@ def mu_lower_orlicz_quasidisc(cmap, rho, params, b_m_eps=None, quad=None, pullba
 
     log_t = 0.5 * (alpha - 2.0) * math.log(alpha / (alpha - 2.0)) + 0.5 * alpha * lcj
     log_psi_t = psi.log_eval_from_log(log_t)  # SignedExp, astronomically large
-    log_phi_inv = LogLinear().inverse_log_tiny(-log_psi_t)  # log PhiInv(1/Psi(T))
+    # log PhiInv(1/Psi(T)): -log Psi(T) is its own root, far below double range
+    log_phi_inv = LogLinear().inverse_log(-log_psi_t)
     log_c_tilde = math.log(288.0) + math.log(c_psi) - log_phi_inv
 
     # bound_log = log PhiEpsInv(1/norm) - log C~ - 2 log B
-    log_phi_eps_inv = float(
-        phi_eps.inverse_log(math.log(1.0 / norm_psi_star))
-        if norm_psi_star > 0
-        else 0.0
-    )
+    log_phi_eps_inv = float(phi_eps.inverse_log(math.log(1.0 / norm_psi_star)))
     bound_log = log_phi_eps_inv - log_c_tilde - 2.0 * math.log(b_m_eps)
 
     inter = {

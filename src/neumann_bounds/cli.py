@@ -111,8 +111,6 @@ from dataclasses import dataclass, field, fields, replace
 # before numpy loads its OpenBLAS, which reads this once (see "Parallel runs")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from . import __version__
 from . import bounds as bnd
 from . import fem_oracle
@@ -126,13 +124,7 @@ from .youngfn import ExpSquare, LogLinear, LogPow, PowerP
 def fmt(x):
     """Fixed 17-significant-digit formatting; a ``SignedExp`` beyond double
     range prints as its float, +-inf."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, complex):
-        return f"{x.real:.17g}{x.imag:+.17g}j"
-    return f"{float(x):.17g}"
+    return x if isinstance(x, str) else f"{float(x):.17g}"
 
 
 class Shared:

@@ -6,11 +6,11 @@ by the eigenvalue bounds (power functions, exponential types, the
 ``u log(u+e)`` family and its powered variant, and the conjugate-power
 compositions built from them), together with
 
-* numerical inverses: Newton's method for the ``u log^eps(u+e)`` family,
-  with a log-domain twin so that arguments far outside double range stay
-  usable, and a bracketed bisection for kinds without a closed form; each
-  entry stops at its own tolerance, so an inverse depends on its target
-  alone,
+* numerical inverses: for the ``u log^eps(u+e)`` family, Newton's method,
+  in u for ``inverse`` and in log u for ``inverse_log``, whose targets may
+  lie far outside double range, and a bracketed bisection for kinds without
+  a closed form; each entry stops at its own tolerance, so an inverse
+  depends on its target alone,
 * complementary (convex conjugate) functions, closed-form where registered
   and a one-sided numeric fallback otherwise,
 * probes for the submultiplicativity / supermultiplicativity growth
@@ -64,8 +64,8 @@ log = logging.getLogger(__name__)
 _E = float(np.e)
 _INVERSE_RTOL = 1e-10  # relative width at which the inverse bisection stops
 _INVERSE_LEVELS = 200  # the inverse bisection stops at this level in any case
-_NEWTON_RTOL = 1e-13  # relative step at which LogPow's Newton inverse stops
-_NEWTON_STEPS = 100  # LogPow's Newton inverse raises after this many steps
+_NEWTON_RTOL = 1e-13  # step in log u at which LogPow's Newton inverses stop
+_NEWTON_STEPS = 100  # LogPow's Newton inverses raise after this many steps
 # the inflection of x -> log log(e^x + e) lies at u = e^x = _U_BEND, where
 # log(u + e) = u / e
 _U_BEND = 5.833958031974924
@@ -100,10 +100,11 @@ def _log_expm1(y):
     return out
 
 
-def _log_exp_plus_e(x):
-    """log(e^x + e) without overflow, for any float x (elementwise)."""
+def _log_log_exp_plus_e(x):
+    """log log(e^x + e) for any float x (elementwise): the log1p of
+    max(x - 1, 0) + log1p(e^-|x - 1|), which keeps its digits near x = 1."""
     x = np.asarray(x, dtype=float)
-    return np.maximum(x, 1.0) + np.log1p(np.exp(-np.abs(x - 1.0)))
+    return np.log1p(np.maximum(x - 1.0, 0.0) + np.log1p(np.exp(-np.abs(x - 1.0))))
 
 
 @functools.total_ordering
@@ -194,9 +195,10 @@ class YoungFunction:
         """Solve M(u) = t for u >= 0.
 
         ``inverse(0) == 0``.  Without a closed form this is a bracketed
-        bisection, which raises when 2048 bracket doublings fail to enclose
-        ``t``.  Each entry stops at its own relative width, so its value
-        depends on its target alone.
+        bisection, which raises ``ConvergenceError`` when M(2^1023), the
+        last bracket doubling short of overflow, is still below ``t``.
+        Each entry stops at its own relative width, so its value depends on
+        its target alone.
         """
         return _gate(self._inverse, t, "inverse target")
 
@@ -222,15 +224,13 @@ class YoungFunction:
         hi = np.ones_like(t)
         with np.errstate(over="ignore"):
             need = self.eval(hi) < t
-            for _ in range(2048):
+            for _ in range(1023):  # 2^1023 is the last power of two below overflow
                 if not need.any():
                     break
                 hi[need] *= 2.0
                 need = self.eval(hi) < t
-            else:
-                raise ConvergenceError(
-                    f"{self.name}: no bracket for inverse after 2048 doublings"
-                )
+            if need.any():
+                raise ConvergenceError(f"{self.name}: no bracket for inverse below 2^1023")
             todo = np.arange(len(t))  # entries wider than their own stop
             for _ in range(_INVERSE_LEVELS):
                 mid = 0.5 * (lo[todo] + hi[todo])
@@ -364,50 +364,47 @@ class LogPow(YoungFunction):
     def log_eval_from_log(self, x):
         """log M(e^x) for unrestricted float x (no overflow)."""
         x = np.asarray(x, dtype=float)
-        return x + self.eps * np.log(_log_exp_plus_e(x))
+        return x + self.eps * _log_log_exp_plus_e(x)
 
     def inverse_log(self, log_t):
-        """log of the inverse: solve log M(e^x) = log_t for x by bisection.
+        """log of the inverse: solve log M(e^x) = log_t for x.
 
-        Works for targets far outside double range in either direction; this
-        is the asymptotic branch used for tiny and huge arguments.  Accepts
-        any float or float array; +-inf map to +-inf and NaN raises
-        ``DomainError``.  Each entry stops at its own width, so its value
-        depends on its target alone.
+        ``_inverse``'s Newton step, start and stop, taken in x = log u so
+        that targets far outside double range stay usable (``_inverse``
+        stays in u, which x ~ 700 would resolve only to 1e-13).  Accepts a
+        float or float array, where +-inf map to +-inf and NaN raises
+        ``DomainError``, or a ``SignedExp``: read as its float in double
+        range, and below -746 returned as it is, since the correction
+        eps log(1 + e^(x-1)) to log M(e^x) = x underflows there.  An entry
+        also stops once a step leaves x as it was.
         """
+        if isinstance(log_t, SignedExp):
+            if float(log_t) < -746.0:
+                return log_t
+            log_t = float(log_t)
         out = np.array(log_t, dtype=float)  # log M(e^x) -> +-inf as x -> +-inf
         if np.isnan(out).any():
             raise DomainError(f"inverse_log target must not be NaN, got {log_t!r}")
         fin = np.isfinite(out)
         t = out[fin]
-        hi = t.copy()  # log M(e^x) >= x, so x <= log t
-        lo = t - self.eps * np.log(_log_exp_plus_e(t)) - 1.0
-        todo = np.arange(t.size)  # entries wider than their own stop
-        for _ in range(120):
-            # a midpoint as lo + half the width: lo + hi overflows near 1.8e308
-            mid = lo[todo] + 0.5 * (hi[todo] - lo[todo])
-            high = self.log_eval_from_log(mid) >= t[todo]
-            hi[todo[high]] = mid[high]
-            lo[todo[~high]] = mid[~high]
-            todo = todo[hi[todo] - lo[todo] > 1e-14 * np.maximum(np.abs(hi[todo]), 1.0)]
-            if not len(todo):
-                break
-        out[fin] = lo + 0.5 * (hi - lo)
-        return out[()]
-
-    def inverse_log_tiny(self, log_s):
-        """log of the inverse at s = e^log_s near zero, for a float or a
-        ``SignedExp`` log_s.
-
-        Near zero, u log^eps(u+e) ~ u, so log Minv(s) is log s minus
-        eps log log(s+e), an exp(log s)-scale correction.  Below log s = -746
-        the correction underflows, so a ``SignedExp`` far below double range
-        comes back as it is.
-        """
-        if isinstance(log_s, SignedExp) and float(log_s) < -746.0:
-            return log_s
-        log_s = float(log_s)
-        return log_s - self.eps * float(np.log(_log_exp_plus_e(log_s)))
+        eps, x_bend = self.eps, math.log(_U_BEND)
+        up = self.log_eval_from_log(x_bend) <= t
+        x = np.where(up, np.maximum(t - eps * _log_log_exp_plus_e(t), x_bend), np.minimum(t, x_bend))
+        todo = np.ones_like(up)
+        with np.errstate(over="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                if not todo.any():
+                    out[fin] = x
+                    return out[()]
+                # slope 1 + eps / ((1 + e^(1-x)) log(e^x + e)); x goes last,
+                # where the residual's subtraction is exact near the root
+                log_log = _log_log_exp_plus_e(x)
+                slope = 1.0 + eps * np.exp(-log_log) / (1.0 + np.exp(1.0 - x))
+                dx = (t - eps * log_log - x) / slope
+                stepped = np.where(todo, x + dx, x)
+                todo &= (np.where(up, dx, -dx) > _NEWTON_RTOL) & (stepped != x)
+                x = stepped
+        raise ConvergenceError(f"{self.name}: inverse_log did not settle in {_NEWTON_STEPS} steps")
 
 
 class LogLinear(LogPow):

@@ -108,7 +108,8 @@ class TestKq:
             bd.k_q(identity_map, rho_one, 2.0, quad64)
 
 
-def _logsumexp_cases():
+def _log_norm_cases():
+    # (log f, log w) pairs; the last has r log f above 709, where exp overflows
     rng = np.random.default_rng(2024)
     cases = {f"normal-{n}": rng.standard_normal(n) for n in (1, 2, 7, 65536)}
     cases["spread-700"] = rng.uniform(-700.0, 700.0, 1000)
@@ -116,21 +117,20 @@ def _logsumexp_cases():
     ties[[3, 17, 41]] = ties.max() + 1.0
     cases["ties-at-max"] = ties
     cases["all-tied"] = np.full(9, -2.5)
-    with_ninf = rng.standard_normal(20)
-    with_ninf[[0, 5]] = -np.inf
-    cases["with-neg-inf"] = with_ninf
-    cases["all-neg-inf"] = np.full(4, -np.inf)
-    with_pinf = rng.standard_normal(6)
-    with_pinf[2] = np.inf
-    cases["with-pos-inf"] = with_pinf
-    return cases
+    cases["beyond-exp-range"] = rng.uniform(280.0, 300.0, 100)
+    return {k: (v, np.log(rng.uniform(0.5, 2.0, v.size))) for k, v in cases.items()}
 
 
-@pytest.mark.parametrize("a", _logsumexp_cases().values(), ids=_logsumexp_cases())
-def test_logsumexp_matches_scipy_bit_for_bit(a):
-    from scipy.special import logsumexp
-
-    assert bd._logsumexp(a) == float(logsumexp(a))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("log_f,log_w", _log_norm_cases().values(), ids=_log_norm_cases())
+def test_log_norm_matches_mpmath(log_f, log_w):
+    # log (sum w f^r)^(1/r) within two ulps of the 40-digit sum of the same doubles
+    r = 2.5
+    got = bd._log_norm(log_f, log_w, r)
+    with mp.workdps(40):
+        terms = (mp.exp(r * mp.mpf(a) + mp.mpf(b)) for a, b in zip(log_f, log_w))
+        want = mp.log(mp.fsum(terms)) / r
+    assert abs(got - want) <= 2 * math.ulp(float(want))
 
 
 class TestMuLowerKq:
@@ -192,6 +192,27 @@ class TestLogCJ:
         # nu = 10^12 * (1/2) * (24 pi^2 1.1025)^3 >> 1
         nu = 1e12 * 0.5 * (24 * np.pi**2 * 1.05**2) ** 3
         assert inter["ln_nu"] == pytest.approx(math.log(nu), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [2.0 + 1e-14, 2.0 + 1e-13])
+    def test_nu_below_one(self, alpha):
+        # within about 1.9e-13 of alpha = 2, nu < 1 (ln nu = -2.86 and -0.58
+        # here): no flag, and the docstring formula at 40 digits, taken at
+        # the same double alpha
+        value, flags, inter = bd.log_c_j(alpha, 1.0, np.pi)
+        assert flags == [] and inter["ln_nu"] < 0.0
+        with mp.workdps(40):
+            a, pi = mp.mpf(alpha), mp.pi
+            nu = mp.mpf(10) ** (4 * a) * (a - 2) / (a - 1) * (24 * pi**2) ** a
+            c_alpha = mp.mpf(10) ** 6 / ((a - 1) * (1 - nu)) ** (1 / a)
+            want = (
+                2 * mp.log(c_alpha)
+                + (2 / a - 1) * mp.log(pi)
+                - mp.log(4)
+                + pi**2 * (2 + pi**4) ** 2 / (2 * mp.log(3))
+                + mp.log(np.pi)
+            )
+            assert abs(inter["ln_abs_one_minus_nu"] - mp.log(1 - nu)) <= 1e-14 * abs(mp.log(1 - nu))
+        assert abs(value - want) <= 1e-15 * want
 
     def test_recomposition(self):
         value, _, inter = bd.log_c_j(4.0, 1.2, 1.7)
@@ -302,6 +323,19 @@ class TestKPhi:
         base = bd.k_phi(pp_map, dn.ConstantDensity(1.0), phi, quad64)
         got = bd.k_phi(pp_map, dn.ConstantDensity(2.0), phi, quad64)
         assert got == pytest.approx(2.0 * base, rel=1e-9)
+
+    @pytest.mark.parametrize("map_spec", ["identity", "perturbed_power c=0.5 k=3"])
+    @pytest.mark.parametrize(
+        "rho", [dn.ConstantDensity(1.0), dn.GaussianDensity(4.0)], ids=["one", "gauss4"]
+    )
+    def test_power_two_is_a_weighted_l2_norm(self, map_spec, rho, quad64):
+        # Phi(u) = u^2 has PhiInv(J) = sqrt(J), so k_phi = sqrt(sum w rho^2 J^2),
+        # to the Luxemburg search's 1e-12 relative stop
+        cmap = cf.map_from_spec(map_spec)
+        got = bd.k_phi(cmap, rho, yf.PowerP(2.0), quad64)
+        pb = cf.Pullback(cmap, rho, quad64)
+        want = math.sqrt(np.sum(quad64.weights * pb.density**2 * pb.jacobian**2))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestMuLowerOrlicz:
@@ -414,19 +448,25 @@ class TestLogLogChain:
 
     @pytest.mark.parametrize("wrap", ["float", "signed_exp"])
     @pytest.mark.parametrize("eps_exponent", [1.0, 2.0])
-    def test_log_phi_inv_tiny(self, wrap, eps_exponent):
-        # across where the correction underflows, and where a SignedExp
-        # comes back as it is, within two ulps of log s of the full formula
+    def test_inverse_log_of_a_tiny_target(self, wrap, eps_exponent):
+        # across where the correction eps log(1 + e^(x-1)) underflows: a
+        # SignedExp below -746 comes back as it is, one in range as its
+        # float's root, and each root is within three ulps of 40 digits
         phi = yf.LogPow(eps_exponent)
         for log_s in np.arange(-800.0, -1.0, 0.125):
             arg = float(log_s) if wrap == "float" else yf.SignedExp(-1.0, math.log(-log_s))
-            got = phi.inverse_log_tiny(arg)
-            if wrap == "signed_exp" and log_s < -746.5:
-                assert got is arg
+            got = phi.inverse_log(arg)
+            if wrap == "signed_exp":
+                if float(arg) < -746.0:
+                    assert got is arg
+                    got = float(arg)
+                else:
+                    assert log_s >= -746.5
+                    assert got == phi.inverse_log(float(arg))
             with mp.workdps(40):
-                s = mp.mpf(arg)
-                full = s - eps_exponent * mp.log(1 + mp.log1p(mp.exp(s - 1)))
-                assert abs(got - full) <= 2 * math.ulp(-log_s), log_s
+                f = lambda x: x + eps_exponent * mp.log(mp.log(mp.exp(x) + mp.e)) - float(arg)
+                root = mp.findroot(f, mp.mpf(got))
+                assert abs(got - root) <= 3 * math.ulp(float(root)), log_s
 
     def test_finish_underflow(self):
         # across the subnormal range, for a float or a SignedExp bound_log:
@@ -491,7 +531,7 @@ class TestLogLogChain:
                     x = float(yf.LogLinear().inverse_log(log_t))
                     want = _mp_log_log_psi(alpha, x)
                     assert abs(log_psi_t.log_abs - want) <= 1e-10 * want, (K, alpha, area)
-                    log_phi_inv = yf.LogLinear().inverse_log_tiny(-log_psi_t)
+                    log_phi_inv = yf.LogLinear().inverse_log(-log_psi_t)
                     log_c_tilde = math.log(288.0) + math.log(2.5) - log_phi_inv
                     bound_log = -1.2 - log_c_tilde - 2.0 * math.log(0.6)
                     with mp.workdps(40):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from neumann_bounds import conformal as cf
 from neumann_bounds import youngfn as yf
-from neumann_bounds.errors import DomainError, ParameterError
+from neumann_bounds.errors import ConvergenceError, DomainError, ParameterError
 
 from fakes import TableYoung
 
@@ -157,6 +157,50 @@ def test_inverse_log_at_the_ends_of_double_range(eps):
         phi.inverse_log(np.nan)
     with pytest.raises(DomainError):
         phi.inverse_log(np.array([1.0, np.nan]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [1.0, 2.0, 3.7])
+def test_inverse_log_matches_40_digit_roots(eps):
+    # within three ulps of the root's scale max(|x|, |log t|): a root near
+    # 0 is ill-conditioned, as x + eps log log(e^x + e) cancels there, and
+    # near the top of double range the ulp is measured downwards, as the
+    # ulp above float max is inf
+    import mpmath as mp
+
+    phi = yf.LogPow(eps)
+    top = np.finfo(float).max
+    targets = np.r_[-np.geomspace(1e6, 1e-3, 170), 0.0, np.geomspace(1e-3, 1e9, 170), 1e308, top]
+    for log_t in targets:
+        x = float(phi.inverse_log(log_t))
+        with mp.workdps(40):
+            f = lambda y: y + eps * mp.log(mp.log(mp.exp(y) + mp.e)) - float(log_t)
+            err = abs(x - mp.findroot(f, mp.mpf(x)))
+        scale = max(abs(x), abs(log_t))
+        assert err <= 3 * (scale - np.nextafter(scale, 0.0)), log_t
+
+
+def test_inverse_log_stops_where_a_step_leaves_x_as_it_was():
+    # at eps = 1e4 the last Newton step can exceed _NEWTON_RTOL and still
+    # round away, which would repeat it until the step cap
+    phi = yf.LogPow(1e4)
+    for log_t in (80911.39904085659, 101552.56214982159):
+        assert phi.log_eval_from_log(phi.inverse_log(log_t)) == log_t
+
+
+class _Tiny(yf.YoungFunction):
+    """M(u) = 1e-300 u: a target of 1e10 lies beyond M(2^1023)."""
+
+    name = "tiny"
+
+    def _eval(self, u):
+        return 1e-300 * u
+
+
+def test_bisect_inverse_raises_when_no_finite_bracket():
+    assert _Tiny().inverse(1e-300 * 2.0**1000) == pytest.approx(2.0**1000, rel=1e-9)
+    with pytest.raises(ConvergenceError):
+        _Tiny().inverse(1e10)
 
 
 def bits(x):
