@@ -3,7 +3,10 @@
 Commands
 --------
 bound   compute the requested analytic lower bounds per scenario
-verify  bounds plus the FEM reference; flags unsound rows, exit 1 on any
+verify  bounds plus the FEM reference; flags unsound rows, exit 1 on any;
+        a gaussian_sweep[n=..] row bounds mu for e^(-n|x|^2), not for the
+        scenario's density, so its mu_fem and ratio are nan and its sound
+        is unchecked
 sweep   Gaussian-density sweep with a log-log slope summary row
 norms   standalone norm/functional values (luxemburg, kq, kphi)
 
@@ -88,14 +91,15 @@ thread pool.
 
 Shared work: the scenarios of a config hold one ``Shared`` object.  It
 builds and certifies each distinct map spec text once, and keeps, per
-process, the map-side samples (J, PhiInv(J), image area) of the last
-(map, quadrature) a scenario used.  ``fem_oracle.mu_fem`` keeps the meshes,
-their stiffness matrices and the eigensolver's factorizations of them for
-the last map's two levels, keyed on the map object.  A scenario on the same
-map then computes only its density's share.  Workers receive tasks in
-config order, so each computes a map's share once per run of consecutive
-scenarios on it.  The CSV bytes do not
-depend on what is shared, and a new config starts with nothing shared.
+process, the map-side samples (J, PhiInv(J) per eps, image area) of the
+last (map, quadrature) a scenario used.  A scenario's methods share its
+density-side samples, rho(phi(z)) and log rho(phi(z)), on one pull-back.
+``fem_oracle.mu_fem`` keeps the meshes, their stiffness matrices and the
+eigensolver's factorizations of them for the last map's two levels, keyed
+on the map object.  A scenario on the same map then computes only its
+density's share.  Workers receive tasks in config order, so each computes a
+map's share once per run of consecutive scenarios on it.  The CSV bytes do
+not depend on what is shared, and a new config starts with nothing shared.
 """
 
 from __future__ import annotations
@@ -441,10 +445,13 @@ def _rows_verify(sc, built, tol, corrupt=1.0):
         if isinstance(rep, str):
             rows.append([sc.sid, name, "nan", fmt(mu_ref), "nan", "false", rep])
         elif not isinstance(rep, dict):  # slope summaries carry no soundness claim
-            bound = corrupt * rep.bound
-            ratio = bound / mu_ref
-            sound, flags = "true" if ratio <= 1.0 + tol else "false", ";".join(rep.validity_flags)
-            rows.append([sc.sid, name, fmt(bound), fmt(mu_ref), fmt(ratio), sound, flags])
+            bound, flags = corrupt * rep.bound, ";".join(rep.validity_flags)
+            if method == "gaussian_sweep":  # a bound for e^(-n|x|^2), not for this density
+                rows.append([sc.sid, name, fmt(bound), "nan", "nan", "unchecked", flags])
+            else:
+                ratio = bound / mu_ref
+                sound = "true" if ratio <= 1.0 + tol else "false"
+                rows.append([sc.sid, name, fmt(bound), fmt(mu_ref), fmt(ratio), sound, flags])
     return rows
 
 

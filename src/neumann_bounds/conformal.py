@@ -1,9 +1,13 @@
 """Conformal map families on the unit disk and quadrature over it.
 
 Every registered family is analytic with a closed-form derivative, so the
-Jacobian J(z) = |phi'(z)|^2 is exact at quadrature nodes.  Construction runs
-a univalence certificate (Re phi' > 0 on a boundary-refined grid, a
-sufficient criterion for injectivity); maps failing it are rejected.
+Jacobian J(z) = |phi'(z)|^2 is exact at quadrature nodes.  Identity and
+perturbed power are the polynomial maps with coefficients (1) and
+(1, 0, ..., 0, c/k).  Construction runs a univalence certificate (Re phi' > 0
+on a boundary-refined grid, a sufficient criterion for injectivity); maps
+failing it are rejected.  The routes read every sample from a ``Pullback``,
+the log density samples included; its density samples pass
+``DensityField.on_disk``, the one density gate.
 
 The quadrature is a tensor rule: Gauss-Legendre in the r^2 variable times a
 uniform (trapezoidal) angular grid.  It integrates polynomials in (x, y) of
@@ -211,46 +215,11 @@ class ConformalMap:
         return f"<{self.__class__.__name__} {self.name}>"
 
 
-class IdentityMap(ConformalMap):
-    name = "identity"
-    closed_form_area = np.pi
-    derivative_sup_bound = 1.0
-
-    def map(self, z):
-        return np.asarray(z, dtype=complex)
-
-    def derivative(self, z):
-        return np.ones_like(np.asarray(z, dtype=complex))
-
-
-class PerturbedPowerMap(ConformalMap):
-    """phi(z) = z + (c/k) z^k with k >= 2; univalent whenever |c| < 1."""
-
-    def __init__(self, c, k):
-        k = int(k)
-        if k < 2:
-            raise ParameterError(f"power index k must be >= 2, got {k}")
-        self.c = complex(c)
-        self.k = k
-        self.name = f"perturbed_power(c={self.c:g},k={k})"
-        self.closed_form_area = np.pi * (1.0 + abs(self.c) ** 2 / k)
-        self.derivative_sup_bound = 1.0 + abs(self.c)
-        self._certify_univalence()
-
-    def map(self, z):
-        z = np.asarray(z, dtype=complex)
-        return z + (self.c / self.k) * z**self.k
-
-    def derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        return 1.0 + self.c * z ** (self.k - 1)
-
-
 class PolynomialMap(ConformalMap):
     """phi(z) = sum_j coeffs[j-1] z^j (no constant term).
 
     Image area has the closed form pi * sum_j j |a_j|^2 by orthogonality of
-    powers on the disk.
+    powers on the disk.  phi and phi' come from Horner's rule, in place.
     """
 
     def __init__(self, coeffs):
@@ -260,25 +229,49 @@ class PolynomialMap(ConformalMap):
         if coeffs[0] == 0:
             raise ParameterError("leading (z^1) coefficient must be nonzero")
         self.coeffs = coeffs
+        # a subclass names its family first, for the certificate's message
+        vars(self).setdefault("name", f"polynomial(deg={len(coeffs)})")
         j = np.arange(1, len(coeffs) + 1)
-        self.name = f"polynomial(deg={len(coeffs)})"
+        self._slopes = j * coeffs  # the coefficients of phi'
         self.closed_form_area = float(np.pi * np.sum(j * np.abs(coeffs) ** 2))
         self.derivative_sup_bound = float(np.sum(j * np.abs(coeffs)))
         self._certify_univalence()
 
     def map(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for j in range(len(self.coeffs), 0, -1):
-            out = (out + self.coeffs[j - 1]) * z
+        out = np.zeros_like(z, dtype=complex)
+        for a in self.coeffs[::-1]:
+            out += a
+            out *= z
         return out
 
     def derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for j in range(len(self.coeffs), 0, -1):
-            out = out * z + j * self.coeffs[j - 1]
+        out = np.zeros_like(z, dtype=complex)
+        for a in self._slopes[::-1]:
+            out *= z
+            out += a
         return out
+
+
+class IdentityMap(PolynomialMap):
+    """phi(z) = z, coefficients (1): phi(z) is z and J is 1, exactly."""
+
+    def __init__(self):
+        self.name = "identity"
+        super().__init__([1.0])
+
+
+class PerturbedPowerMap(PolynomialMap):
+    """phi(z) = z + (c/k) z^k with k >= 2, the polynomial with coefficients
+    (1, 0, ..., 0, c/k); univalent whenever |c| < 1."""
+
+    def __init__(self, c, k):
+        k = int(k)
+        if k < 2:
+            raise ParameterError(f"power index k must be >= 2, got {k}")
+        self.c = complex(c)
+        self.k = k
+        self.name = f"perturbed_power(c={self.c:g},k={k})"
+        super().__init__([1.0] + [0.0] * (k - 2) + [self.c / k])
 
 
 class MoebiusDiskMap(ConformalMap):
@@ -324,9 +317,10 @@ class Pullback:
 
     Density-side samples:
 
-    * ``density``: rho(phi(z_i)), which the pullback-defined densities
-      form from the map-side ones;
-    * ``log_density``: log rho(phi(z_i)), from the density's log-space twin.
+    * ``density``: rho(phi(z_i)) from ``rho.on_disk``, the one density gate,
+      which the pullback-defined densities form from the map-side samples;
+    * ``log_density``: the log of ``density``, or the density's log-space
+      twin ``log_on_disk`` where it has one (a Gaussian's can underflow).
 
     A sample whose evaluation raises is not kept, so it raises again at its
     next use: a density that underflows linear evaluation fails only the
@@ -374,17 +368,16 @@ class Pullback:
         return self._once(
             self._kept,
             "density",
-            lambda: np.asarray(
-                self.rho.on_disk(self.cmap, self.quad.nodes, pullback=self), dtype=float
-            ),
+            lambda: self.rho.on_disk(self.cmap, self.quad.nodes, pullback=self),
         )
 
     @property
     def log_density(self):
+        twin = getattr(self.rho, "log_on_disk", None)  # the kind's own, if it has one
         return self._once(
             self._kept,
             "log_density",
-            lambda: np.asarray(self.rho.log_on_disk(self.cmap, self.quad.nodes), dtype=float),
+            lambda: np.log(self.density) if twin is None else twin(self.cmap, self.quad.nodes),
         )
 
     @property

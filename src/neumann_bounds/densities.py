@@ -7,9 +7,12 @@ only make sense composed with it; they exist because several bounds become
 exact for densities that cancel the Jacobian.
 
 Every density exposes ``on_disk(cmap, z)`` returning rho(phi(z)) at disk
-points z, which is the only access path the norm and bound pipelines use.
-The FEM oracle also evaluates densities through disk preimages, so pullback
-kinds work there without inverting the map.
+points z, the only access path of the routes and of the FEM oracle, which
+evaluates densities through disk preimages, so pullback kinds work there
+without inverting the map.  The routes take these samples, and their logs,
+from a ``conformal.Pullback``: a log is the log of the samples, or, for a
+Gaussian, whose linear samples can underflow, its log-space twin
+``log_on_disk``.
 
 ``DensityField.on_disk`` is the one gate for samples: it converts what the
 kind's ``_sample(cmap, z, pullback)`` returns to a float array and raises
@@ -64,10 +67,6 @@ class DensityField:
 
     def _sample(self, cmap, z, pullback):
         return self.on_domain(cmap.map(z))
-
-    def log_on_disk(self, cmap, z):
-        """log rho(phi(z)); override when rho underflows linear evaluation."""
-        return np.log(self.on_disk(cmap, z))
 
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.name}>"

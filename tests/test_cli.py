@@ -231,7 +231,7 @@ def _two_maps(spellings):
     the map's parameters as ``spellings[i]``."""
     text = (
         "quad_nr = 24\nquad_ntheta = 20\np = 1.5\nq = 4\neps = 2\nb_m_eps = 1\n"
-        "fem_level = 3\nmethods = esssup, lq, orlicz\n"
+        "fem_level = 3\nmethods = esssup, lq, quasidisc, orlicz\n"
     )
     densities = ("constant", "gaussian n=2", "pullback_orlicz_canceling eps=2")
     for c, k in (("0.3", "2"), ("0.5", "3")):
@@ -597,6 +597,18 @@ class TestVerifyCommand:
         rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
         assert any(r[5] == "false" for r in rows)
 
+    def test_sweep_rows_are_unchecked(self, tmp_path):
+        # a gaussian_sweep[n=...] row bounds mu for e^(-n|x|^2), not for the
+        # scenario's density, so the FEM value of that density checks nothing
+        text = BASIC.replace("methods = esssup\n", "methods = esssup, gaussian_sweep\nsweep_n = 1,10\n")
+        out = tmp_path / "v.csv"
+        argv = ["verify", "--config", write(tmp_path, text), "--fem-level", "3", "--out", str(out)]
+        assert run(argv) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+        assert [r[1] for r in rows[3:]] == ["gaussian_sweep[n=1]", "gaussian_sweep[n=10]"]
+        assert [r[3:6] for r in rows[3:]] == [["nan", "nan", "unchecked"]] * 2
+        assert [r[5] for r in rows[:3]] == ["true"] * 3
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_solver_failure_becomes_error_rows(self, tmp_path, stalled_lanczos, capsys, jobs):
         # at --jobs 2 the SolverError is raised in a forked worker
@@ -673,15 +685,40 @@ class TestNormsCommand:
         assert float(rows[0][2]) == pytest.approx(3.4591048179, rel=1e-8)
 
 
-def fresh_python(script):
-    """Run ``script`` in a new interpreter that imports this checkout's package."""
+def fresh_python(script, *flags):
+    """Run ``script`` in a new interpreter, started with ``flags``, that
+    imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "argv", [["bound"], ["verify", "--fem-level", "3"], ["sweep"], ["norms"]], ids=lambda a: a[0]
+)
+def test_commands_run_clean_under_warnings_as_errors(tmp_path, argv):
+    # every method on every map family, in a fresh interpreter where any
+    # numpy RuntimeWarning (overflow, divide by zero, invalid value) fails
+    methods = "luxemburg, kq, kphi" if argv[0] == "norms" else ", ".join(cli.BOUNDS)
+    text = (
+        "p = 1.5\nq = 4\nalpha = 12\nK = 1.05\neps = 2\nquad_nr = 24\nquad_ntheta = 20\n"
+        f"sweep_n = 1,10\nyoung = log_pow:2\nmethods = {methods}\n"
+    )
+    for cmap, rho in [
+        ("identity", "constant"),
+        ("perturbed_power c=0.3 k=2", "gaussian n=2"),
+        ("polynomial coeffs=1,0.05,0.1j", "pullback_orlicz_canceling eps=2"),
+        ("moebius a=0.2+0.1j", "pullback_jacobian_power exponent=1"),
+    ]:
+        text += f"[scenario]\nmap = {cmap}\ndensity = {rho}\n"
+    out = tmp_path / "out.csv"
+    argv = [*argv, "--config", write(tmp_path, text), "--out", str(out)]
+    fresh_python(f"from neumann_bounds import cli\nassert cli.main({argv!r}) == 0\n", "-W", "error")
+    assert "error:" not in out.read_text()
 
 
 def test_bound_run_never_imports_scipy(tmp_path):

@@ -1,6 +1,7 @@
 import inspect
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -174,6 +175,48 @@ class TestMaps:
             cf.PerturbedPowerMap(1.2, 2)
         with pytest.raises(ParameterError):
             cf.PolynomialMap([1.0, 0.0, 0.5])
+
+    def test_identity_and_perturbed_power_are_polynomial_maps(self, quad32, rng):
+        # coefficients (1) and (1, 0, ..., 0, c/k), evaluated by Horner's rule
+        r, t = rng.uniform(0.0, 0.999, 400), rng.uniform(size=400)
+        z = np.concatenate([quad32.nodes, r * np.exp(2j * np.pi * t)])
+        ident = cf.IdentityMap()
+        assert isinstance(ident, cf.PolynomialMap) and list(ident.coeffs) == [1.0]
+        assert ident.map(z).tobytes() == z.tobytes()
+        assert np.all(ident.jacobian(z) == 1.0)
+
+        def exact(w, c, k):
+            # z + (c/k) z^k and |1 + c z^(k-1)|^2 in rationals, rounded once
+            def mul(u, v):
+                return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+            zz, cc = (Fraction(w.real), Fraction(w.imag)), (Fraction(c.real), Fraction(c.imag))
+            cw = cc
+            for _ in range(k - 1):
+                cw = mul(cw, zz)  # c z^(k-1)
+            phi = mul(cw, zz)
+            phi = complex(float(zz[0] + phi[0] / k), float(zz[1] + phi[1] / k))
+            return phi, float((1 + cw[0]) ** 2 + cw[1] ** 2)
+
+        c = 0.4 + 0.3j
+        for k in (2, 3, 5):
+            pp = cf.PerturbedPowerMap(c, k)
+            assert isinstance(pp, cf.PolynomialMap) and (pp.c, pp.k) == (c, k)
+            assert list(pp.coeffs) == [1.0] + [0.0] * (k - 2) + [c / k]
+            phi, jac = (np.array(v) for v in zip(*(exact(w, c, k) for w in z)))
+            assert np.all(np.abs(pp.map(z) - phi) <= 4 * np.spacing(np.abs(phi)))
+            assert np.all(np.abs(pp.jacobian(z) - jac) <= 4 * np.spacing(jac))
+        with pytest.raises(ParameterError, match=r"^perturbed_power\(c=1.2\+0j,k=2\): univ"):
+            cf.PerturbedPowerMap(1.2, 2)
+
+        # the in-place loops keep the bits of the out-of-place Horner loop
+        poly = cf.PolynomialMap([1.0, 0.05 - 0.02j, 0.1j, 0.01])
+        phi, dphi = np.zeros_like(z), np.zeros_like(z)
+        for j in range(len(poly.coeffs), 0, -1):
+            phi = (phi + poly.coeffs[j - 1]) * z
+            dphi = dphi * z + j * poly.coeffs[j - 1]
+        assert poly.map(z).tobytes() == phi.tobytes()
+        assert poly.derivative(z).tobytes() == dphi.tobytes()
 
     def test_certified_maps_injective_on_samples(self, rng):
         maps = [
