@@ -310,6 +310,7 @@ class Pullback:
 
     Map-side samples, which depend on (map, quadrature) alone:
 
+    * ``image``: the image points phi(z_i);
     * ``jacobian``: J(z_i);
     * ``log_pow_inverse(eps)``: PhiInv(J(z_i)) for Phi = u log^eps(u+e),
       kept per eps;
@@ -318,7 +319,7 @@ class Pullback:
     Density-side samples:
 
     * ``density``: rho(phi(z_i)) from ``rho.on_disk``, the one density gate,
-      which the pullback-defined densities form from the map-side samples;
+      which forms it from the map-side samples;
     * ``log_density``: the log of ``density``, or the density's log-space
       twin ``log_on_disk`` where it has one (a Gaussian's can underflow).
 
@@ -349,6 +350,10 @@ class Pullback:
         return kept[name]
 
     @property
+    def image(self):
+        return self._once(self._on_map, "image", lambda: self.cmap.map(self.quad.nodes))
+
+    @property
     def jacobian(self):
         return self._once(self._on_map, "jacobian", lambda: self.cmap.jacobian(self.quad.nodes))
 
@@ -377,7 +382,7 @@ class Pullback:
         return self._once(
             self._kept,
             "log_density",
-            lambda: np.log(self.density) if twin is None else twin(self.cmap, self.quad.nodes),
+            lambda: np.log(self.density) if twin is None else twin(self.cmap, self.quad.nodes, self),
         )
 
     @property

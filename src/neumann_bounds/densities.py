@@ -18,8 +18,10 @@ Gaussian, whose linear samples can underflow, its log-space twin
 kind's ``_sample(cmap, z, pullback)`` returns to a float array and raises
 ``DensityError`` unless every sample is positive and finite.  A kind
 supplies only ``_sample``; the default evaluates ``on_domain`` at phi(z).
-``pullback``, when given, is the ``Pullback`` whose nodes z are; the
-pullback-defined kinds take J(z), and PhiInv(J(z)), from it.
+``pullback``, when given, is the ``Pullback`` whose nodes z are; the direct
+kinds, and a Gaussian's log twin, take phi(z) from it, and the
+pullback-defined kinds J(z) and PhiInv(J(z)), so a scenario maps its nodes
+once.
 A constructor rejects parameters out of range, non-finite ones included,
 with ``ConfigError`` (``ParameterError`` where a Young function does).
 """
@@ -44,6 +46,11 @@ __all__ = [
 ]
 
 
+def _image(cmap, z, pullback):
+    """phi(z), from ``pullback`` when it is given."""
+    return cmap.map(z) if pullback is None else pullback.image
+
+
 class DensityField:
     """Base class; subclasses implement ``on_domain`` or override ``_sample``."""
 
@@ -66,7 +73,7 @@ class DensityField:
         return values
 
     def _sample(self, cmap, z, pullback):
-        return self.on_domain(cmap.map(z))
+        return self.on_domain(_image(cmap, z, pullback))
 
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.name}>"
@@ -96,8 +103,8 @@ class GaussianDensity(DensityField):
         x = np.asarray(x, dtype=complex)
         return np.exp(-self.n * (x.real**2 + x.imag**2))
 
-    def log_on_disk(self, cmap, z):
-        x = np.asarray(cmap.map(z), dtype=complex)
+    def log_on_disk(self, cmap, z, pullback=None):
+        x = np.asarray(_image(cmap, z, pullback), dtype=complex)
         return -self.n * (x.real**2 + x.imag**2)
 
 

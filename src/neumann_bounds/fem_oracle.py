@@ -30,7 +30,9 @@ kept.
 
 scipy serves only this oracle, and the matrix assembly and
 ``first_nonzero_neumann`` import it on first use, so the bound routes and
-the ``bound``, ``sweep`` and ``norms`` commands never load it.
+the ``bound``, ``sweep`` and ``norms`` commands never load it.  The
+``verify`` command imports it in its parent process before it forks
+workers, so that they inherit it (see ``cli``, "Parallel runs").
 
 For the unit disk itself the exact answer is the squared first positive
 root of J1', which ``mu_disk_reference`` computes from scratch with series

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import os
@@ -518,7 +519,8 @@ class TestBoundCommand:
         assert run(["bound", "--config", write(tmp_path, BASIC), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# artifact-version:")
-        assert lines[1].startswith("# config-sha256:")
+        digest = hashlib.sha256(BASIC.encode()).hexdigest()
+        assert lines[1] == f"# config-sha256: {digest}"
         assert lines[2] == "scenario,method,bound,bound_log,intermediates,flags"
         rows = [line.split(",") for line in lines[3:]]
         assert [r[0] for r in rows] == ["disk-one", "disk-one", "pp-tight"]
@@ -609,6 +611,23 @@ class TestVerifyCommand:
         assert [r[3:6] for r in rows[3:]] == [["nan", "nan", "unchecked"]] * 2
         assert [r[5] for r in rows[:3]] == ["true"] * 3
 
+    def test_sweep_only_scenario_solves_no_fem(self, tmp_path, monkeypatch):
+        # no row of a scenario whose methods are all gaussian_sweep reads the
+        # FEM reference, so it is not computed
+        solves = []
+        richardson = fem_oracle.mu_fem_richardson
+        monkeypatch.setattr(
+            fem_oracle, "mu_fem_richardson", lambda *a: solves.append(a[2]) or richardson(*a)
+        )
+        text = BASIC + "[scenario]\nid = g\nmethods = gaussian_sweep\nsweep_n = 1,10\n"
+        out = tmp_path / "v.csv"
+        argv = ["verify", "--config", write(tmp_path, text), "--fem-level", "3", "--out", str(out)]
+        assert run(argv) == 0
+        assert solves == [3, 3]  # disk-one and pp-tight
+        rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+        assert [r[0] for r in rows] == ["disk-one", "disk-one", "pp-tight", "g", "g"]
+        assert [r[3:6] for r in rows[3:]] == [["nan", "nan", "unchecked"]] * 2
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_solver_failure_becomes_error_rows(self, tmp_path, stalled_lanczos, capsys, jobs):
         # at --jobs 2 the SolverError is raised in a forked worker
@@ -685,13 +704,18 @@ class TestNormsCommand:
         assert float(rows[0][2]) == pytest.approx(3.4591048179, rel=1e-8)
 
 
+def package_env():
+    """The environment of a new interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def fresh_python(script, *flags):
     """Run ``script`` in a new interpreter, started with ``flags``, that
     imports this checkout's package."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", script],
+        env=package_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -721,23 +745,28 @@ def test_commands_run_clean_under_warnings_as_errors(tmp_path, argv):
     assert "error:" not in out.read_text()
 
 
-def test_bound_run_never_imports_scipy(tmp_path):
-    # scipy serves only the FEM oracle; a top-level import anywhere on the
-    # bound path would cost every run its import time
+@pytest.mark.parametrize(
+    "command, methods, rows",
+    [("bound", "esssup, lq, orlicz, quasidisc", 4), ("sweep", "esssup", 3), ("norms", "kq, kphi", 2)],
+    ids=["bound", "sweep", "norms"],
+)
+def test_runs_without_fem_load_no_scipy_or_openssl(tmp_path, command, methods, rows):
+    # scipy serves only the FEM oracle, and hashlib would map OpenSSL's
+    # libcrypto for the one config digest; a top-level import of either on
+    # these commands' path would cost every run its import
     cfg = write(
         tmp_path,
-        "quad_nr = 16\nquad_ntheta = 16\nK = 1.05\n[scenario]\nid = pp\n"
-        "map = perturbed_power c=0.3 k=2\ndensity = gaussian n=2\n"
-        "methods = esssup, lq, orlicz, quasidisc\n",
+        "quad_nr = 16\nquad_ntheta = 16\nK = 1.05\nsweep_n = 1,10\n[scenario]\nid = pp\n"
+        f"map = perturbed_power c=0.3 k=2\ndensity = gaussian n=2\nmethods = {methods}\n",
     )
     script = (
         "import sys\n"
         "from neumann_bounds import cli\n"
-        f"assert cli.main(['bound', '--config', {cfg!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"assert cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')))\n"
     )
     assert fresh_python(script) == "[]"
-    assert (tmp_path / "out.csv").read_text().count("\npp,") == 4
+    assert (tmp_path / "out.csv").read_text().count("\npp,") == rows
 
 
 def test_float_routes_never_import_mpmath(tmp_path):
@@ -805,19 +834,36 @@ def test_cli_import_loads_no_process_pool():
     assert fresh_python(script) == "[]"
 
 
-def test_pooled_verify_leaves_the_parent_as_it_was(tmp_path):
-    # the workers, not the parent, load scipy; importing cli adds the one
-    # key OPENBLAS_NUM_THREADS=1 (unset here), which the workers inherit,
-    # and the run changes the environment no further; no worker outlives main
-    out = tmp_path / "out.csv"
+def test_pooled_verify_workers_inherit_the_parents_scipy(tmp_path):
+    # the parent loads scipy before the fork, so no worker imports any of
+    # it; importing cli adds the one key OPENBLAS_NUM_THREADS=1 (unset here),
+    # which the workers inherit, and the run changes the environment no
+    # further; no worker outlives main
+    out, log = tmp_path / "out.csv", str(tmp_path / "workers.txt")
     script = (
         "import multiprocessing, os, sys\n"
         "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
         "env = {**os.environ, 'OPENBLAS_NUM_THREADS': '1'}\n"
         "from neumann_bounds import cli\n"
+        "def note(line):\n"
+        f"    with open({log!r}, 'a') as fh:\n"
+        "        fh.write(line + '\\n')\n"
+        "class ScipyImports:  # a worker's own imports of scipy modules\n"
+        "    @staticmethod\n"
+        "    def find_spec(name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            note('imported ' + name)\n"
+        "run_parallel, start_worker = cli._run_parallel, cli._start_worker\n"
+        "def probed_parallel(*args):\n"
+        "    note(f'parent {\"scipy.sparse.linalg\" in sys.modules}')\n"
+        "    return run_parallel(*args)\n"
+        "def probed_start(task):  # in each worker, before its first task\n"
+        "    note(f'worker {\"scipy.sparse.linalg\" in sys.modules}')\n"
+        "    sys.meta_path.insert(0, ScipyImports)\n"
+        "    start_worker(task)\n"
+        "cli._run_parallel, cli._start_worker = probed_parallel, probed_start\n"
         f"argv = ['verify', '--config', {write(tmp_path, BASIC)!r}, '--fem-level', '3']\n"
         f"assert cli.main([*argv, '--jobs', '2', '--out', {str(out)!r}]) == 0\n"
-        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert dict(os.environ) == env\n"
         "assert multiprocessing.active_children() == []\n"
         "try:\n"
@@ -826,4 +872,35 @@ def test_pooled_verify_leaves_the_parent_as_it_was(tmp_path):
         "    print('no children')\n"
     )
     assert fresh_python(script) == "no children"
+    assert sorted(Path(log).read_text().splitlines()) == ["parent True", "worker True", "worker True"]
     assert out.read_text().count("\ndisk-one,") == 2
+
+
+def test_process_entry_exit_codes_and_output(tmp_path):
+    # ``python -m neumann_bounds.cli`` runs ``cli.run``, which freezes the
+    # heap before the interpreter exits; each run is its own process group,
+    # so a worker that outlived the run would still be found in it
+    cfg = write(tmp_path, BASIC)
+    out = tmp_path / "out.csv"
+
+    def cli_process(*argv):
+        with subprocess.Popen(
+            [sys.executable, "-m", "neumann_bounds.cli", *argv], env=package_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        ) as proc:
+            stdout, stderr = proc.communicate(timeout=120)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # signal 0 only asks whether the group exists
+        return proc.returncode, stdout, stderr
+
+    verify = ["verify", "--config", cfg, "--fem-level", "3", "--jobs", "2"]
+    assert cli_process(*verify, "--out", str(out)) == (0, "", "")
+    code, piped, _ = cli_process(*verify, "--out", "-")
+    assert code == 0 and piped == out.read_text()
+    lines = piped.splitlines()
+    assert len(lines) == 6 and [r.split(",")[5] for r in lines[3:]] == ["true"] * 3
+    assert cli_process(*verify, "--corrupt-bounds", "100", "--out", str(out))[0] == 1
+    sound = [r.split(",")[5] for r in out.read_text().splitlines()[3:]]
+    assert len(sound) == 3 and "false" in sound
+    code, stdout, stderr = cli_process("bound", "--config", cfg, "--tol", "1")
+    assert code == 2 and "--tol" in stderr and not stdout

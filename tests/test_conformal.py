@@ -322,6 +322,40 @@ class TestPullback:
             assert inverses.count(len(quad32)) == 1 + (eps != getattr(rho, "eps", eps))
             assert kphi == bnd.k_phi(pp_map, rho, yf.LogPow(eps), quad32)
 
+    def test_gaussian_maps_the_nodes_once(self, pp_map, quad32, monkeypatch):
+        # a Gaussian's samples and its log twin both read phi(z) off the
+        # pull-back: one map evaluation per (map, quadrature), whichever
+        # Gaussian and routes share it
+        maps = []
+        polynomial_map = cf.PolynomialMap.map
+        monkeypatch.setattr(
+            cf.PolynomialMap, "map", lambda cmap, z: maps.append(np.size(z)) or polynomial_map(cmap, z)
+        )
+        params = bnd.ScenarioParams(K=1.05)
+        expected = {}
+        for quad in (quad32, cf.build_disk_quadrature(16, 8)):
+            pb = cf.Pullback(pp_map, None, quad)
+            for n in (2.0, 4.0):
+                rho = dn.GaussianDensity(n)
+                shared = pb.for_density(rho)
+                reports = [
+                    bnd.mu_lower_esssup(pp_map, rho, quad, pullback=shared),
+                    bnd.mu_lower_quasidisc(pp_map, rho, params, quad, pullback=shared),
+                    bnd.mu_lower_orlicz_quasidisc(pp_map, rho, params, None, quad, pullback=shared),
+                ]
+                expected[len(quad), n] = [(r.bound, r.bound_log) for r in reports]
+        assert maps == [len(quad32), 128]
+        # the same numbers as routes that map the nodes on their own
+        for quad in (quad32, cf.build_disk_quadrature(16, 8)):
+            for n in (2.0, 4.0):
+                rho = dn.GaussianDensity(n)
+                alone = [
+                    bnd.mu_lower_esssup(pp_map, rho, quad),
+                    bnd.mu_lower_quasidisc(pp_map, rho, params, quad),
+                    bnd.mu_lower_orlicz_quasidisc(pp_map, rho, params, None, quad),
+                ]
+                assert [(r.bound, r.bound_log) for r in alone] == expected[len(quad), n]
+
     def test_failed_sample_is_not_kept(self, identity_map, quad32):
         pb = cf.Pullback(identity_map, dn.GaussianDensity(5000.0), quad32)
         for _ in range(2):
