@@ -11,6 +11,7 @@ densities   positive density fields (direct and pullback-defined)
 spec        the ``kind key=value`` grammar of map and density specs
 bounds      the eigenvalue lower-bound formulas and their constants
 fem_oracle  P1 finite elements and the Bessel-root disk reference
+cholesky    the oracle's sparse matrices and grounded sparse Cholesky
 cli         batch driver (``neumann-bounds`` command)
 """
 
@@ -21,7 +22,7 @@ __version__ = "0.1.0"
 # Nothing loads on ``import neumann_bounds``: a submodule or re-exported name
 # loads its module on first access (PEP 562), so the command's entry point
 # runs before numpy loads (see "Parallel runs" in ``cli``).
-_SUBMODULES = ("bounds", "conformal", "densities", "fem_oracle", "orlicz", "youngfn")
+_SUBMODULES = ("bounds", "cholesky", "conformal", "densities", "fem_oracle", "orlicz", "youngfn")
 _EXPORTS = {
     "BoundReport": "bounds",
     "ScenarioParams": "bounds",

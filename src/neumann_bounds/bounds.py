@@ -418,21 +418,28 @@ def validate_sweep(n_list, params):
         raise ParameterError(f"gaussian sharpness must be >= 1, got {low[0]}")
 
 
-def gaussian_sweep(n_list, params, cmap, quad):
+def gaussian_sweep(n_list, params, cmap, quad, pullback=None):
     """Map-independent bounds for the Gaussian density family e^(-n|x|^2).
 
     For each sharpness n the density norm is computed by pullback quadrature
     and checked against the closed-form domination (pi/(n s))^(1/s); the
     check allows a 1e-12 relative quadrature slack and raises on violation.
-    The Jacobian and the image area are computed once for the whole sweep.
-    The emitted bound reports grow like n^((q-2)/(q s)); fit the log-log
-    slope with ``fit_loglog_slope``.
+    The map-side samples, phi(z), J and the image area, are computed once
+    for the whole sweep, or taken from ``pullback`` when the caller shares
+    one of ``cmap`` on ``quad``; its density is not used.  The emitted
+    bound reports grow like n^((q-2)/(q s)); fit the log-log slope with
+    ``fit_loglog_slope``.
     """
     from .densities import GaussianDensity
 
     validate_sweep(n_list, params)
     s = params.lebesgue_exponent()
-    on_map = Pullback(cmap, None, quad)
+    if pullback is None:
+        on_map = Pullback(cmap, None, quad)
+    elif pullback.cmap is not cmap or pullback.quad is not quad:
+        raise ParameterError("the pull-back samples another map or quadrature")
+    else:
+        on_map = pullback
     reports = []
     for n in n_list:
         pb = on_map.for_density(GaussianDensity(n))

@@ -69,13 +69,13 @@ scenario whose methods are all ``gaussian_sweep``, since no row checks it.
 Process entry: ``python -m neumann_bounds.cli`` and the ``neumann-bounds``
 script call ``run()``, which returns ``main()``'s exit code after
 ``gc.freeze()``.  The interpreter's teardown then leaves the run's objects
-out of its last collection, which would otherwise visit every object numpy,
-and verify's scipy, created: from the end of the script to process exit
-(medians of 9 on 2 vCPUs), a bound run took 9 ms, not 34 ms, and a verify
-run 20 ms, not 101 ms.  ``main()`` is the in-process API and never
-freezes, since a caller's heap is not the run's to keep.  The process
-exits normally, so atexit handlers, such as those of coverage and of
-``python -m cProfile``, still run.
+out of its last collection, which would otherwise visit every object numpy
+created: from the end of the script to process exit (medians of 9 on 2
+vCPUs, when verify still loaded scipy), a bound run took 9 ms, not 34 ms,
+and a verify run 20 ms, not 101 ms.  ``main()`` is the in-process API and
+never freezes, since a caller's heap is not the run's to keep.  The
+process exits normally, so atexit handlers, such as those of coverage and
+of ``python -m cProfile``, still run.
 
 Output determinism: identical configs produce byte-identical CSV (fixed
 17-significant-digit formatting, rows in config order, seeded solvers),
@@ -87,11 +87,18 @@ forks ``min(N, scenarios)`` worker processes, which inherit the built
 scenarios and receive only their indices; with one worker the scenarios run
 in-process.  The fork start method is requested explicitly, since it is not
 the default everywhere and the built scenarios are not sent by pickling.
-verify's parent imports ``scipy.sparse.linalg`` before it forks, also when
-it runs one worker, so no worker imports scipy itself: two workers'
-contended imports cost 0.2-0.3 s each, and a forked worker that never
-touches the pages of scipy's shared libraries does not count them in its
-resident set.  bound, sweep and norms never load scipy.
+The indices go out in N contiguous chunks, so the scenarios of a map,
+consecutive in a config, are split between workers only where a chunk
+ends, and a worker builds a map's meshes and factors once per chunk: on
+the verify-battery config at --jobs 2, a run builds 12 meshes and factors
+12 stiffness matrices, where handing out one index at a time took 20.
+verify's parent builds the factor plans of the FEM levels its scenarios
+use (``fem_oracle.plan_levels``) before it forks, so each worker inherits
+them and its peak resident set leaves out the plans' temporaries: on the
+verify-battery config at --jobs 2 that lowered the largest process's peak
+by about 2 MiB.  A run on one worker builds each plan when it first
+factors; building them up front did not lower its peak.  No command loads
+scipy.
 Every process of a run uses one BLAS thread.  OpenBLAS starts one thread
 per core by default, so N workers would oversubscribe the cores N times
 over, and a bare ``import numpy`` would pay for starting the pool.  Importing
@@ -99,9 +106,10 @@ this module sets OPENBLAS_NUM_THREADS to 1 unless the environment already
 sets it, before it imports numpy, whose OpenBLAS reads the variable once as
 it loads; the package's ``__init__`` imports nothing, so the command's
 process has not loaded numpy before then.  Forked workers inherit the
-variable, and scipy, imported after it is set, reads it too.
-numpy's BLAS serves only the oracle: the Lanczos loop's products with a few
-dozen basis vectors and the ``eigh`` of its small tridiagonal matrix.  The
+variable.
+numpy's BLAS and LAPACK serve only the oracle: the batched dense fronts of
+its factorization and solve, the Lanczos loop's products with a few dozen
+basis vectors, and the ``eigh`` of its small tridiagonal matrix.  The
 quadrature rules and the bound routes call no LAPACK, in the parent or in a
 worker.  A program that imports numpy before this module keeps numpy's own
 thread pool.
@@ -115,9 +123,10 @@ pull-back.
 ``fem_oracle.mu_fem`` keeps the meshes, their stiffness matrices and the
 eigensolver's factorizations of them for the last map's two levels, keyed
 on the map object.  A scenario on the same map then computes only its
-density's share.  Workers receive tasks in config order, so each computes a
-map's share once per run of consecutive scenarios on it.  The CSV bytes do
-not depend on what is shared, and a new config starts with nothing shared.
+density's share.  Workers receive contiguous chunks of tasks in config
+order, so each computes a map's share once per run of consecutive
+scenarios on it.  The CSV bytes do not depend on what is shared, and a new
+config starts with nothing shared.
 """
 
 from __future__ import annotations
@@ -320,7 +329,7 @@ def _sweep(sc, pb):
     """One report per Gaussian sharpness n, then the slope summary: the
     reports' log-log slope and the predicted slope (q-2)/(q s), with s the
     density-norm exponent."""
-    reports = bnd.gaussian_sweep(sc.sweep_n, sc.params, pb.cmap, pb.quad)
+    reports = bnd.gaussian_sweep(sc.sweep_n, sc.params, pb.cmap, pb.quad, pullback=pb)
     slope = bnd.fit_loglog_slope(sc.sweep_n, reports)
     predicted = (sc.params.q - 2.0) / (sc.params.q * sc.params.lebesgue_exponent())
     pairs = [(f"n={n}", rep) for n, rep in zip(sc.sweep_n, reports)]
@@ -463,11 +472,17 @@ def _rows_bound(sc, built, corrupt=1.0):
     return rows
 
 
+def _checks_fem(sc):
+    """Whether a verify row of ``sc`` checks the FEM reference: a
+    gaussian_sweep row bounds another density's mu."""
+    return set(sc.methods) != {"gaussian_sweep"}
+
+
 def _rows_verify(sc, built, tol, corrupt=1.0):
     """The FEM reference comes first, unless only gaussian_sweep rows, which
     it does not check, are asked for; its failure is every method's row."""
     failure, mu_ref = None, math.nan
-    if set(sc.methods) != {"gaussian_sweep"}:
+    if _checks_fem(sc):
         mu_ref = _attempt(fem_oracle.mu_fem_richardson, built[0], built[1], sc.fem_level)
         failure, mu_ref = (mu_ref, math.nan) if isinstance(mu_ref, str) else (None, mu_ref)
     rows = []
@@ -585,8 +600,9 @@ def _run_parallel(task, count, jobs):
     """[task(0), ..., task(count - 1)], on up to ``jobs`` forked workers.
 
     A fork-context pool starts all its workers up front, so it gets no more
-    than there are tasks.  ``task`` reaches the workers through the fork and
-    is never pickled; only indices and results are.
+    than there are tasks.  The indices go out in one contiguous chunk per
+    worker.  ``task`` reaches the workers through the fork and is never
+    pickled; only indices and results are.
     """
     workers = min(jobs, count)
     if workers <= 1:
@@ -600,7 +616,7 @@ def _run_parallel(task, count, jobs):
         initializer=_start_worker,
         initargs=(task,),
     ) as pool:
-        return list(pool.map(_run_in_worker, range(count)))
+        return list(pool.map(_run_in_worker, range(count), chunksize=-(-count // workers)))
 
 
 def main(argv=None):
@@ -653,10 +669,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    if args.command == "verify":
-        # every scenario's FEM reference needs it: loaded before the fork,
-        # the workers inherit it (see "Parallel runs")
-        import scipy.sparse.linalg  # noqa: F401
+    if args.command == "verify" and min(args.jobs, len(items)) > 1:  # see "Parallel runs"
+        fem_oracle.plan_levels(
+            {level for sc in scenarios if _checks_fem(sc) for level in (sc.fem_level - 1, sc.fem_level)}
+        )
     blocks = _run_parallel(lambda index: worker(*items[index], args), len(items), args.jobs)
     rows = [row for block in blocks for row in block]
     try:

@@ -15,8 +15,17 @@ vertex 0 pinned is factored, and projections on both sides of that solve
 send the constants to 0 (see ``first_nonzero_neumann``), so the Lanczos
 iteration never retrieves the zero mode, and the factor does not depend
 on rho.  The Lanczos loop is the module's own, in numpy, with full
-reorthogonalisation in the M inner product; scipy supplies the sparse
-matrices and the factorization only.
+reorthogonalisation in the M inner product.
+
+The matrices, their products and the factorization are the package's own,
+in numpy (``cholesky``): a CSR matrix, a nested-dissection plan of the
+pattern, a multifrontal Cholesky on the plan, and a triangular solve.  The
+plan depends on the pattern alone, so each level's pattern object carries
+it, built on first use and shared by every matrix of the level; the
+``verify`` command builds the plans of its levels before it forks workers,
+so that they inherit them (see ``cli``, "Parallel runs").  The module
+imports the solver on first use, so the bound routes and the ``bound``,
+``sweep`` and ``norms`` commands never load it, and no command loads scipy.
 
 The mesh, its triangle areas and disk-side centroids, the P1 stiffness
 matrix and its factor depend on (map, level) alone: each mesh computes its
@@ -27,12 +36,6 @@ stiffness matrices.  Calls for other densities on the same map then
 assemble only the rho-weighted mass matrix and run the Lanczos iteration,
 with the same arithmetic, so the eigenvalues do not depend on what was
 kept.
-
-scipy serves only this oracle, and the matrix assembly and
-``first_nonzero_neumann`` import it on first use, so the bound routes and
-the ``bound``, ``sweep`` and ``norms`` commands never load it.  The
-``verify`` command imports it in its parent process before it forks
-workers, so that they inherit it (see ``cli``, "Parallel runs").
 
 For the unit disk itself the exact answer is the squared first positive
 root of J1', which ``mu_disk_reference`` computes from scratch with series
@@ -59,6 +62,7 @@ __all__ = [
     "mu_fem",
     "check_richardson_level",
     "mu_fem_richardson",
+    "plan_levels",
     "mu_disk_reference",
     "bessel_j1prime_root",
     "b_m2_disk_estimate",
@@ -121,9 +125,7 @@ class TriMesh:
         ke = (bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]) / (
             4.0 * area[:, None, None]
         )
-        a_mat = _symmetric_csr(self, ke)
-        _read_only(a_mat.data, a_mat.indices, a_mat.indptr)
-        return a_mat
+        return _symmetric_csr(self, ke)
 
 
 def _read_only(*arrays):
@@ -197,47 +199,57 @@ def mesh_from_map(cmap, level):
 
 
 def _csr_plan(triangles, n):
-    """The CSR pattern (indptr, indices) of a triangulation's P1 matrices,
-    read-only, and the data slot of each of its 9T element entries in
-    (triangle, row, column) order."""
+    """The CSR pattern of a triangulation's P1 matrices, a ``cholesky.Pattern``
+    with read-only arrays, and the data slot of each of its 9T element
+    entries in (triangle, row, column) order."""
+    from .cholesky import Pattern
+
     rows = np.repeat(triangles, 3, axis=1).reshape(-1)
     cols = np.tile(triangles, (1, 3)).reshape(-1)
     entries = rows * n + cols
     keys = np.unique(entries)
     slots = np.searchsorted(keys, entries)  # return_inverse peaks higher
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-    pattern = [arr.astype(np.int32) for arr in (indptr, keys % n)]
-    _read_only(*pattern)
-    return (*pattern, slots)
+    arrays = [arr.astype(np.int32) for arr in (indptr, keys % n)]
+    _read_only(*arrays)
+    return Pattern(*arrays), slots
 
 
 @lru_cache(maxsize=None)
 def _level_plan(level):
-    """``_csr_plan`` of ``_disk_rings(level)``, shared by every mesh of the level."""
+    """``_csr_plan`` of ``_disk_rings(level)``, shared by every mesh of the
+    level, and with it the pattern's factor plan, built on first use."""
     disk_verts, tris = _disk_rings(level)
     return _csr_plan(tris, len(disk_verts))
 
 
+def plan_levels(levels):
+    """The factor plans of the given mesh levels' patterns, built now if
+    not yet: a process about to fork workers shares them this way."""
+    return [_level_plan(level)[0].plan for level in levels]
+
+
 def _symmetric_csr(mesh, elements):
-    """The global matrix of the (T, 3, 3) symmetric element matrices (CSR).
+    """The global matrix of the (T, 3, 3) symmetric element matrices, a
+    read-only ``cholesky.CSRMatrix``.
 
     Each entry sums its triangles' contributions in triangle order, and
     (i, j) and (j, i) sum the same triangles, so the result is exactly
-    symmetric.  The pattern arrays are the plan's and read-only.
+    symmetric.  The pattern is the level's, shared with its factor plan.
     """
-    import scipy.sparse as sp
+    from .cholesky import CSRMatrix
 
-    n = mesh.num_vertices
     if mesh.triangles is _disk_rings(mesh.level)[1]:
-        indptr, indices, slots = _level_plan(mesh.level)
+        pattern, slots = _level_plan(mesh.level)
     else:  # a mesh that mesh_from_map did not build
-        indptr, indices, slots = _csr_plan(mesh.triangles, n)
-    data = np.bincount(slots, weights=elements.reshape(-1), minlength=len(indices))
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        pattern, slots = _csr_plan(mesh.triangles, mesh.num_vertices)
+    data = np.bincount(slots, weights=elements.reshape(-1), minlength=len(pattern.indices))
+    return CSRMatrix(_read_only(data), pattern)
 
 
 def assemble(mesh, rho):
-    """P1 stiffness and rho-weighted mass matrices (both CSR, symmetric).
+    """P1 stiffness and rho-weighted mass matrices (both read-only
+    ``cholesky.CSRMatrix``, symmetric).
 
     The stiffness uses exact per-triangle gradients and depends on the mesh
     alone, so it is the mesh's ``stiffness``, built once per mesh.  The mass
@@ -258,32 +270,26 @@ _factors = []
 
 
 def _grounded_factor(a_mat):
-    """LU factor of the stiffness with vertex 0 pinned, A[1:, 1:].
+    """Cholesky factor of the stiffness with vertex 0 pinned, A[1:, 1:].
 
     A is symmetric positive semi-definite with the constants as kernel on a
-    connected mesh, so A[1:, 1:] is symmetric positive definite: a
-    symmetric minimum-degree ordering without pivoting factors it.  A
-    read-only matrix, such as a mesh's ``stiffness``, cannot change, so its
-    factor is kept; any other matrix is factored on every call.
+    connected mesh, so A[1:, 1:] is symmetric positive definite.  The
+    factor runs on the plan of A's pattern (``cholesky``).  A read-only
+    matrix, such as a mesh's ``stiffness``, cannot change, so its factor is
+    kept; any other matrix is factored on every call.
     """
-    import scipy.sparse.linalg as spla
+    from .cholesky import Factor
 
     kept = not any(arr.flags.writeable for arr in (a_mat.data, a_mat.indices, a_mat.indptr))
     if kept:
-        for a, lu in _factors:
+        for a, factor in _factors:
             if a is a_mat:
-                return lu
+                return factor
         del _factors[: len(_factors) - 1]  # evict before factoring: two at most
-    try:
-        lu = spla.splu(
-            a_mat[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # singular: the mesh is not connected
-        raise SolverError(f"grounded stiffness factorization failed: {exc}") from exc
+    factor = Factor(a_mat.pattern.plan, a_mat.data)
     if kept:
-        _factors.append((a_mat, lu))
-    return lu
+        _factors.append((a_mat, factor))
+    return factor
 
 
 def first_nonzero_neumann(a_mat, m_mat):
@@ -313,13 +319,13 @@ def first_nonzero_neumann(a_mat, m_mat):
     steps; not converging in ``_LANCZOS_MAX_STEPS`` raises SolverError.
     """
     n = a_mat.shape[0]
-    lu = _grounded_factor(a_mat)
+    factor = _grounded_factor(a_mat)
     m1 = m_mat @ np.ones(n)
     mass = m1.sum()
 
     def op(b):
         x = np.zeros(n)
-        x[1:] = lu.solve(b[1:] - (b.sum() / mass) * m1[1:])
+        x[1:] = factor.solve(b[1:] - (b.sum() / mass) * m1[1:])
         return x - (m1 @ x) / mass
 
     w = np.random.default_rng(_EIG_SEED).standard_normal(n)

@@ -3,11 +3,13 @@
 ``TableYoung`` is a Young function with no closed form of its own, so it
 runs the base-class inverse bisection and numeric conjugate.
 ``CallableDensity`` wraps any function of the image point, including ones
-the density gate must reject.
+the density gate must reject.  ``csr_from_dense`` builds the oracle's
+sparse matrix from a dense one, for matrices no mesh produces.
 """
 
 import numpy as np
 
+from neumann_bounds.cholesky import CSRMatrix, Pattern
 from neumann_bounds.densities import DensityField
 from neumann_bounds.errors import ParameterError
 from neumann_bounds.youngfn import YoungFunction
@@ -54,3 +56,10 @@ class CallableDensity(DensityField):
 
     def on_domain(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=complex)), dtype=float)
+
+
+def csr_from_dense(dense):
+    """The oracle's CSR matrix of the nonzero entries of a square array."""
+    rows, cols = np.nonzero(dense)
+    indptr = np.searchsorted(rows, np.arange(len(dense) + 1))
+    return CSRMatrix(dense[rows, cols], Pattern(indptr, cols))

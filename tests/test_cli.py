@@ -83,7 +83,7 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
+    def map(self, fn, iterable, chunksize=1):
         return map(fn, iterable)
 
 
@@ -250,15 +250,13 @@ def test_scenarios_share_their_maps_work(tmp_path, monkeypatch, command):
     # the FEM meshes with their stiffness and its grounded factor; spelling
     # each scenario's map differently shares nothing, and the rows must not
     # tell the two apart
-    import scipy.sparse.linalg as spla
-
-    from neumann_bounds import conformal, youngfn
+    from neumann_bounds import cholesky, conformal, youngfn
 
     nodes = 24 * 20  # no FEM level has as many triangles
     counts, stiffness, factored = {}, [], []
     real_spec, real_jacobian = cli.map_from_spec, conformal.ConformalMap.jacobian
     real_inverse, real_solve = youngfn.LogPow.inverse, fem_oracle.first_nonzero_neumann
-    real_splu = spla.splu
+    real_factor = cholesky.Factor.__init__
 
     def count(name, size=nodes):
         counts[name] = counts.get(name, 0) + (size == nodes)
@@ -274,7 +272,10 @@ def test_scenarios_share_their_maps_work(tmp_path, monkeypatch, command):
     monkeypatch.setattr(
         fem_oracle, "first_nonzero_neumann", lambda a, m: stiffness.append(a) or real_solve(a, m)
     )
-    monkeypatch.setattr(spla, "splu", lambda a, **kw: factored.append(a) or real_splu(a, **kw))
+    monkeypatch.setattr(
+        cholesky.Factor, "__init__",
+        lambda self, plan, data: factored.append(data) or real_factor(self, plan, data),
+    )
     csv = {}
     for name, spellings in (
         ("shared", ["c={c} k={k}"] * 3),
@@ -503,6 +504,31 @@ def test_each_scenario_is_built_once(tmp_path, monkeypatch, command):
     out = tmp_path / "out.csv"
     assert run([command, "--config", write(tmp_path, text), "--out", str(out), "--jobs", "2"]) == 0
     assert sorted(builds) == ["a", "b"]
+
+
+def test_sweep_shares_the_scenarios_pullback(tmp_path, monkeypatch):
+    # gaussian_sweep takes phi(z) and J from the scenario's pull-back, so a
+    # scenario that runs it beside other routes maps its nodes once
+    nodes, maps, jacobians = 16 * 16, [], []
+    real_map, real_jacobian = conformal.PolynomialMap.map, conformal.ConformalMap.jacobian
+    monkeypatch.setattr(
+        conformal.PolynomialMap, "map", lambda cmap, z: maps.append(np.size(z)) or real_map(cmap, z)
+    )
+    monkeypatch.setattr(
+        conformal.ConformalMap, "jacobian",
+        lambda cmap, z: jacobians.append(np.size(z)) or real_jacobian(cmap, z),
+    )
+    text = (
+        "quad_nr = 16\nquad_ntheta = 16\nK = 1.05\nsweep_n = 1,10\n"
+        "methods = esssup, quasidisc, gaussian_sweep\n[scenario]\nid = pp\n"
+        "map = perturbed_power c=0.3 k=2\ndensity = gaussian n=4\n"
+    )
+    out = tmp_path / "out.csv"
+    assert run(["bound", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    assert maps.count(nodes) == 1 and jacobians.count(nodes) == 1
+    assert [r["method"] for r in _csv_rows(out)[1]] == [
+        "esssup", "quasidisc", "gaussian_sweep[n=1]", "gaussian_sweep[n=10]", "gaussian_sweep[slope]"
+    ]
 
 
 def test_fem_level_flag_out_of_range_exits_2(tmp_path, capsys):
@@ -747,25 +773,32 @@ def test_commands_run_clean_under_warnings_as_errors(tmp_path, argv):
 
 @pytest.mark.parametrize(
     "command, methods, rows",
-    [("bound", "esssup, lq, orlicz, quasidisc", 4), ("sweep", "esssup", 3), ("norms", "kq, kphi", 2)],
-    ids=["bound", "sweep", "norms"],
+    [("bound", "esssup, lq, orlicz, quasidisc", 4), ("sweep", "esssup", 3), ("norms", "kq, kphi", 2),
+     ("verify", "esssup, lq", 2)],
+    ids=["bound", "sweep", "norms", "verify"],
 )
 def test_runs_without_fem_load_no_scipy_or_openssl(tmp_path, command, methods, rows):
-    # scipy serves only the FEM oracle, and hashlib would map OpenSSL's
-    # libcrypto for the one config digest; a top-level import of either on
-    # these commands' path would cost every run its import
+    # the FEM oracle factors its stiffness with the package's own solver,
+    # which only verify loads, and hashlib would map OpenSSL's libcrypto for
+    # the one config digest; a top-level import of any of them on these
+    # commands' path would cost every run its import.  verify loads no
+    # scipy either (numpy.random, which seeds its Lanczos start, loads
+    # hashlib through secrets)
     cfg = write(
         tmp_path,
-        "quad_nr = 16\nquad_ntheta = 16\nK = 1.05\nsweep_n = 1,10\n[scenario]\nid = pp\n"
-        f"map = perturbed_power c=0.3 k=2\ndensity = gaussian n=2\nmethods = {methods}\n",
+        "quad_nr = 16\nquad_ntheta = 16\nK = 1.05\nsweep_n = 1,10\nfem_level = 3\n[scenario]\n"
+        f"id = pp\nmap = perturbed_power c=0.3 k=2\ndensity = gaussian n=2\nmethods = {methods}\n",
     )
     script = (
         "import sys\n"
         "from neumann_bounds import cli\n"
-        f"assert cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')))\n"
+        f"argv = [{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out.csv')!r}]\n"
+        "assert cli.main([*argv, '--jobs', '1']) in (0, 1)\n"
+        f"checked = ('scipy',) if {command!r} == 'verify' else ('scipy', 'hashlib', '_hashlib')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in checked or 'cholesky' in m))\n"
     )
-    assert fresh_python(script) == "[]"
+    loaded = ["neumann_bounds.cholesky"] if command == "verify" else []
+    assert fresh_python(script) == str(loaded)
     assert (tmp_path / "out.csv").read_text().count("\npp,") == rows
 
 
@@ -834,11 +867,12 @@ def test_cli_import_loads_no_process_pool():
     assert fresh_python(script) == "[]"
 
 
-def test_pooled_verify_workers_inherit_the_parents_scipy(tmp_path):
-    # the parent loads scipy before the fork, so no worker imports any of
-    # it; importing cli adds the one key OPENBLAS_NUM_THREADS=1 (unset here),
-    # which the workers inherit, and the run changes the environment no
-    # further; no worker outlives main
+def test_pooled_verify_loads_no_scipy(tmp_path):
+    # the FEM oracle factors with the package's own solver, so neither the
+    # parent nor a worker imports any of scipy; importing cli adds the one
+    # key OPENBLAS_NUM_THREADS=1 (unset here), which the workers inherit,
+    # and the run changes the environment no further; no worker outlives
+    # main
     out, log = tmp_path / "out.csv", str(tmp_path / "workers.txt")
     script = (
         "import multiprocessing, os, sys\n"
@@ -848,22 +882,23 @@ def test_pooled_verify_workers_inherit_the_parents_scipy(tmp_path):
         "def note(line):\n"
         f"    with open({log!r}, 'a') as fh:\n"
         "        fh.write(line + '\\n')\n"
-        "class ScipyImports:  # a worker's own imports of scipy modules\n"
+        "class ScipyImports:  # any process's imports of scipy modules\n"
         "    @staticmethod\n"
         "    def find_spec(name, path=None, target=None):\n"
         "        if name.split('.')[0] == 'scipy':\n"
         "            note('imported ' + name)\n"
+        "sys.meta_path.insert(0, ScipyImports)\n"
         "run_parallel, start_worker = cli._run_parallel, cli._start_worker\n"
         "def probed_parallel(*args):\n"
-        "    note(f'parent {\"scipy.sparse.linalg\" in sys.modules}')\n"
+        "    note(f'parent {\"scipy\" in sys.modules}')\n"
         "    return run_parallel(*args)\n"
         "def probed_start(task):  # in each worker, before its first task\n"
-        "    note(f'worker {\"scipy.sparse.linalg\" in sys.modules}')\n"
-        "    sys.meta_path.insert(0, ScipyImports)\n"
+        "    note(f'worker {\"scipy\" in sys.modules}')\n"
         "    start_worker(task)\n"
         "cli._run_parallel, cli._start_worker = probed_parallel, probed_start\n"
         f"argv = ['verify', '--config', {write(tmp_path, BASIC)!r}, '--fem-level', '3']\n"
         f"assert cli.main([*argv, '--jobs', '2', '--out', {str(out)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
         "assert dict(os.environ) == env\n"
         "assert multiprocessing.active_children() == []\n"
         "try:\n"
@@ -872,8 +907,69 @@ def test_pooled_verify_workers_inherit_the_parents_scipy(tmp_path):
         "    print('no children')\n"
     )
     assert fresh_python(script) == "no children"
-    assert sorted(Path(log).read_text().splitlines()) == ["parent True", "worker True", "worker True"]
+    assert sorted(Path(log).read_text().splitlines()) == ["parent False", "worker False", "worker False"]
     assert out.read_text().count("\ndisk-one,") == 2
+
+
+def test_pooled_verify_factors_each_map_on_at_most_two_workers(tmp_path):
+    # the pool hands each worker one contiguous chunk of scenarios, so the
+    # scenarios of a map, consecutive in the config, meet at most two
+    # workers: at most (maps + 1) x 2 factorizations, one per (map, level)
+    # and worker, where handing out one scenario at a time gives each
+    # worker every map; the parent builds the two levels' plans before it
+    # forks, so no worker builds one
+    log, plans = str(tmp_path / "factors.txt"), str(tmp_path / "plans.txt")
+    maps = ["identity", "perturbed_power c=0.3 k=2", "perturbed_power c=0.5 k=3"]
+    text = "quad_nr = 16\nquad_ntheta = 16\nfem_level = 3\nmethods = esssup\n" + "".join(
+        f"[scenario]\nmap = {cmap}\ndensity = gaussian n={n}\n" for cmap in maps for n in (1, 2, 3)
+    )
+    script = (
+        "import os\n"
+        "from neumann_bounds import cholesky, cli\n"
+        "real_init = cholesky.Factor.__init__\n"
+        "def init(self, plan, data):\n"
+        f"    with open({log!r}, 'a') as fh:\n"
+        "        fh.write(f'{os.getpid()} {len(data)}\\n')\n"
+        "    real_init(self, plan, data)\n"
+        "cholesky.Factor.__init__ = init\n"
+        "real_plan = cholesky.Plan.__init__\n"
+        "def plan(self, indptr, indices):\n"
+        f"    with open({plans!r}, 'a') as fh:\n"
+        "        fh.write(f'{os.getpid()}\\n')\n"
+        "    real_plan(self, indptr, indices)\n"
+        "cholesky.Plan.__init__ = plan\n"
+        f"argv = ['verify', '--config', {write(tmp_path, text)!r}, '--out', {str(tmp_path / 'out.csv')!r}]\n"
+        "assert cli.main([*argv, '--jobs', '2']) == 0\n"
+        "print(os.getpid())\n"
+    )
+    parent = fresh_python(script)
+    factored = Path(log).read_text().splitlines()
+    assert len({line.split()[0] for line in factored}) == 2  # both workers ran
+    assert len(factored) <= (len(maps) + 1) * 2
+    assert Path(plans).read_text().split() == [parent, parent]
+
+
+def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the factor runs on numpy's batched LAPACK and BLAS; a level-5 fixture
+    # in fresh processes with one and with two OpenBLAS threads writes the
+    # same bytes
+    cfg = write(
+        tmp_path,
+        "quad_nr = 16\nquad_ntheta = 16\nq = 4\nfem_level = 5\nmethods = esssup, lq\n[scenario]\n"
+        "id = pp\nmap = perturbed_power c=0.5 k=3\ndensity = gaussian n=4\n",
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = {**package_env(), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "neumann_bounds.cli", "verify", "--config", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\npp,") == 2
 
 
 def test_process_entry_exit_codes_and_output(tmp_path):

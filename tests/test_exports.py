@@ -4,7 +4,7 @@ import pytest
 
 
 @pytest.mark.parametrize(
-    "module", ["bounds", "conformal", "densities", "fem_oracle", "orlicz", "youngfn"]
+    "module", ["bounds", "cholesky", "conformal", "densities", "fem_oracle", "orlicz", "youngfn"]
 )
 def test_every_exported_name_exists(module):
     # a stale ``__all__`` entry breaks ``from neumann_bounds.<module> import *``

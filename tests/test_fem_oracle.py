@@ -3,13 +3,22 @@ import dataclasses
 import numpy as np
 import pytest
 
+from neumann_bounds import cholesky
 from neumann_bounds import conformal as cf
 from neumann_bounds import densities as dn
 from neumann_bounds import fem_oracle as fo
 from neumann_bounds import orlicz as ol
+from neumann_bounds.cholesky import CSRMatrix
 from neumann_bounds.errors import MeshError, ParameterError, SolverError
 
-from fakes import CallableDensity
+from fakes import CallableDensity, csr_from_dense
+
+
+def _scipy_csr(mat):
+    """The oracle's matrix as a scipy CSR matrix, for scipy's matrix API."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 class TestMesh:
@@ -76,15 +85,16 @@ class TestAssembly:
         a_mat, _ = fo.assemble(mesh, rho_one)
         ones = np.ones(mesh.num_vertices)
         assert np.abs(a_mat @ ones).max() < 1e-10
+        a_mat = _scipy_csr(a_mat)
         sym = a_mat - a_mat.T
         assert sym.nnz == 0 or np.abs(sym.data).max() < 1e-12
 
     def test_mass_total(self, identity_map, pp_map, rho_one):
         mesh = fo.mesh_from_map(identity_map, 3)
-        _, m_mat = fo.assemble(mesh, rho_one)
+        m_mat = _scipy_csr(fo.assemble(mesh, rho_one)[1])
         assert m_mat.sum() == pytest.approx(mesh.area(), rel=1e-12)
         mesh_pp = fo.mesh_from_map(pp_map, 3)
-        _, m_pp = fo.assemble(mesh_pp, rho_one)
+        m_pp = _scipy_csr(fo.assemble(mesh_pp, rho_one)[1])
         assert m_pp.sum() == pytest.approx(mesh_pp.area(), rel=1e-12)
 
     def test_rayleigh_quotient_coordinate(self, identity_map, rho_one):
@@ -104,7 +114,7 @@ class TestAssembly:
         # (i, j) and (j, i) sum the same symmetric element entries in the
         # same triangle order
         a_mat, m_mat = fo.assemble(fo.mesh_from_map(pp_map, 4), dn.GaussianDensity(2.0))
-        for mat in (a_mat, m_mat):
+        for mat in map(_scipy_csr, (a_mat, m_mat)):
             assert mat.has_canonical_format and (mat != mat.T).nnz == 0
 
     def test_own_triangles_get_their_own_plan(self, pp_map):
@@ -150,10 +160,11 @@ class TestEigenvalue:
         assert r1 < 1e-8 and r2 < 1e-8
 
     def test_stiffness_factored_once_and_two_kept(self, monkeypatch, rho_one):
-        import scipy.sparse.linalg as spla
-
-        factored, real_splu = [], spla.splu
-        monkeypatch.setattr(spla, "splu", lambda a, **kw: factored.append(a) or real_splu(a, **kw))
+        factored, real_init = [], cholesky.Factor.__init__
+        monkeypatch.setattr(
+            cholesky.Factor, "__init__",
+            lambda self, plan, data: factored.append(data) or real_init(self, plan, data),
+        )
         meshes = [fo.mesh_from_map(cf.PerturbedPowerMap(0.3, 2), level) for level in (2, 3, 4)]
         for mesh in meshes:
             for rho in (rho_one, dn.GaussianDensity(2.0), rho_one):
@@ -165,7 +176,7 @@ class TestEigenvalue:
     def test_writeable_stiffness_is_factored_per_call(self, identity_map, rho_one):
         # a matrix that can change keeps no factor: mu follows the change
         a_ro, m_mat = fo.assemble(fo.mesh_from_map(identity_map, 3), rho_one)
-        a_mat = a_ro.copy()
+        a_mat = CSRMatrix(a_ro.data.copy(), a_ro.pattern)
         mu, _ = fo.first_nonzero_neumann(a_mat, m_mat)
         a_mat.data *= 2.0
         mu2, resid = fo.first_nonzero_neumann(a_mat, m_mat)
@@ -239,12 +250,10 @@ class TestEigenvalue:
 
     def test_disconnected_stiffness_raises_solver_error(self):
         # two components: A[1:, 1:] keeps the second one's constant kernel
-        import scipy.sparse as sp
-
-        path = sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]))
-        a_mat = sp.block_diag([path, path], format="csr")
+        path = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+        a_mat = csr_from_dense(np.kron(np.eye(2), path))
         with pytest.raises(SolverError, match="factorization failed"):
-            fo.first_nonzero_neumann(a_mat, sp.identity(6, format="csr"))
+            fo.first_nonzero_neumann(a_mat, csr_from_dense(np.eye(6)))
 
     def test_pullback_density_on_mesh(self, pp_map):
         # canceling density: mu equals the disk reference up to O(h^2)
