@@ -82,16 +82,25 @@ Output determinism: identical configs produce byte-identical CSV (fixed
 whatever --jobs is.  ``#`` comment lines carry provenance (artifact
 version, config hash).
 
-Parallel runs: the parent parses, validates and builds every scenario, then
-forks ``min(N, scenarios)`` worker processes, which inherit the built
-scenarios and receive only their indices; with one worker the scenarios run
-in-process.  The fork start method is requested explicitly, since it is not
-the default everywhere and the built scenarios are not sent by pickling.
-The indices go out in N contiguous chunks, so the scenarios of a map,
-consecutive in a config, are split between workers only where a chunk
-ends, and a worker builds a map's meshes and factors once per chunk: on
-the verify-battery config at --jobs 2, a run builds 12 meshes and factors
-12 stiffness matrices, where handing out one index at a time took 20.
+Parallel runs: the parent parses, validates and builds every scenario,
+cuts the scenario indices into contiguous chunks of ceil(scenarios / N),
+and forks one worker per chunk with ``os.fork``, so no worker idles; with
+one chunk the scenarios run in-process.  A worker inherits the built
+scenarios, so none is pickled.  It runs its chunk, writes the pickled rows,
+or the exception a scenario raised, to its own pipe, and leaves through
+``os._exit``, which runs none of the parent's exit handlers and flushes
+none of its buffers.  The parent reads the pipes in chunk order, reaps each
+worker with ``waitpid`` and re-raises a worker's exception; a worker that
+exits nonzero or is killed raises ChildProcessError.  On either error the
+parent kills and reaps the workers still running, writes no CSV, and the
+process exits 1 with the traceback, as on any uncaught error.  No process
+of a run loads ``multiprocessing`` or ``concurrent.futures``, whose pool
+cost each worker about 1 MiB of modules and helper threads.
+The chunks are contiguous, so the scenarios of a map, consecutive in a
+config, are split between workers only where a chunk ends, and a worker
+builds a map's meshes and factors once per chunk: on the verify-battery
+config at --jobs 2, a run builds 12 meshes and factors 12 stiffness
+matrices, where handing out one index at a time took 20.
 verify's parent builds the factor plans of the FEM levels its scenarios
 use (``fem_oracle.plan_levels``) before it forks, so each worker inherits
 them and its peak resident set leaves out the plans' temporaries: on the
@@ -136,6 +145,7 @@ import errno
 import gc
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -584,39 +594,71 @@ def _check_writable(out_path):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out_path)
 
 
-_worker_task = None  # set in each forked worker by _start_worker, never in the parent
-
-
-def _start_worker(task):
-    global _worker_task
-    _worker_task = task
-
-
-def _run_in_worker(index):
-    return _worker_task(index)
-
-
 def _run_parallel(task, count, jobs):
-    """[task(0), ..., task(count - 1)], on up to ``jobs`` forked workers.
-
-    A fork-context pool starts all its workers up front, so it gets no more
-    than there are tasks.  The indices go out in one contiguous chunk per
-    worker.  ``task`` reaches the workers through the fork and is never
-    pickled; only indices and results are.
-    """
-    workers = min(jobs, count)
-    if workers <= 1:
+    """[task(0), ..., task(count - 1)], on one forked worker per contiguous
+    chunk of ceil(count / jobs) indices, or in-process when that is one
+    chunk (see "Parallel runs").  ``task`` reaches the workers through the
+    fork; only their results and exceptions are pickled."""
+    size = max(1, -(-count // jobs))
+    chunks = [range(start, min(start + size, count)) for start in range(0, count, size)]
+    if len(chunks) <= 1:
         return [task(index) for index in range(count)]
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
+    workers = []  # (pid, read end of its pipe) of each worker not yet reaped
+    try:
+        for chunk in chunks:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _work(task, chunk, write)
+            os.close(write)
+            workers.append((pid, open(read, "rb")))
+        results = []
+        for chunk in chunks:
+            pid, pipe = workers[0]
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            if code:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                raise ChildProcessError(f"worker for tasks {chunk.start}-{chunk.stop - 1} {how}")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results += value
+        return results
+    except BaseException:
+        from signal import SIGKILL  # only an error leaves workers unreaped
 
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(task,),
-    ) as pool:
-        return list(pool.map(_run_in_worker, range(count), chunksize=-(-count // workers)))
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+
+
+def _work(task, chunk, write):
+    """A forked worker's whole life: run the chunk, pickle (True, results) or
+    (False, exception) into the pipe, and leave through ``os._exit``."""
+    code = 1
+    try:
+        try:
+            outcome = True, [task(index) for index in chunk]
+        except Exception as exc:
+            import traceback
+
+            traceback.print_exc()  # the parent re-raises the exception without it
+            outcome = False, exc
+        with open(write, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def main(argv=None):

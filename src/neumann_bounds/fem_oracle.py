@@ -6,7 +6,12 @@ deliberately independent of the bound pipeline: the mesh is a structured
 concentric-ring triangulation of the disk pushed through the conformal map,
 the matrices are exact P1 stiffness and centroid-sampled mass, and the
 generalized eigenproblem is solved at every level by shift-invert Lanczos
-from a fixed seeded start vector, so repeated runs give identical numbers.
+from a fixed start vector, so repeated runs give identical numbers.  The
+start vector is a hash of the vertex index (``_start_vector``), a pure
+function of the vertex count in a few integer operations of numpy; Lanczos
+needs only its nonzero component along the wanted eigenvector, and the
+module never loads ``numpy.random``, whose import would map OpenSSL into
+every process that solves.
 
 Both matrices are scattered with ``np.bincount`` into one CSR pattern per
 level, which depends on the disk triangulation alone.  The shift-invert
@@ -292,13 +297,24 @@ def _grounded_factor(a_mat):
     return factor
 
 
+def _start_vector(n):
+    """n values in [-0.5, 0.5), the SplitMix64 finaliser of the Weyl sequence
+    i * 0x9E3779B97F4A7C15 + _EIG_SEED (Steele, Lea and Flood, OOPSLA 2014)
+    in wrapping uint64 arithmetic, top 53 bits as a fraction."""
+    z = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(_EIG_SEED)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53 - 0.5
+
+
 def first_nonzero_neumann(a_mat, m_mat):
     """Smallest nonzero eigenvalue of A u = mu M u, with solver residual;
     A and M are CSR matrices, as ``assemble`` returns them.
 
-    Shift-invert Lanczos at sigma = 0 from a deterministic seeded start
-    vector, with the grounded inverse of the singular A in place of
-    (A - sigma M)^-1: op(b) = P G P^T b, where G solves with vertex 0
+    Shift-invert Lanczos at sigma = 0 from the hashed start vector
+    ``_start_vector(n)``, with the grounded inverse of the singular A in
+    place of (A - sigma M)^-1: op(b) = P G P^T b, where G solves with vertex 0
     pinned (x[0] = 0), P^T b = b - (1.b / 1.M1) M1 removes the part of b
     outside the range of A, and P x = x - (M1.x / 1.M1) 1 is the
     M-orthogonal projection off the constants.  op M sends the constants to
@@ -315,7 +331,7 @@ def first_nonzero_neumann(a_mat, m_mat):
     a Ritz value with residual beta_j |s_j|; the loop stops once that is at
     most 1e-12 theta.  The Ritz value is then within (beta_j s_j)^2 / gap
     of 1 / mu_1, gap being the distance to the rest of the spectrum, so
-    mu = 1 / theta is exact to rounding.  A battery solve takes 11 to 18
+    mu = 1 / theta is exact to rounding.  A battery solve takes 12 to 18
     steps; not converging in ``_LANCZOS_MAX_STEPS`` raises SolverError.
     """
     n = a_mat.shape[0]
@@ -328,7 +344,7 @@ def first_nonzero_neumann(a_mat, m_mat):
         x[1:] = factor.solve(b[1:] - (b.sum() / mass) * m1[1:])
         return x - (m1 @ x) / mass
 
-    w = np.random.default_rng(_EIG_SEED).standard_normal(n)
+    w = _start_vector(n)
     w -= (m1 @ w) / mass  # P v0: the start vector, off the constants
     qs, mqs = np.empty((_LANCZOS_ROWS, n)), np.empty((_LANCZOS_ROWS, n))  # q_i and M q_i
     alphas, betas = [], []

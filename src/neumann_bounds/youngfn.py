@@ -32,7 +32,6 @@ constants are composed entirely in log space.
 
 from __future__ import annotations
 
-import logging
 import functools
 import math
 import sys
@@ -58,8 +57,6 @@ __all__ = [
     "probe_delta_prime",
     "probe_nabla_prime",
 ]
-
-log = logging.getLogger(__name__)
 
 _E = float(np.e)
 _INVERSE_RTOL = 1e-10  # relative width at which the inverse bisection stops
@@ -653,7 +650,11 @@ def probe_delta_prime(young, grid=None):
     )
     bad = np.isnan(lr)
     if bad.any():
-        log.warning("probe_delta_prime(%s): skipped %d grid points", young.name, bad.sum())
+        import logging  # here, so that no process that never probes loads it
+
+        logging.getLogger(__name__).warning(
+            "probe_delta_prime(%s): skipped %d grid points", young.name, bad.sum()
+        )
     if bad.all():
         return None
     with np.errstate(over="ignore"):

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib
 import math
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -67,42 +69,72 @@ def test_determinism_across_jobs(tmp_path, argv):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-class RecordingPool:
-    """Stand-in for ProcessPoolExecutor that runs the tasks in-process and
-    records each pool's worker count and start method."""
+def count_forks(monkeypatch):
+    """The list that each ``os.fork`` of this process appends to, from now
+    to the end of the test; the forks themselves still happen."""
+    forks, real_fork = [], os.fork
 
-    pools = []
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    def __init__(self, max_workers, mp_context, initializer, initargs):
-        self.pools.append((max_workers, mp_context.get_start_method()))
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 @pytest.mark.parametrize(
-    "jobs, scenarios, pools",
-    [("64", 2, [(2, "fork")]), ("2", 3, [(2, "fork")]), ("4", 1, []), ("1", 2, [])],
+    "jobs, scenarios, workers",
+    [("64", 2, 2), ("2", 3, 2), ("4", 5, 3), ("4", 1, 0), ("1", 2, 0)],
 )
-def test_pool_is_bounded_by_the_work(tmp_path, monkeypatch, jobs, scenarios, pools):
-    # a fork-context pool starts every worker up front; a single worker runs in-process
-    import concurrent.futures.process
-
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "pools", [])
-    monkeypatch.setattr(cli, "_worker_task", None)  # the in-process workers set it
+def test_pool_is_bounded_by_the_work(tmp_path, monkeypatch, jobs, scenarios, workers):
+    # one worker per non-empty contiguous chunk of ceil(scenarios / jobs),
+    # so 5 scenarios at --jobs 4 fork 3 workers, not 4; a single chunk runs
+    # in-process
+    forks = count_forks(monkeypatch)
     text = "quad_nr = 16\nquad_ntheta = 16\nmethods = esssup\n" + "[scenario]\n" * scenarios
     out = tmp_path / "out.csv"
     assert run(["bound", "--config", write(tmp_path, text), "--jobs", jobs, "--out", str(out)]) == 0
-    assert RecordingPool.pools == pools
+    assert forks == [os.getpid()] * workers
     assert len(out.read_text().splitlines()) == 3 + scenarios
+
+
+def test_worker_exception_reaches_the_parent_with_its_type(monkeypatch):
+    # a task's exception is pickled through the worker's pipe and re-raised
+    # in the parent, which kills and reaps the other workers
+    forks = count_forks(monkeypatch)
+
+    def task(index):
+        if index == 2:
+            raise LookupError(f"planted in task {index}")
+        return index * index
+
+    assert cli._run_parallel(lambda index: index * index, 5, 2) == [0, 1, 4, 9, 16]
+    with pytest.raises(LookupError) as excinfo:
+        cli._run_parallel(task, 5, 2)  # chunks 0-2 and 3-4
+    assert excinfo.type is LookupError and str(excinfo.value) == "planted in task 2"
+    assert len(forks) == 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no worker is left, running or unreaped
+
+
+def test_failed_fork_leaves_no_worker_or_pipe(monkeypatch):
+    # the second fork fails: the parent kills and reaps the first worker,
+    # which would otherwise sleep on, and closes every pipe it opened
+    real_fork, forks = os.fork, []
+
+    def fork():
+        if forks:
+            raise BlockingIOError(errno.EAGAIN, "planted")
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError, match="planted"):
+        cli._run_parallel(lambda index: time.sleep(60), 2, 2)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
@@ -782,8 +814,9 @@ def test_runs_without_fem_load_no_scipy_or_openssl(tmp_path, command, methods, r
     # which only verify loads, and hashlib would map OpenSSL's libcrypto for
     # the one config digest; a top-level import of any of them on these
     # commands' path would cost every run its import.  verify loads no
-    # scipy either (numpy.random, which seeds its Lanczos start, loads
-    # hashlib through secrets)
+    # scipy either, and its Lanczos start is a hash in numpy, not a draw of
+    # numpy.random, whose import loads hashlib through secrets.  No command
+    # loads logging, which only youngfn.probe_delta_prime uses
     cfg = write(
         tmp_path,
         "quad_nr = 16\nquad_ntheta = 16\nK = 1.05\nsweep_n = 1,10\nfem_level = 3\n[scenario]\n"
@@ -794,8 +827,9 @@ def test_runs_without_fem_load_no_scipy_or_openssl(tmp_path, command, methods, r
         "from neumann_bounds import cli\n"
         f"argv = [{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out.csv')!r}]\n"
         "assert cli.main([*argv, '--jobs', '1']) in (0, 1)\n"
-        f"checked = ('scipy',) if {command!r} == 'verify' else ('scipy', 'hashlib', '_hashlib')\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in checked or 'cholesky' in m))\n"
+        "checked = ('scipy', 'hashlib', '_hashlib', 'numpy.random', 'logging')\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if any(m == c or m.startswith(c + '.') for c in checked) or 'cholesky' in m))\n"
     )
     loaded = ["neumann_bounds.cholesky"] if command == "verify" else []
     assert fresh_python(script) == str(loaded)
@@ -858,7 +892,9 @@ def test_package_import_loads_no_numpy():
 
 
 def test_cli_import_loads_no_process_pool():
-    # the pool's modules are imported only when a run forks workers
+    # the workers are plain forks, so no process of a run loads a process
+    # pool's modules (see test_pooled_verify_loads_no_scipy), and importing
+    # the CLI does not either
     script = (
         "import sys\n"
         "import neumann_bounds.cli\n"
@@ -868,46 +904,56 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_pooled_verify_loads_no_scipy(tmp_path):
-    # the FEM oracle factors with the package's own solver, so neither the
-    # parent nor a worker imports any of scipy; importing cli adds the one
-    # key OPENBLAS_NUM_THREADS=1 (unset here), which the workers inherit,
-    # and the run changes the environment no further; no worker outlives
-    # main
+    # the FEM oracle factors with the package's own solver and hashes its
+    # Lanczos start, and the workers are plain forks, so neither the parent
+    # nor a worker imports scipy, numpy.random, hashlib, logging or a
+    # process pool's modules; importing cli adds the one key
+    # OPENBLAS_NUM_THREADS=1 (unset here), which the workers inherit, and
+    # the run changes the environment no further; no worker outlives main.
+    # Warnings are errors, so a fork from a parent that runs threads, which
+    # Python 3.12 warns of, fails
     out, log = tmp_path / "out.csv", str(tmp_path / "workers.txt")
     script = (
-        "import multiprocessing, os, sys\n"
+        "import os, sys\n"
         "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
         "env = {**os.environ, 'OPENBLAS_NUM_THREADS': '1'}\n"
         "from neumann_bounds import cli\n"
+        "checked = ('scipy', 'numpy.random', 'hashlib', '_hashlib', 'logging', 'multiprocessing',\n"
+        "           'concurrent')\n"
+        "def matches(name):\n"
+        "    return any(name == c or name.startswith(c + '.') for c in checked)\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if matches(m))\n"
         "def note(line):\n"
         f"    with open({log!r}, 'a') as fh:\n"
         "        fh.write(line + '\\n')\n"
-        "class ScipyImports:  # any process's imports of scipy modules\n"
+        "class CheckedImports:  # any process's imports of the checked modules\n"
         "    @staticmethod\n"
         "    def find_spec(name, path=None, target=None):\n"
-        "        if name.split('.')[0] == 'scipy':\n"
+        "        if matches(name):\n"
         "            note('imported ' + name)\n"
-        "sys.meta_path.insert(0, ScipyImports)\n"
-        "run_parallel, start_worker = cli._run_parallel, cli._start_worker\n"
-        "def probed_parallel(*args):\n"
-        "    note(f'parent {\"scipy\" in sys.modules}')\n"
-        "    return run_parallel(*args)\n"
-        "def probed_start(task):  # in each worker, before its first task\n"
-        "    note(f'worker {\"scipy\" in sys.modules}')\n"
-        "    start_worker(task)\n"
-        "cli._run_parallel, cli._start_worker = probed_parallel, probed_start\n"
+        "sys.meta_path.insert(0, CheckedImports)\n"
+        "real_fork, real_exit = os.fork, os._exit\n"
+        "def fork():  # in the parent, before each worker\n"
+        "    note(f'parent {loaded()}')\n"
+        "    return real_fork()\n"
+        "def leave(code):  # in each worker, after its last task\n"
+        "    note(f'worker {loaded()} {code}')\n"
+        "    real_exit(code)\n"
+        "os.fork, os._exit = fork, leave\n"
         f"argv = ['verify', '--config', {write(tmp_path, BASIC)!r}, '--fem-level', '3']\n"
         f"assert cli.main([*argv, '--jobs', '2', '--out', {str(out)!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules\n"
+        "assert loaded() == []\n"
         "assert dict(os.environ) == env\n"
-        "assert multiprocessing.active_children() == []\n"
         "try:\n"
         "    os.waitpid(-1, os.WNOHANG)\n"
         "except ChildProcessError:\n"
         "    print('no children')\n"
     )
-    assert fresh_python(script) == "no children"
-    assert sorted(Path(log).read_text().splitlines()) == ["parent False", "worker False", "worker False"]
+    assert fresh_python(script, "-W", "error") == "no children"
+    assert sorted(Path(log).read_text().splitlines()) == [
+        "parent []", "parent []", "worker [] 0", "worker [] 0"
+    ]
     assert out.read_text().count("\ndisk-one,") == 2
 
 
@@ -1000,3 +1046,44 @@ def test_process_entry_exit_codes_and_output(tmp_path):
     assert len(sound) == 3 and "false" in sound
     code, stdout, stderr = cli_process("bound", "--config", cfg, "--tol", "1")
     assert code == 2 and "--tol" in stderr and not stdout
+
+
+@pytest.mark.parametrize(
+    "failure, last_line",
+    [
+        ("raise LookupError('planted')", "LookupError: planted"),
+        ("os._exit(3)", "ChildProcessError: worker for tasks 0-0 exited with code 3"),
+        ("os.kill(os.getpid(), signal.SIGKILL)",
+         "ChildProcessError: worker for tasks 0-0 was killed by signal 9"),
+    ],
+    ids=["raise", "exit", "kill"],
+)
+def test_failed_worker_fails_the_run_and_leaves_no_process(tmp_path, failure, last_line):
+    # the first worker fails while the second is still at work: the parent
+    # re-raises the task's exception, or raises for a worker that died,
+    # kills and reaps the second worker, writes no CSV and exits nonzero;
+    # the run is its own process group, and that group is empty afterwards
+    text = "quad_nr = 16\nquad_ntheta = 16\nmethods = esssup\n[scenario]\nid = first\n[scenario]\n"
+    out = tmp_path / "out.csv"
+    script = (
+        "import os, signal, sys, time\n"
+        "from neumann_bounds import cli\n"
+        "real_rows = cli._rows_bound\n"
+        "def rows(sc, built, corrupt=1.0):\n"
+        "    if sc.sid == 'first':\n"
+        f"        {failure}\n"
+        "    time.sleep(60)  # the second worker, still at work when the first fails\n"
+        "    return real_rows(sc, built, corrupt)\n"
+        "cli._rows_bound = rows\n"
+        f"sys.argv[1:] = ['bound', '--config', {write(tmp_path, text)!r}, '--jobs', '2', '--out', {str(out)!r}]\n"
+        "sys.exit(cli.run())\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", script], env=package_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    ) as proc:
+        stdout, stderr = proc.communicate(timeout=30)  # the parent does not wait out the sleep
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert proc.returncode == 1 and not stdout and not out.exists()
+    assert stderr.splitlines()[-1] == last_line

@@ -139,6 +139,24 @@ class TestAssembly:
 
 
 class TestEigenvalue:
+    def test_start_vector_is_splitmix64(self):
+        # the numpy uint64 lanes against Python's unbounded integers, wrapped
+        # by hand; the vector depends on n alone, and a prefix on nothing else
+        mask = 2**64 - 1
+
+        def splitmix64(i):
+            z = (i * 0x9E3779B97F4A7C15 + fo._EIG_SEED) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+            return (z >> 11) * 2.0**-53 - 0.5
+
+        v = fo._start_vector(1000)
+        assert v.dtype == np.float64
+        assert v.tolist() == [splitmix64(i) for i in range(1000)]
+        assert np.array_equal(fo._start_vector(10), v[:10])
+        assert -0.5 <= v.min() and v.max() < 0.5 and abs(v.mean()) < 0.05
+
     def test_disk_reference_convergence(self, identity_map, rho_one):
         mus = {lvl: fo.mu_fem(identity_map, rho_one, lvl) for lvl in (3, 4, 5)}
         ref = fo.mu_disk_reference()

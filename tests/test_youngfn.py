@@ -692,6 +692,14 @@ class TestProbes:
         sup = yf.probe_delta_prime(yf.PowerP(2.0, normalized=True))
         assert sup == pytest.approx(2.0, rel=1e-12)
 
+    def test_delta_prime_logs_skipped_points(self, caplog):
+        # the points with u = 0 or v = 0 give -inf - -inf; the module loads
+        # logging only to report them
+        with np.errstate(invalid="ignore"):
+            sup = yf.probe_delta_prime(yf.PowerP(2.0, normalized=True), grid=[0.0, 1.0, 2.0])
+        assert sup == pytest.approx(2.0, rel=1e-12)
+        assert caplog.messages == ["probe_delta_prime(power(p=2,coef=0.5)): skipped 5 grid points"]
+
     def test_delta_prime_exponential_unbounded(self):
         sup = yf.probe_delta_prime(yf.ExpSquare())
         assert sup > 1e6
