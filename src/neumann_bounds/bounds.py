@@ -68,6 +68,9 @@ FLAG_UNDERFLOW = "BoundUnderflow"
 
 _LN_PI = math.log(math.pi)
 
+# fem_oracle.b_m2_disk_estimate() as its exact double, 0.570906962169809
+_B_M2_DISK_ESTIMATE = float.fromhex("0x1.244dead727f4bp-1")
+
 
 @dataclass(frozen=True)
 class ScenarioParams:
@@ -500,11 +503,14 @@ def embedding_constant(b_m_eps):
     """(b_m_eps, source) for the Orlicz routes.
 
     ``None`` gives the variational lower estimate of the disk embedding
-    constant, source ``trial_estimate``; a pinned value must be positive
-    and finite, source ``pinned``.
+    constant, ``fem_oracle.b_m2_disk_estimate()``, source
+    ``trial_estimate``.  Its value depends on that function's code alone,
+    so it is kept here as the exact double, and no run builds the estimate's
+    rule and twelve Luxemburg norms; a test recomputes it bit for bit.  A
+    pinned value must be positive and finite, source ``pinned``.
     """
     if b_m_eps is None:
-        return fem_oracle.b_m2_disk_estimate(), "trial_estimate"
+        return _B_M2_DISK_ESTIMATE, "trial_estimate"
     if not 0 < b_m_eps < math.inf:
         raise ParameterError(f"embedding constant must be positive and finite, got {b_m_eps}")
     return b_m_eps, "pinned"

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import SolverError
 
-__all__ = ["LEAF", "Pattern", "CSRMatrix", "Plan", "Factor"]
+__all__ = ["LEAF", "Pattern", "CSRMatrix", "Plan", "Factor", "sorted_unique"]
 
 LEAF = 16  # a part of at most LEAF vertices is a leaf of the dissection tree
 
@@ -252,7 +252,7 @@ class Plan:
             nbrs = adj[verts]
             keys = (node_of[verts][:, None] * g + nbrs)[vdepth[nbrs] < d]
             up = below[vdepth[below % g] < d]
-            bkeys[d] = below = np.unique(np.concatenate([keys, nparent[up // g] * g + up % g]))
+            bkeys[d] = below = sorted_unique(np.concatenate([keys, nparent[up // g] * g + up % g]))
         keys = np.concatenate(bkeys)  # sorted, as node ids grow with depth
         bnode, bvert = keys // g, keys % g
         bcount = np.bincount(bnode, minlength=len(ndepth))
@@ -306,6 +306,18 @@ class Plan:
                 tgt=np.concatenate([a_tgt[at], pad_tgt]), a_src=a_src[at], npad=len(pad_tgt),
                 u_row=u_row, u_col=u_col,
             ))
+
+
+def sorted_unique(keys):
+    """The distinct values of the 1-D array ``keys``, ascending, as
+    ``np.unique(keys)`` gives them: sort, then keep each entry that differs
+    from its left neighbour.  ``np.unique`` without ``return_index`` would
+    import ``numpy.ma``, about 1.3 MiB, into every process that plans."""
+    keys = np.sort(keys)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def _ranks(counts):

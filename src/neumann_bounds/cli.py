@@ -107,7 +107,9 @@ them and its peak resident set leaves out the plans' temporaries: on the
 verify-battery config at --jobs 2 that lowered the largest process's peak
 by about 2 MiB.  A run on one worker builds each plan when it first
 factors; building them up front did not lower its peak.  No command loads
-scipy.
+scipy, and no process loads ``numpy.ma``: the patterns and plans take
+their unique keys with ``cholesky.sorted_unique``, where ``np.unique``
+would load it in the parent and hand about 1.3 MiB to every worker.
 Every process of a run uses one BLAS thread.  OpenBLAS starts one thread
 per core by default, so N workers would oversubscribe the cores N times
 over, and a bare ``import numpy`` would pay for starting the pool.  Importing
@@ -327,8 +329,7 @@ def _young_from_name(name, line):
 
 def _check_orlicz(sc):
     sc.params.validate_eps()
-    if sc.b_m_eps is not None:  # the default needs no check and costs a solve
-        bnd.embedding_constant(sc.b_m_eps)
+    bnd.embedding_constant(sc.b_m_eps)
 
 
 def _check_sweep(sc):

@@ -14,7 +14,10 @@ module never loads ``numpy.random``, whose import would map OpenSSL into
 every process that solves.
 
 Both matrices are scattered with ``np.bincount`` into one CSR pattern per
-level, which depends on the disk triangulation alone.  The shift-invert
+level, which depends on the disk triangulation alone; its keys are
+de-duplicated by ``cholesky.sorted_unique``, since ``np.unique`` would load
+``numpy.ma`` into every process that solves, and a ``verify`` parent would
+hand it to each worker it forks.  The shift-invert
 operator is the grounded inverse of the singular Neumann stiffness: A with
 vertex 0 pinned is factored, and projections on both sides of that solve
 send the constants to 0 (see ``first_nonzero_neumann``), so the Lanczos
@@ -151,28 +154,32 @@ def _disk_rings(level):
     reason.
     """
     rings = 2**level
-    verts = [0.0 + 0.0j]
-    ring_start = [None]  # index of first vertex of ring k
-    for k in range(1, rings + 1):
-        ring_start.append(len(verts))
-        angles = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
-        verts.extend((k / rings) * np.exp(1j * angles))
-    verts = np.asarray(verts, dtype=complex)
+    ring = np.arange(1, rings + 1)
+    start = np.concatenate([[0], 1 + 3 * ring * (ring - 1)])  # ring k's first vertex; center 0
+    k = np.repeat(ring, 6 * ring)  # ring of each vertex but the center
+    angles = 2.0 * np.pi * (np.arange(1, len(k) + 1) - start[k]) / (6 * k)
+    verts = np.concatenate([[0.0 + 0.0j], (k / rings) * np.exp(1j * angles)])
 
-    tris = []
-    for s in range(6):  # six sectors around the center vertex
-        tris.append((1 + s, 1 + (s + 1) % 6, 0))
-    for k in range(2, rings + 1):
-        outer0, inner0 = ring_start[k], ring_start[k - 1]
-        n_out, n_in = 6 * k, 6 * (k - 1)
-        for s in range(6):
-            out = [outer0 + (s * k + i) % n_out for i in range(k + 1)]
-            inn = [inner0 + (s * (k - 1) + i) % n_in for i in range(k)]
-            for i in range(k):
-                tris.append((out[i], out[i + 1], inn[i]))
-            for i in range(k - 1):
-                tris.append((out[i + 1], inn[i + 1], inn[i]))
-    tris = np.asarray(tris, dtype=int)
+    # sector s of ring k holds k triangles (out[i], out[i+1], inn[i]), then
+    # k - 1 triangles (out[i+1], inn[i+1], inn[i]); ring 1's inner ring is
+    # the center vertex
+    size = np.repeat(2 * ring - 1, 6)  # triangles of each sector, ring by ring
+    k = np.repeat(np.repeat(ring, 6), size)
+    s = np.repeat(np.tile(np.arange(6), rings), size)
+    j = np.arange(len(k)) - np.repeat(np.cumsum(size) - size, size)  # position in the sector
+    first = j < k
+    i = np.where(first, j, j - k)
+
+    def out(t):
+        return start[k] + (s * k + t) % (6 * k)
+
+    def inn(t):
+        return start[k - 1] + (s * (k - 1) + t) % np.maximum(6 * (k - 1), 1)
+
+    tris = np.stack(
+        [np.where(first, out(i), out(i + 1)), np.where(first, out(i + 1), inn(i + 1)), inn(i)],
+        axis=1,
+    )
     _read_only(verts, tris)
     return verts, tris
 
@@ -207,12 +214,12 @@ def _csr_plan(triangles, n):
     """The CSR pattern of a triangulation's P1 matrices, a ``cholesky.Pattern``
     with read-only arrays, and the data slot of each of its 9T element
     entries in (triangle, row, column) order."""
-    from .cholesky import Pattern
+    from .cholesky import Pattern, sorted_unique
 
     rows = np.repeat(triangles, 3, axis=1).reshape(-1)
     cols = np.tile(triangles, (1, 3)).reshape(-1)
     entries = rows * n + cols
-    keys = np.unique(entries)
+    keys = sorted_unique(entries)
     slots = np.searchsorted(keys, entries)  # return_inverse peaks higher
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
     arrays = [arr.astype(np.int32) for arr in (indptr, keys % n)]
@@ -347,12 +354,15 @@ def first_nonzero_neumann(a_mat, m_mat):
     w = _start_vector(n)
     w -= (m1 @ w) / mass  # P v0: the start vector, off the constants
     qs, mqs = np.empty((_LANCZOS_ROWS, n)), np.empty((_LANCZOS_ROWS, n))  # q_i and M q_i
-    alphas, betas = [], []
+    tri = np.zeros((_LANCZOS_ROWS, _LANCZOS_ROWS))  # T, its leading (j + 1) block at step j
     mw = m_mat @ w
     beta = np.sqrt(w @ mw)
     for j in range(_LANCZOS_MAX_STEPS):
         if j == len(qs):
             qs, mqs = (np.concatenate([arr, np.empty_like(arr)]) for arr in (qs, mqs))
+            tri = np.pad(tri, (0, j))
+        if j:
+            tri[j, j - 1] = tri[j - 1, j] = beta
         qs[j], mqs[j] = w / beta, mw / beta
         w = op(mqs[j])
         alpha = 0.0
@@ -360,13 +370,12 @@ def first_nonzero_neumann(a_mat, m_mat):
             c = mqs[: j + 1] @ w
             w -= c @ qs[: j + 1]
             alpha += c[j]
-        alphas.append(alpha)
+        tri[j, j] = alpha
         mw = m_mat @ w
         beta = np.sqrt(max(w @ mw, 0.0))
-        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta, s = np.linalg.eigh(tri[: j + 1, : j + 1])
         if beta * abs(s[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
             break
-        betas.append(beta)
     else:
         raise SolverError(f"shift-invert Lanczos failed to converge in {_LANCZOS_MAX_STEPS} steps")
     mu, u = 1.0 / float(theta[-1]), s[:, -1] @ qs[: j + 1]
@@ -493,6 +502,8 @@ def b_m2_disk_estimate(trial_family_size=12):
     u_d = min(log(1/r), log(1/d)) with d = 2^{-j}.  Everything is evaluated
     on the 96 x 32 disk quadrature; the result is a numerical lower bound for the
     true constant and is reported as a diagnostic, not a certified value.
+    ``bounds`` pins the default family's value as the Orlicz routes'
+    default ``b_m_eps``, so no bound or verify run calls this.
     """
     from .youngfn import ExpSquare
 

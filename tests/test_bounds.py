@@ -370,6 +370,12 @@ class TestMuLowerOrlicz:
         assert r.intermediates["b_m_eps_source"] == "trial_estimate"
         assert r.intermediates["b_m_eps"] > 0
 
+    def test_default_b_is_the_trial_estimate_bit_for_bit(self):
+        # the default is pinned as a double; a fresh run of the estimate,
+        # past its cache, must still give exactly that double
+        assert bd.embedding_constant(None) == (bd._B_M2_DISK_ESTIMATE, "trial_estimate")
+        assert bd._B_M2_DISK_ESTIMATE.hex() == fo.b_m2_disk_estimate.__wrapped__().hex()
+
     @pytest.mark.parametrize("eps, b_m_eps", [(math.nan, 1.0), (2.0, math.nan), (2.0, math.inf)])
     def test_non_finite_parameters(self, identity_map, rho_one, quad32, eps, b_m_eps):
         with pytest.raises(ParameterError):

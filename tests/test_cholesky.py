@@ -100,3 +100,22 @@ class TestMatrix:
         assert all(m.pattern is fo._level_plan(3)[0] for m in matrices)
         assert matrices[0].pattern.plan is matrices[3].pattern.plan
         assert all(not m.data.flags.writeable for m in matrices)
+
+
+def _pattern_keys(level):
+    """The 9T entry keys row * n + column of a disk level's P1 matrices."""
+    disk_verts, tris = fo._disk_rings(level)
+    rows = np.repeat(tris, 3, axis=1).reshape(-1)
+    return rows * len(disk_verts) + np.tile(tris, (1, 3)).reshape(-1)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [_pattern_keys(level) for level in range(1, 7)]
+    + [np.empty(0, dtype=np.intp), np.random.default_rng(11).integers(0, 500, 2000)],
+    ids=[f"level{level}" for level in range(1, 7)] + ["empty", "random-repeats"],
+)
+def test_sorted_unique_matches_np_unique(keys):
+    want, got = np.unique(keys), cholesky.sorted_unique(keys)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

@@ -245,7 +245,6 @@ def test_bound_calls_no_lapack(tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
     conformal.build_disk_quadrature.cache_clear()
-    fem_oracle.b_m2_disk_estimate.cache_clear()
     text = (
         "p = 1.5\nq = 4\nalpha = 12\neps = 2\nK = 1.05\nquad_nr = 48\nquad_ntheta = 32\n"
         "methods = esssup, lq, quasidisc, gaussian_sweep, orlicz, orlicz_quasidisc\n"
@@ -803,6 +802,28 @@ def test_commands_run_clean_under_warnings_as_errors(tmp_path, argv):
     assert "error:" not in out.read_text()
 
 
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_orlicz_runs_never_compute_the_embedding_estimate(tmp_path, monkeypatch, command):
+    # the default b_m_eps is the estimate's value, pinned in bounds, so no
+    # run builds its rule and twelve Luxemburg norms; a call would raise
+    # and turn the Orlicz rows into error rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("b_m2_disk_estimate called")
+
+    monkeypatch.setattr(fem_oracle, "b_m2_disk_estimate", refuse)
+    cfg = write(
+        tmp_path,
+        "alpha = 12\nK = 1.05\neps = 2\nquad_nr = 24\nquad_ntheta = 20\nfem_level = 3\n"
+        "methods = orlicz, orlicz_quasidisc\n[scenario]\nid = pp\n"
+        "map = perturbed_power c=0.3 k=2\ndensity = gaussian n=2\n",
+    )
+    out = tmp_path / "out.csv"
+    assert run([command, "--config", cfg, "--jobs", "1", "--out", str(out)]) == 0
+    _, rows = _csv_rows(out)
+    assert [row["method"].split("[")[0] for row in rows] == ["orlicz", "orlicz_quasidisc"]
+    assert not [row for row in rows if row["flags"].startswith("error:")]
+
+
 @pytest.mark.parametrize(
     "command, methods, rows",
     [("bound", "esssup, lq, orlicz, quasidisc", 4), ("sweep", "esssup", 3), ("norms", "kq, kphi", 2),
@@ -815,8 +836,9 @@ def test_runs_without_fem_load_no_scipy_or_openssl(tmp_path, command, methods, r
     # the one config digest; a top-level import of any of them on these
     # commands' path would cost every run its import.  verify loads no
     # scipy either, and its Lanczos start is a hash in numpy, not a draw of
-    # numpy.random, whose import loads hashlib through secrets.  No command
-    # loads logging, which only youngfn.probe_delta_prime uses
+    # numpy.random, whose import loads hashlib through secrets, and its
+    # unique keys load no numpy.ma, as np.unique would.  No command loads
+    # logging, which only youngfn.probe_delta_prime uses
     cfg = write(
         tmp_path,
         "quad_nr = 16\nquad_ntheta = 16\nK = 1.05\nsweep_n = 1,10\nfem_level = 3\n[scenario]\n"
@@ -827,7 +849,7 @@ def test_runs_without_fem_load_no_scipy_or_openssl(tmp_path, command, methods, r
         "from neumann_bounds import cli\n"
         f"argv = [{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out.csv')!r}]\n"
         "assert cli.main([*argv, '--jobs', '1']) in (0, 1)\n"
-        "checked = ('scipy', 'hashlib', '_hashlib', 'numpy.random', 'logging')\n"
+        "checked = ('scipy', 'hashlib', '_hashlib', 'numpy.random', 'numpy.ma', 'logging')\n"
         "print(sorted(m for m in sys.modules\n"
         "             if any(m == c or m.startswith(c + '.') for c in checked) or 'cholesky' in m))\n"
     )
@@ -906,8 +928,8 @@ def test_cli_import_loads_no_process_pool():
 def test_pooled_verify_loads_no_scipy(tmp_path):
     # the FEM oracle factors with the package's own solver and hashes its
     # Lanczos start, and the workers are plain forks, so neither the parent
-    # nor a worker imports scipy, numpy.random, hashlib, logging or a
-    # process pool's modules; importing cli adds the one key
+    # nor a worker imports scipy, numpy.random, numpy.ma, hashlib, logging
+    # or a process pool's modules; importing cli adds the one key
     # OPENBLAS_NUM_THREADS=1 (unset here), which the workers inherit, and
     # the run changes the environment no further; no worker outlives main.
     # Warnings are errors, so a fork from a parent that runs threads, which
@@ -918,8 +940,8 @@ def test_pooled_verify_loads_no_scipy(tmp_path):
         "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
         "env = {**os.environ, 'OPENBLAS_NUM_THREADS': '1'}\n"
         "from neumann_bounds import cli\n"
-        "checked = ('scipy', 'numpy.random', 'hashlib', '_hashlib', 'logging', 'multiprocessing',\n"
-        "           'concurrent')\n"
+        "checked = ('scipy', 'numpy.random', 'numpy.ma', 'hashlib', '_hashlib', 'logging',\n"
+        "           'multiprocessing', 'concurrent')\n"
         "def matches(name):\n"
         "    return any(name == c or name.startswith(c + '.') for c in checked)\n"
         "def loaded():\n"

@@ -21,7 +21,38 @@ def _scipy_csr(mat):
     return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
 
 
+def _disk_rings_loop(level):
+    """The structured disk triangulation, ring by ring and sector by sector
+    in Python loops: the reference for ``fo._disk_rings``."""
+    rings = 2**level
+    verts = [0.0 + 0.0j]
+    ring_start = [None]  # index of first vertex of ring k
+    for k in range(1, rings + 1):
+        ring_start.append(len(verts))
+        angles = 2.0 * np.pi * np.arange(6 * k) / (6 * k)
+        verts.extend((k / rings) * np.exp(1j * angles))
+    tris = [(1 + s, 1 + (s + 1) % 6, 0) for s in range(6)]  # around the center
+    for k in range(2, rings + 1):
+        outer0, inner0 = ring_start[k], ring_start[k - 1]
+        n_out, n_in = 6 * k, 6 * (k - 1)
+        for s in range(6):
+            out = [outer0 + (s * k + i) % n_out for i in range(k + 1)]
+            inn = [inner0 + (s * (k - 1) + i) % n_in for i in range(k)]
+            for i in range(k):
+                tris.append((out[i], out[i + 1], inn[i]))
+            for i in range(k - 1):
+                tris.append((out[i + 1], inn[i + 1], inn[i]))
+    return np.asarray(verts, dtype=complex), np.asarray(tris, dtype=int)
+
+
 class TestMesh:
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_disk_rings_match_the_loop(self, level):
+        for want, got in zip(_disk_rings_loop(level), fo._disk_rings(level)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+
     def test_euler_characteristic(self, identity_map):
         for level in (1, 2, 3):
             mesh = fo.mesh_from_map(identity_map, level)
