@@ -89,12 +89,13 @@ class CSRMatrix:
     """A square sparse matrix: ``data``, ``indices``, ``indptr`` and
     ``shape`` as in compressed sparse row form, ``@`` a vector, and
     ``toarray()``.  The product runs on the pattern's column table; read-only
-    data, which cannot change, keeps its copy in that layout."""
+    data, which cannot change, keeps its copy in that layout, and its
+    ``grounded_factor()``."""
 
     def __init__(self, data, pattern):
         self.data, self.pattern = data, pattern
         self.shape = (pattern.n, pattern.n)
-        self._ell = None
+        self._ell = self._factor = None
 
     @property
     def indices(self):
@@ -114,6 +115,16 @@ class CSRMatrix:
             if not self.data.flags.writeable:
                 self._ell = values
         return np.einsum("ij,ij->j", values, x.take(columns))
+
+    def grounded_factor(self):
+        """The ``Factor`` of A[1:, 1:], this matrix with vertex 0 pinned; a
+        stiffness is symmetric positive semi-definite with the constants as
+        kernel on a connected mesh, so A[1:, 1:] is symmetric positive
+        definite.  Kept when the data are read-only (see the class)."""
+        factor = self._factor or Factor(self.pattern.plan, self.data)
+        if not self.data.flags.writeable:
+            self._factor = factor
+        return factor
 
     def toarray(self):
         dense = np.zeros(self.shape)

@@ -59,23 +59,25 @@ all four commands.
 
 Exit codes: 0 success; 1 only when verify writes an unsound or ``error:``
 row (``sound`` is ``false``); 2 usage or config errors, with the config line
-number, and an --out that cannot be written.  The parameter ranges of the
-requested methods and verify's FEM level are config errors.  A numeric
-failure (``NeumannBoundsError``) becomes its method's ``error:`` row under
-all four commands, and a failed FEM reference one per verify method; bound,
-sweep and norms keep exit code 0.  verify computes no FEM reference for a
-scenario whose methods are all ``gaussian_sweep``, since no row checks it.
+number, and an --out that cannot be written; 3 a crashed run: an uncaught
+exception, a worker's or a worker's death among them.  The parameter
+ranges of the requested methods and verify's FEM level are config errors.
+A numeric failure (``NeumannBoundsError``) becomes its method's ``error:``
+row under all four commands, and a failed FEM reference one per verify
+method; bound, sweep and norms keep exit code 0.  verify computes no FEM
+reference for a scenario whose methods are all ``gaussian_sweep``, since no
+row checks it.
 
 Process entry: ``python -m neumann_bounds.cli`` and the ``neumann-bounds``
-script call ``run()``, which returns ``main()``'s exit code after
-``gc.freeze()``.  The interpreter's teardown then leaves the run's objects
+script call ``run()``, which returns ``main()``'s exit code, or 3 with the
+traceback when ``main()`` raises, after ``gc.freeze()``.  The interpreter's teardown then leaves the run's objects
 out of its last collection, which would otherwise visit every object numpy
 created: from the end of the script to process exit (medians of 9 on 2
 vCPUs, when verify still loaded scipy), a bound run took 9 ms, not 34 ms,
-and a verify run 20 ms, not 101 ms.  ``main()`` is the in-process API and
-never freezes, since a caller's heap is not the run's to keep.  The
-process exits normally, so atexit handlers, such as those of coverage and
-of ``python -m cProfile``, still run.
+and a verify run 20 ms, not 101 ms.  ``main()`` is the in-process API: it
+raises what a crashed run raises, and never freezes, since a caller's heap
+is not the run's to keep.  The process exits normally, so atexit handlers,
+such as those of coverage and of ``python -m cProfile``, still run.
 
 Output determinism: identical configs produce byte-identical CSV (fixed
 17-significant-digit formatting, rows in config order, seeded solvers),
@@ -93,7 +95,7 @@ none of its buffers.  The parent reads the pipes in chunk order, reaps each
 worker with ``waitpid`` and re-raises a worker's exception; a worker that
 exits nonzero or is killed raises ChildProcessError.  On either error the
 parent kills and reaps the workers still running, writes no CSV, and the
-process exits 1 with the traceback, as on any uncaught error.  No process
+process exits 3 with the traceback, as on any uncaught error.  No process
 of a run loads ``multiprocessing`` or ``concurrent.futures``, whose pool
 cost each worker about 1 MiB of modules and helper threads.
 The chunks are contiguous, so the scenarios of a map, consecutive in a
@@ -126,18 +128,16 @@ worker.  A program that imports numpy before this module keeps numpy's own
 thread pool.
 
 Shared work: the scenarios of a config hold one ``Shared`` object.  It
-builds and certifies each distinct map spec text once, and keeps, per
-process, the map-side samples (phi(z), J, PhiInv(J) per eps, image area)
-of the last (map, quadrature) a scenario used.  A scenario's methods share
-its density-side samples, rho(phi(z)) and log rho(phi(z)), on one
-pull-back.
-``fem_oracle.mu_fem`` keeps the meshes, their stiffness matrices and the
-eigensolver's factorizations of them for the last map's two levels, keyed
-on the map object.  A scenario on the same map then computes only its
-density's share.  Workers receive contiguous chunks of tasks in config
-order, so each computes a map's share once per run of consecutive
-scenarios on it.  The CSV bytes do not depend on what is shared, and a new
-config starts with nothing shared.
+builds and certifies each distinct map spec text once, and owns, per
+process, the current map's ``MapWork``: the map-side samples (phi(z), J,
+PhiInv(J) per eps, image area) on the last quadrature used, and the FEM
+meshes with their stiffness matrices and factorizations.  The work is kept
+for the current map, dropped when a scenario on another map object starts,
+and freed with the config's scenarios.  A scenario's methods share its
+density-side samples, rho(phi(z)) and log rho(phi(z)), on one pull-back.
+Workers receive contiguous chunks of tasks in config order, so each
+computes a map's share once per run of consecutive scenarios on it.  The
+CSV bytes do not depend on what is shared.
 """
 
 from __future__ import annotations
@@ -180,12 +180,22 @@ def fmt(x):
     return x if isinstance(x, str) else f"{float(x):.17g}"
 
 
+@dataclass
+class MapWork:
+    """The current map's work: its map-side pull-back on the last
+    quadrature used, and its FEM meshes by level, which carry their
+    stiffness matrices and those matrices' factors."""
+
+    pullback: Pullback
+    meshes: dict = field(default_factory=dict)
+
+
 class Shared:
     """The work the scenarios of one config share (see "Shared work")."""
 
     def __init__(self):
         self._maps = {}
-        self._on_map = None
+        self._current = None  # the current map's MapWork
 
     def map(self, spec):
         """One map object per distinct spec text."""
@@ -193,13 +203,14 @@ class Shared:
             self._maps[spec] = map_from_spec(spec)
         return self._maps[spec]
 
-    def pullback(self, cmap, rho, quad):
-        """A pull-back sharing the map-side samples of the previous call's
-        when that had the same map object and quadrature."""
-        on_map = self._on_map
-        if on_map is None or on_map.cmap is not cmap or on_map.quad is not quad:
-            on_map = self._on_map = Pullback(cmap, None, quad)
-        return on_map.for_density(rho)
+    def on_map(self, cmap, quad):
+        """The ``MapWork`` of ``cmap`` on ``quad``; a new one, which drops
+        the previous map's, when ``cmap`` is not the current map."""
+        if self._current is None or self._current.pullback.cmap is not cmap:
+            self._current = MapWork(Pullback(cmap, None, quad))
+        elif self._current.pullback.quad is not quad:
+            self._current.pullback = Pullback(cmap, None, quad)
+        return self._current
 
 
 @dataclass
@@ -459,7 +470,7 @@ def _run_methods(sc, built, command, failure=None):
     of work they all need) is given, has one row with the ``error:`` result.
     The rows share one pull-back, whose density-side samples go with this call."""
     table, methods = _method_table(sc, command)
-    pb = sc.shared.pullback(*built)
+    pb = sc.shared.on_map(built[0], built[2]).pullback.for_density(built[1])
     rows = []
     for method in methods:
         result = failure or _attempt(table[method][1], sc, pb)
@@ -491,10 +502,13 @@ def _checks_fem(sc):
 
 def _rows_verify(sc, built, tol, corrupt=1.0):
     """The FEM reference comes first, unless only gaussian_sweep rows, which
-    it does not check, are asked for; its failure is every method's row."""
+    it does not check, are asked for; its failure is every method's row.
+    Taking the map's work first drops the previous map's meshes before
+    this map's are built."""
+    meshes = sc.shared.on_map(built[0], built[2]).meshes
     failure, mu_ref = None, math.nan
     if _checks_fem(sc):
-        mu_ref = _attempt(fem_oracle.mu_fem_richardson, built[0], built[1], sc.fem_level)
+        mu_ref = _attempt(fem_oracle.mu_fem_richardson, *built[:2], sc.fem_level, meshes)
         failure, mu_ref = (mu_ref, math.nan) if isinstance(mu_ref, str) else (None, mu_ref)
     rows = []
     for method, label, rep in _run_methods(sc, built, "verify", failure):
@@ -728,10 +742,15 @@ def main(argv=None):
 
 
 def run():
-    """``main()``'s exit code, then ``gc.freeze()``: the process entry
-    (see "Process entry")."""
+    """``main()``'s exit code, or 3 with the traceback on stderr when it
+    raises, then ``gc.freeze()``: the process entry (see "Process entry")."""
     try:
         return main()
+    except Exception:
+        import traceback  # only a crashed run needs it
+
+        traceback.print_exc()
+        return 3
     finally:
         gc.freeze()
 

@@ -37,13 +37,13 @@ imports the solver on first use, so the bound routes and the ``bound``,
 
 The mesh, its triangle areas and disk-side centroids, the P1 stiffness
 matrix and its factor depend on (map, level) alone: each mesh computes its
-areas, centroids and stiffness once, ``mu_fem`` keeps the meshes of the
-last two (map, level) pairs, a Richardson pair, keyed on the map object,
-and ``first_nonzero_neumann`` keeps the factors of the last two read-only
-stiffness matrices.  Calls for other densities on the same map then
-assemble only the rho-weighted mass matrix and run the Lanczos iteration,
-with the same arithmetic, so the eigenvalues do not depend on what was
-kept.
+areas, centroids and stiffness once, and the read-only stiffness keeps its
+grounded factor, so all of it lives and dies with the mesh.  The module
+keeps no mesh: ``mu_fem`` fills a ``meshes`` dict that its caller keeps for
+the current map and drops when the next map starts (``cli``, "Shared
+work").  Calls for other densities on a kept mesh assemble only the
+rho-weighted mass matrix and run the Lanczos iteration, with the same
+arithmetic, so the eigenvalues do not depend on what was kept.
 
 For the unit disk itself the exact answer is the squared first positive
 root of J1', which ``mu_disk_reference`` computes from scratch with series
@@ -276,34 +276,6 @@ def assemble(mesh, rho):
     return mesh.stiffness, _symmetric_csr(mesh, me)
 
 
-# (stiffness, factor) of the last two read-only stiffness matrices factored,
-# oldest first: one map's Richardson pair, like ``_mesh``
-_factors = []
-
-
-def _grounded_factor(a_mat):
-    """Cholesky factor of the stiffness with vertex 0 pinned, A[1:, 1:].
-
-    A is symmetric positive semi-definite with the constants as kernel on a
-    connected mesh, so A[1:, 1:] is symmetric positive definite.  The
-    factor runs on the plan of A's pattern (``cholesky``).  A read-only
-    matrix, such as a mesh's ``stiffness``, cannot change, so its factor is
-    kept; any other matrix is factored on every call.
-    """
-    from .cholesky import Factor
-
-    kept = not any(arr.flags.writeable for arr in (a_mat.data, a_mat.indices, a_mat.indptr))
-    if kept:
-        for a, factor in _factors:
-            if a is a_mat:
-                return factor
-        del _factors[: len(_factors) - 1]  # evict before factoring: two at most
-    factor = Factor(a_mat.pattern.plan, a_mat.data)
-    if kept:
-        _factors.append((a_mat, factor))
-    return factor
-
-
 def _start_vector(n):
     """n values in [-0.5, 0.5), the SplitMix64 finaliser of the Weyl sequence
     i * 0x9E3779B97F4A7C15 + _EIG_SEED (Steele, Lea and Flood, OOPSLA 2014)
@@ -327,8 +299,8 @@ def first_nonzero_neumann(a_mat, m_mat):
     M-orthogonal projection off the constants.  op M sends the constants to
     0 and every other eigenvector u to u / mu, so the largest eigenvalue of
     op M is 1 / mu_1 and the zero mode never appears; a double mu_1 needs
-    no special case.  G depends on A alone, so a mesh's stiffness is
-    factored once for all its densities (``_grounded_factor``).
+    no special case.  G depends on A alone, so a mesh's read-only stiffness
+    is factored once for all its densities (``a_mat.grounded_factor()``).
 
     op M is self-adjoint in the M inner product, so Lanczos in that inner
     product builds an M-orthonormal basis q_1..q_j and a tridiagonal T.
@@ -342,7 +314,7 @@ def first_nonzero_neumann(a_mat, m_mat):
     steps; not converging in ``_LANCZOS_MAX_STEPS`` raises SolverError.
     """
     n = a_mat.shape[0]
-    factor = _grounded_factor(a_mat)
+    factor = a_mat.grounded_factor()
     m1 = m_mat @ np.ones(n)
     mass = m1.sum()
 
@@ -385,20 +357,14 @@ def first_nonzero_neumann(a_mat, m_mat):
     return mu, float(resid)
 
 
-@lru_cache(maxsize=2)
-def _mesh(cmap, level):
-    """``mesh_from_map``, kept for the last two (map, level) pairs, one
-    map's Richardson pair; the key is the map object."""
-    return mesh_from_map(cmap, level)
-
-
-def mu_fem(cmap, rho, level):
-    """FEM eigenvalue at one refinement level; the mesh and its stiffness
-    are shared with the last calls on the same map object."""
-    mesh = _mesh(cmap, level)
-    a_mat, m_mat = assemble(mesh, rho)
-    mu, _ = first_nonzero_neumann(a_mat, m_mat)
-    return mu
+def mu_fem(cmap, rho, level, meshes=None):
+    """FEM eigenvalue at one refinement level.  ``meshes``, a dict level ->
+    mesh of ``cmap`` kept by the caller, shares each mesh, its stiffness and
+    that matrix's factor among the calls given it; a missing level is added."""
+    meshes = {} if meshes is None else meshes
+    if level not in meshes:
+        meshes[level] = mesh_from_map(cmap, level)
+    return first_nonzero_neumann(*assemble(meshes[level], rho))[0]
 
 
 def check_richardson_level(level):
@@ -407,15 +373,16 @@ def check_richardson_level(level):
         raise ParameterError(f"richardson level must be in [2, {_MAX_LEVEL}], got {level}")
 
 
-def mu_fem_richardson(cmap, rho, level):
-    """Richardson-extrapolated eigenvalue from levels (level-1, level).
+def mu_fem_richardson(cmap, rho, level, meshes=None):
+    """Richardson-extrapolated eigenvalue from levels (level-1, level), on
+    the meshes of ``meshes`` as in ``mu_fem``.
 
     P1 eigenvalues converge at O(h^2), so the extrapolation removes the
     leading error term: mu = mu_L + (mu_L - mu_{L-1}) / 3.
     """
     check_richardson_level(level)
-    mu_coarse = mu_fem(cmap, rho, level - 1)
-    mu_fine = mu_fem(cmap, rho, level)
+    mu_coarse = mu_fem(cmap, rho, level - 1, meshes)
+    mu_fine = mu_fem(cmap, rho, level, meshes)
     return mu_fine + (mu_fine - mu_coarse) / 3.0
 
 

@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import importlib
 import math
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +65,7 @@ def test_determinism_across_jobs(tmp_path, argv):
     assert run([*argv, "--config", cfg, "--out", str(out1)]) == 0
     # forked workers inherit this process's caches: clear the disk
     # triangulations the serial run filled, so the workers build their own
-    # (the per-map meshes and pull-backs are keyed on the run's own maps)
+    # (the per-map meshes and pull-backs belong to the run's own scenarios)
     fem_oracle._disk_rings.cache_clear()
     assert run([*argv, "--config", cfg, "--jobs", "4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -328,6 +330,40 @@ def test_scenarios_share_their_maps_work(tmp_path, monkeypatch, command):
     out = tmp_path / "jobs.csv"
     assert run([command, "--config", cfg, "--jobs", "2", "--out", str(out)]) == 0
     assert out.read_bytes().split(b"\n", 2)[2] == csv["unshared"]
+
+
+def test_a_maps_fem_work_is_freed_when_the_next_map_starts(tmp_path, monkeypatch):
+    # the current map owns its meshes and their factors: map A's are dead
+    # by the time map B's first mesh is built, and nothing of the run is
+    # alive once main returns
+    from neumann_bounds import cholesky
+
+    meshes, factors, at_b = [], [], []
+    real_mesh, real_factor = fem_oracle.mesh_from_map, cholesky.Factor.__init__
+
+    def mesh_from_map(cmap, level):
+        if meshes and cmap is not meshes[0][0] and not at_b:
+            at_b.append([ref() is None for _, ref in meshes] + [ref() is None for ref in factors])
+        mesh = real_mesh(cmap, level)
+        meshes.append((cmap, weakref.ref(mesh)))
+        return mesh
+
+    def init(self, plan, data):
+        factors.append(weakref.ref(self))
+        real_factor(self, plan, data)
+
+    monkeypatch.setattr(fem_oracle, "mesh_from_map", mesh_from_map)
+    monkeypatch.setattr(cholesky.Factor, "__init__", init)
+    text = "quad_nr = 16\nquad_ntheta = 16\nfem_level = 3\nmethods = esssup\n" + "".join(
+        f"[scenario]\nmap = {cmap}\ndensity = gaussian n={n}\n"
+        for cmap in ("identity", "perturbed_power c=0.3 k=2") for n in (1, 2)
+    )
+    out = tmp_path / "out.csv"
+    assert run(["verify", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    assert len(meshes) == len(factors) == 4  # levels 2 and 3 of each map
+    assert at_b == [[True] * 4]  # map A's two meshes and two factors are dead
+    gc.collect()
+    assert [ref() is None for _, ref in meshes] + [ref() is None for ref in factors] == [True] * 8
 
 
 def test_density_failure_stays_with_its_rows(tmp_path):
@@ -1083,8 +1119,9 @@ def test_process_entry_exit_codes_and_output(tmp_path):
 def test_failed_worker_fails_the_run_and_leaves_no_process(tmp_path, failure, last_line):
     # the first worker fails while the second is still at work: the parent
     # re-raises the task's exception, or raises for a worker that died,
-    # kills and reaps the second worker, writes no CSV and exits nonzero;
-    # the run is its own process group, and that group is empty afterwards
+    # kills and reaps the second worker, writes no CSV and exits 3, the
+    # crash code, which no unsound row shares; the run is its own process
+    # group, and that group is empty afterwards
     text = "quad_nr = 16\nquad_ntheta = 16\nmethods = esssup\n[scenario]\nid = first\n[scenario]\n"
     out = tmp_path / "out.csv"
     script = (
@@ -1107,5 +1144,5 @@ def test_failed_worker_fails_the_run_and_leaves_no_process(tmp_path, failure, la
         stdout, stderr = proc.communicate(timeout=30)  # the parent does not wait out the sleep
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
-    assert proc.returncode == 1 and not stdout and not out.exists()
+    assert proc.returncode == 3 and not stdout and not out.exists()
     assert stderr.splitlines()[-1] == last_line

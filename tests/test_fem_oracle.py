@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -208,19 +210,41 @@ class TestEigenvalue:
         assert mu1 / mu2 == pytest.approx(2.0, rel=1e-12)
         assert r1 < 1e-8 and r2 < 1e-8
 
-    def test_stiffness_factored_once_and_two_kept(self, monkeypatch, rho_one):
+    def test_stiffness_factored_once_and_freed_with_its_mesh(self, monkeypatch, rho_one):
+        # a mesh's read-only stiffness keeps its factor for every density,
+        # and the factor goes when the mesh does
         factored, real_init = [], cholesky.Factor.__init__
-        monkeypatch.setattr(
-            cholesky.Factor, "__init__",
-            lambda self, plan, data: factored.append(data) or real_init(self, plan, data),
-        )
+
+        def init(self, plan, data):
+            factored.append(weakref.ref(self))
+            real_init(self, plan, data)
+
+        monkeypatch.setattr(cholesky.Factor, "__init__", init)
         meshes = [fo.mesh_from_map(cf.PerturbedPowerMap(0.3, 2), level) for level in (2, 3, 4)]
         for mesh in meshes:
             for rho in (rho_one, dn.GaussianDensity(2.0), rho_one):
                 fo.first_nonzero_neumann(*fo.assemble(mesh, rho))
         assert len(factored) == 3
-        kept = [a for a, _ in fo._factors]
-        assert len(kept) == 2 and all(a is m.stiffness for a, m in zip(kept, meshes[1:]))
+        assert [ref() for ref in factored] == [m.stiffness.grounded_factor() for m in meshes]
+        del meshes[0], mesh
+        gc.collect()
+        assert factored[0]() is None and None not in [ref() for ref in factored[1:]]
+
+    def test_meshes_dict_is_filled_and_reused(self, monkeypatch, pp_map, rho_one):
+        # one meshes dict shares each level's mesh among the calls given it;
+        # without one every call builds its own, with the same mu
+        built, real_mesh = [], fo.mesh_from_map
+        monkeypatch.setattr(
+            fo, "mesh_from_map", lambda cmap, level: built.append(level) or real_mesh(cmap, level)
+        )
+        meshes = {}
+        shared = [fo.mu_fem_richardson(pp_map, rho, 3, meshes) for rho in (rho_one, rho_one)]
+        assert built == [2, 3] and sorted(meshes) == [2, 3]
+        assert fo.mu_fem(pp_map, dn.GaussianDensity(2.0), 3, meshes) == fo.mu_fem(
+            pp_map, dn.GaussianDensity(2.0), 3
+        )
+        assert built == [2, 3, 3]
+        assert shared == [fo.mu_fem_richardson(pp_map, rho_one, 3)] * 2
 
     def test_writeable_stiffness_is_factored_per_call(self, identity_map, rho_one):
         # a matrix that can change keeps no factor: mu follows the change
@@ -230,7 +254,8 @@ class TestEigenvalue:
         a_mat.data *= 2.0
         mu2, resid = fo.first_nonzero_neumann(a_mat, m_mat)
         assert mu2 == pytest.approx(2.0 * mu, rel=1e-12) and resid < 1e-8
-        assert all(a is not a_mat for a, _ in fo._factors)
+        assert a_mat.grounded_factor() is not a_mat.grounded_factor()
+        assert a_ro.grounded_factor() is a_ro.grounded_factor()
 
     def test_residual_and_orthogonality(self, pp_map):
         mesh = fo.mesh_from_map(pp_map, 4)
