@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem_oracle
 from .conformal import Pullback, build_disk_quadrature
 from .errors import ConvergenceError, ParameterError
 from .orlicz import SampledFunction, luxemburg_norm
@@ -70,6 +69,8 @@ _LN_PI = math.log(math.pi)
 
 # fem_oracle.b_m2_disk_estimate() as its exact double, 0.570906962169809
 _B_M2_DISK_ESTIMATE = float.fromhex("0x1.244dead727f4bp-1")
+# fem_oracle.mu_disk_reference() as its exact double, 3.389957716671889
+_MU_DISK = float.fromhex("0x1.b1ea226bf6dc4p+1")
 
 
 @dataclass(frozen=True)
@@ -166,13 +167,17 @@ class BoundReport:
     params: dict = field(default_factory=dict)
 
 
-def _log_norm(log_f, log_w, r):
+def _log_norm(log_f, log_w, r, out=None):
     """log (sum_i w_i f_i^r)^(1/r) from finite log f and log w, without
     overflow: (top + log sum exp(a - top)) / r, a = r log f + log w and
-    top = max a."""
-    a = r * log_f + log_w
+    top = max a.  a is formed in ``out``, which may be ``log_f`` itself,
+    and in a new array when ``out`` is None."""
+    a = np.multiply(log_f, r, out=out)
+    a += log_w
     top = a.max()
-    return float((top + np.log(np.sum(np.exp(a - top)))) / r)
+    a -= top
+    np.exp(a, out=a)
+    return float((top + np.log(np.sum(a))) / r)
 
 
 def _finish(method, bound_log, intermediates, flags, params):
@@ -249,10 +254,12 @@ def k_esssup(cmap, rho, quad, pullback=None):
 def mu_lower_esssup(cmap, rho, quad, pullback=None):
     """Eigenvalue bound mu(disk) / esssup(rho / inverse-Jacobian).
 
-    mu(disk) is the exact Bessel-root reference, not the Poincare bracket.
+    mu(disk) is the exact Bessel-root reference, not the Poincare bracket:
+    ``fem_oracle.mu_disk_reference()``, kept here as its exact double, so
+    no bound run loads the oracle; a test recomputes it bit for bit.
     """
     kval = k_esssup(cmap, rho, quad, pullback)
-    mu_disk = fem_oracle.mu_disk_reference()
+    mu_disk = _MU_DISK
     bound_log = math.log(mu_disk) - math.log(kval)
     inter = {"k_esssup": kval, "mu_disk": mu_disk}
     return _finish("esssup", bound_log, inter, [], {})
@@ -268,11 +275,13 @@ def k_q(cmap, rho, q, quad, pullback=None):
 
         ( sum_i w_i (rho(phi(z_i)) J(z_i))^(q/(q-2)) )^((q-2)/q)
 
-    computed with a log-space sum so large Jacobians cannot overflow.
+    computed with a log-space sum so large Jacobians cannot overflow.  The
+    sum is formed in place on the product rho J, which is this call's own.
     """
     ScenarioParams(q=q).validate_q()
     g = _pullback(cmap, rho, quad, pullback).mass_density
-    return math.exp(_log_norm(np.log(g), np.log(quad.weights), q / (q - 2.0)))
+    log_g = np.log(g, out=g)
+    return math.exp(_log_norm(log_g, np.log(quad.weights), q / (q - 2.0), out=log_g))
 
 
 def mu_lower_kq(cmap, rho, p, q, quad, pullback=None):
@@ -377,7 +386,8 @@ def _log_rho_norm_pullback(pullback, s):
     Uses the density's log-space twin, so sharply concentrated densities
     whose tails underflow linear evaluation stay usable.
     """
-    log_w = np.log(pullback.jacobian) + np.log(pullback.quad.weights)
+    log_w = np.log(pullback.jacobian)
+    log_w += np.log(pullback.quad.weights)
     return _log_norm(pullback.log_density, log_w, s)
 
 
@@ -494,7 +504,8 @@ def k_phi(cmap, rho, phi_young, quad, pullback=None):
         phi_inv = pb.log_pow_inverse(phi_young.eps)
     else:
         phi_inv = np.asarray(phi_young.inverse(jac))
-    g = pb.density * jac / phi_inv
+    g = pb.density * jac
+    g /= phi_inv
     pushed = SampledFunction(g, quad.weights * jac, quad.measure_id + ":image")
     return luxemburg_norm(pushed, phi_young)
 

@@ -70,14 +70,13 @@ row checks it.
 
 Process entry: ``python -m neumann_bounds.cli`` and the ``neumann-bounds``
 script call ``run()``, which returns ``main()``'s exit code, or 3 with the
-traceback when ``main()`` raises, after ``gc.freeze()``.  The interpreter's teardown then leaves the run's objects
-out of its last collection, which would otherwise visit every object numpy
-created: from the end of the script to process exit (medians of 9 on 2
-vCPUs, when verify still loaded scipy), a bound run took 9 ms, not 34 ms,
-and a verify run 20 ms, not 101 ms.  ``main()`` is the in-process API: it
-raises what a crashed run raises, and never freezes, since a caller's heap
-is not the run's to keep.  The process exits normally, so atexit handlers,
-such as those of coverage and of ``python -m cProfile``, still run.
+traceback when ``main()`` raises, after ``gc.freeze()``.  The interpreter's
+teardown then leaves the run's objects out of its last collection, which
+would otherwise visit every object numpy created.  ``main()`` is the
+in-process API: it raises what a crashed run raises, and never freezes,
+since a caller's heap is not the run's to keep.  The process exits
+normally, so atexit handlers, such as those of coverage and of
+``python -m cProfile``, still run.
 
 Output determinism: identical configs produce byte-identical CSV (fixed
 17-significant-digit formatting, rows in config order, seeded solvers),
@@ -97,21 +96,20 @@ exits nonzero or is killed raises ChildProcessError.  On either error the
 parent kills and reaps the workers still running, writes no CSV, and the
 process exits 3 with the traceback, as on any uncaught error.  No process
 of a run loads ``multiprocessing`` or ``concurrent.futures``, whose pool
-cost each worker about 1 MiB of modules and helper threads.
+would add its modules and helper threads to each worker.
 The chunks are contiguous, so the scenarios of a map, consecutive in a
 config, are split between workers only where a chunk ends, and a worker
-builds a map's meshes and factors once per chunk: on the verify-battery
-config at --jobs 2, a run builds 12 meshes and factors 12 stiffness
-matrices, where handing out one index at a time took 20.
+builds a map's meshes and factors once per chunk.
 verify's parent builds the factor plans of the FEM levels its scenarios
 use (``fem_oracle.plan_levels``) before it forks, so each worker inherits
-them and its peak resident set leaves out the plans' temporaries: on the
-verify-battery config at --jobs 2 that lowered the largest process's peak
-by about 2 MiB.  A run on one worker builds each plan when it first
-factors; building them up front did not lower its peak.  No command loads
+them and its peak resident set leaves out the plans' temporaries.  A run on
+one worker builds each plan when it first factors.  No command loads
 scipy, and no process loads ``numpy.ma``: the patterns and plans take
 their unique keys with ``cholesky.sorted_unique``, where ``np.unique``
-would load it in the parent and hand about 1.3 MiB to every worker.
+would load it in the parent and hand it to every worker.  Only verify
+loads ``fem_oracle``: importing this module does not, and the bound
+routes keep the oracle's two constants they use, mu_disk and the default
+embedding constant, as doubles.
 Every process of a run uses one BLAS thread.  OpenBLAS starts one thread
 per core by default, so N workers would oversubscribe the cores N times
 over, and a bare ``import numpy`` would pay for starting the pool.  Importing
@@ -166,7 +164,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from . import bounds as bnd
-from . import fem_oracle
 from .conformal import Pullback, build_disk_quadrature, map_from_spec
 from .densities import SampledDensity, density_from_spec
 from .errors import ConfigError, DensityError, NeumannBoundsError, ParameterError
@@ -444,6 +441,8 @@ def _validate_scenario(sc, command):
         for m in methods:
             table[m][0](sc)
         if command == "verify":
+            from . import fem_oracle  # only verify loads the oracle
+
             fem_oracle.check_richardson_level(sc.fem_level)
     except ParameterError as exc:
         raise ConfigError(f"line {sc.line}: scenario {sc.sid!r}: {exc}") from exc
@@ -505,6 +504,8 @@ def _rows_verify(sc, built, tol, corrupt=1.0):
     it does not check, are asked for; its failure is every method's row.
     Taking the map's work first drops the previous map's meshes before
     this map's are built."""
+    from . import fem_oracle
+
     meshes = sc.shared.on_map(built[0], built[2]).meshes
     failure, mu_ref = None, math.nan
     if _checks_fem(sc):
@@ -727,6 +728,8 @@ def main(argv=None):
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     if args.command == "verify" and min(args.jobs, len(items)) > 1:  # see "Parallel runs"
+        from . import fem_oracle
+
         fem_oracle.plan_levels(
             {level for sc in scenarios if _checks_fem(sc) for level in (sc.fem_level - 1, sc.fem_level)}
         )

@@ -189,17 +189,21 @@ class ConformalMap:
         raise NotImplementedError
 
     def _certify_univalence(self):
-        """Reject construction unless Re phi' > 0 on a boundary-refined grid."""
+        """Reject construction unless Re phi' > 0 on a boundary-refined grid
+        of 34 radii x 720 angles.  The grid is taken one radius at a time,
+        so the check holds one ring of samples; the running minimum, NaN
+        when any sample is NaN, decides and is reported."""
         radii = np.concatenate(
             [np.linspace(0.0, 0.9, 10), 1.0 - np.geomspace(1e-12, 0.1, 24)]
         )
-        theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        z = radii[:, None] * np.exp(1j * theta)[None, :]
-        re = np.real(self.derivative(z))
-        if not np.all(re > 0.0):
+        ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
+        low = np.inf
+        for r in radii:
+            low = np.minimum(low, np.real(self.derivative(r * ring)).min())
+        if not low > 0.0:
             raise ParameterError(
                 f"{self.name}: univalence certificate failed "
-                f"(min Re phi' = {re.min():.3e} on the check grid)"
+                f"(min Re phi' = {low:.3e} on the check grid)"
             )
 
     def jacobian(self, z):

@@ -31,9 +31,11 @@ pattern, a multifrontal Cholesky on the plan, and a triangular solve.  The
 plan depends on the pattern alone, so each level's pattern object carries
 it, built on first use and shared by every matrix of the level; the
 ``verify`` command builds the plans of its levels before it forks workers,
-so that they inherit them (see ``cli``, "Parallel runs").  The module
-imports the solver on first use, so the bound routes and the ``bound``,
-``sweep`` and ``norms`` commands never load it, and no command loads scipy.
+so that they inherit them (see ``cli``, "Parallel runs").  Only ``verify``
+loads this module: the bound routes keep ``mu_disk_reference()`` and
+``b_m2_disk_estimate()`` as exact doubles, which tests recompute, so the
+``bound``, ``sweep`` and ``norms`` commands load neither the oracle nor its
+solver, and no command loads scipy.
 
 The mesh, its triangle areas and disk-side centroids, the P1 stiffness
 matrix and its factor depend on (map, level) alone: each mesh computes its

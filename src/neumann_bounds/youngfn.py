@@ -22,8 +22,10 @@ hand the kind a float array of at least one dimension, and return a float
 for a scalar argument and an array of the argument's shape otherwise.  A
 kind implements ``_eval``, ``_log_eval`` (default: the log of ``eval``)
 and ``_inverse`` (default: zero at zero, bisection elsewhere) on that
-array, and its constructor rejects parameters out of range, non-finite
-ones included, with ``ParameterError``.  Instances are
+array; ``_eval_into(u, out)`` (default: ``_eval``'s values copied into
+``out``) is the ungated kernel of the Luxemburg modular, which checks its
+argument itself.  A kind's constructor rejects parameters out of range,
+non-finite ones included, with ``ParameterError``.  Instances are
 immutable after construction; ``NumericComplement`` only fills a cache of
 fixed grids, so its value at v depends on v alone.
 Exponential kinds carry a log-space twin (``log_eval``) because downstream
@@ -63,6 +65,7 @@ _INVERSE_RTOL = 1e-10  # relative width at which the inverse bisection stops
 _INVERSE_LEVELS = 200  # the inverse bisection stops at this level in any case
 _NEWTON_RTOL = 1e-13  # step in log u at which LogPow's Newton inverses stop
 _NEWTON_STEPS = 100  # LogPow's Newton inverses raise after this many steps
+_INVERSE_BLOCK = 8192  # targets per block of LogPow's Newton inverse
 # the inflection of x -> log log(e^x + e) lies at u = e^x = _U_BEND, where
 # log(u + e) = u / e
 _U_BEND = 5.833958031974924
@@ -202,6 +205,11 @@ class YoungFunction:
     def _eval(self, u):
         raise NotImplementedError
 
+    def _eval_into(self, u, out):
+        """M(u) into ``out``, for a float array u that the caller has
+        already checked: the Luxemburg modular's ungated kernel."""
+        out[...] = self._eval(u)
+
     def _log_eval(self, u):
         # the log of ``eval`` (overflow -> +inf)
         with np.errstate(divide="ignore", over="ignore"):
@@ -323,6 +331,15 @@ class LogPow(YoungFunction):
         with np.errstate(over="ignore"):
             return u * np.log(u + _E) ** self.eps
 
+    def _eval_into(self, u, out):
+        # ``_eval``'s operations in place; ``**=`` takes the same scalar
+        # power as ``**``, so the bits are ``_eval``'s
+        with np.errstate(over="ignore"):
+            np.add(u, _E, out=out)
+            np.log(out, out=out)
+            out **= self.eps
+            np.multiply(u, out, out=out)
+
     def _log_eval(self, u):
         with np.errstate(divide="ignore"):
             return np.log(u) + self.eps * np.log(np.log(u + _E))
@@ -338,8 +355,18 @@ class LogPow(YoungFunction):
         # a large eps can that ratio leave double range, and then it is a
         # sum of logs.  An entry stops once its own step falls below a
         # relative _NEWTON_RTOL, or turns back, which only rounding can do.
+        # Each entry's path depends on its own target alone, so the targets
+        # run in blocks of _INVERSE_BLOCK, which bounds the temporaries.
+        out = np.empty_like(t)
+        m_bend = self._eval(np.array(_U_BEND))
+        for start in range(0, len(t), _INVERSE_BLOCK):
+            block = slice(start, start + _INVERSE_BLOCK)
+            out[block] = self._newton_inverse(t[block], m_bend)
+        return out
+
+    def _newton_inverse(self, t, m_bend):
         eps = self.eps
-        up = self._eval(np.array(_U_BEND)) <= t
+        up = m_bend <= t
         todo = t > 0
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             u = np.where(up, np.maximum(t / np.log(t + _E) ** eps, _U_BEND), np.minimum(t, _U_BEND))
@@ -585,6 +612,10 @@ class NumericComplement(YoungFunction):
     # attribute as the conjugate and counts YoungFunction.eval separately,
     # so without it every conjugate call would count as both
     eval = YoungFunction.eval
+
+    def _eval_into(self, v, out):
+        # through ``eval``, for the same reason: a modular's conjugate is timed
+        out[...] = self.eval(v)
 
     def _eval(self, v):
         out = np.zeros_like(v)

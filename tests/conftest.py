@@ -41,3 +41,21 @@ def stalled_lanczos(monkeypatch):
     from neumann_bounds import fem_oracle
 
     monkeypatch.setattr(fem_oracle, "_LANCZOS_MAX_STEPS", 1)
+
+
+@pytest.fixture()
+def traced_peak():
+    """The peak, in MiB, that a call of ``fn()`` allocates above its start,
+    as ``tracemalloc`` sees it; numpy reports its buffers to it."""
+    import tracemalloc
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return (tracemalloc.get_traced_memory()[1] - start) / 2**20
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -56,6 +56,13 @@ class TestEsssup:
         assert r.validity_flags == []
         assert r.bound_log == pytest.approx(math.log(r.bound), rel=1e-12)
 
+    def test_mu_disk_is_the_bessel_reference_bit_for_bit(self, identity_map, rho_one, quad32):
+        # pinned as a double, so no bound run loads the oracle; a fresh
+        # computation of the reference must give exactly that double
+        assert bd._MU_DISK.hex() == fo.mu_disk_reference().hex()
+        r = bd.mu_lower_esssup(identity_map, rho_one, quad32)
+        assert r.intermediates["mu_disk"].hex() == fo.mu_disk_reference().hex()
+
     def test_bound_perturbed(self, pp_map, rho_one, quad64):
         r = bd.mu_lower_esssup(pp_map, rho_one, quad64)
         assert r.bound == pytest.approx(

@@ -867,8 +867,9 @@ def test_orlicz_runs_never_compute_the_embedding_estimate(tmp_path, monkeypatch,
     ids=["bound", "sweep", "norms", "verify"],
 )
 def test_runs_without_fem_load_no_scipy_or_openssl(tmp_path, command, methods, rows):
-    # the FEM oracle factors its stiffness with the package's own solver,
-    # which only verify loads, and hashlib would map OpenSSL's libcrypto for
+    # only verify loads the FEM oracle, and with it the package's own
+    # solver it factors its stiffness with; the bound routes keep the
+    # oracle's constants as doubles.  hashlib would map OpenSSL's libcrypto for
     # the one config digest; a top-level import of any of them on these
     # commands' path would cost every run its import.  verify loads no
     # scipy either, and its Lanczos start is a hash in numpy, not a draw of
@@ -887,9 +888,10 @@ def test_runs_without_fem_load_no_scipy_or_openssl(tmp_path, command, methods, r
         "assert cli.main([*argv, '--jobs', '1']) in (0, 1)\n"
         "checked = ('scipy', 'hashlib', '_hashlib', 'numpy.random', 'numpy.ma', 'logging')\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if any(m == c or m.startswith(c + '.') for c in checked) or 'cholesky' in m))\n"
+        "             if any(m == c or m.startswith(c + '.') for c in checked)\n"
+        "             or m in ('neumann_bounds.cholesky', 'neumann_bounds.fem_oracle')))\n"
     )
-    loaded = ["neumann_bounds.cholesky"] if command == "verify" else []
+    loaded = ["neumann_bounds.cholesky", "neumann_bounds.fem_oracle"] if command == "verify" else []
     assert fresh_python(script) == str(loaded)
     assert (tmp_path / "out.csv").read_text().count("\npp,") == rows
 

@@ -368,3 +368,58 @@ class TestPullback:
         for cmap, quad in ((identity_map, quad32), (pp_map, quad64)):
             with pytest.raises(ParameterError, match="another map"):
                 bnd.k_esssup(cmap, rho_one, quad, pullback=pb)
+
+
+def _array_certificate(cmap):
+    """The univalence check as one 34 x 720 array: (accepted, min Re phi')."""
+    radii = np.concatenate([np.linspace(0.0, 0.9, 10), 1.0 - np.geomspace(1e-12, 0.1, 24)])
+    theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    re = np.real(cmap.derivative(radii[:, None] * np.exp(1j * theta)[None, :]))
+    return bool(np.all(re > 0.0)), re.min()
+
+
+def _uncertified(monkeypatch, make):
+    with monkeypatch.context() as m:
+        m.setattr(cf.ConformalMap, "_certify_univalence", lambda self: None)
+        return make()
+
+
+def _random_polynomials(rng, count):
+    """Coefficient lists (1, a_2, ..., a_d) with sum j |a_j| spread about 1,
+    where Re phi' > 0 starts to fail."""
+    for _ in range(count):
+        degree = int(rng.integers(2, 6))
+        a = rng.normal(size=degree - 1) + 1j * rng.normal(size=degree - 1)
+        j = np.arange(2, degree + 1)
+        a *= rng.uniform(0.6, 1.6) / np.sum(j * np.abs(a))
+        yield [1.0, *a]
+
+
+def test_ring_by_ring_certificate_decides_as_the_array(monkeypatch):
+    rng = np.random.default_rng(20261022)
+    makers = [lambda c=c: cf.PolynomialMap(c) for c in _random_polynomials(rng, 60)]
+    r = 1.0 / np.sqrt(2.0)
+    for size in (0.3, 0.7, r * (1 - 1e-9), r * (1 + 1e-9), 0.72, 0.9):
+        makers.append(lambda a=size * np.exp(2j * np.pi * rng.uniform()): cf.MoebiusDiskMap(a))
+    # Horner overflows to inf - inf: the minimum is NaN, and rejects
+    makers.append(lambda: cf.PolynomialMap([1.0, 1e308, 1e308]))
+    outcomes = []
+    with np.errstate(all="ignore"):
+        for make in makers:
+            cmap = _uncertified(monkeypatch, make)
+            accepted, low = _array_certificate(cmap)
+            try:
+                cf.ConformalMap._certify_univalence(cmap)
+            except ParameterError as exc:
+                assert not accepted
+                assert f"min Re phi' = {low:.3e} on the check grid" in str(exc)
+            else:
+                assert accepted
+            outcomes.append((accepted, "nan" if np.isnan(low) else "num"))
+    assert {(True, "num"), (False, "num"), (False, "nan")} <= set(outcomes)
+    assert sum(accepted for accepted, _ in outcomes[:60]) not in (0, 60)
+
+
+def test_certificate_holds_one_ring(traced_peak):
+    # 0.78 MiB as one 34 x 720 array, 0.035 MiB ring by ring
+    assert traced_peak(lambda: cf.PerturbedPowerMap(0.5, 2)) < 0.1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,9 +212,9 @@ def modular_lams(monkeypatch):
     lams = []
     modular = ol._modular
 
-    def recorded(young, absvals, weights, lam):
+    def recorded(young, absvals, weights, lam, work=None):
         lams.append(lam)
-        return modular(young, absvals, weights, lam)
+        return modular(young, absvals, weights, lam, work)
 
     monkeypatch.setattr(ol, "_modular", recorded)
     return lams
@@ -277,6 +279,105 @@ class TestLuxemburgContract:
 
 def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def luxemburg_gated(f, young):
+    """``luxemburg_norm`` as it was before its modulars shared two buffers:
+    each modular passes ``young.eval``'s gate and allocates its arrays."""
+
+    def log_modular(lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.sum(w * np.asarray(young.eval(absvals / lam)))
+        m = np.inf if np.isnan(m) else m
+        return math.log(m) if m > 0.0 else -math.inf
+
+    absvals = np.abs(f.values)
+    fmax = absvals.max() if len(absvals) else 0.0
+    if fmax == 0.0:
+        return 0.0
+    w = f.weights
+    rtol, margin = ol._LUXEMBURG_RTOL, ol._LUXEMBURG_MARGIN
+    hi = fmax / float(young.inverse(1.0 / f.total_measure))
+    lo = fmax / float(young.inverse(1.0 / w.min()))
+    for _ in range(2048):
+        g_hi = log_modular(hi)
+        if g_hi <= 0.0:
+            break
+        hi *= 2.0
+    for _ in range(2048):
+        if lo < hi:
+            g_lo = log_modular(lo)
+            if g_lo > 0.0:
+                break
+        lo *= 0.5
+        if lo < 1e-300:
+            return hi
+    a, b = math.log(lo), math.log(hi)
+    kept = 0
+    for _ in range(200):
+        if hi - lo <= rtol * hi:
+            break
+        c = 0.5 * (a + b)
+        if math.isfinite(g_lo) and math.isfinite(g_hi):
+            c = b - g_hi * (b - a) / (g_hi - g_lo)
+        c = min(max(c, a + margin), b - margin)
+        lam = math.exp(c)
+        g = log_modular(lam)
+        if g > 0.0:
+            lo, a, g_lo = lam, c, g
+            g_hi = 0.5 * g_hi if kept == 1 else g_hi
+            kept = 1
+        else:
+            hi, b, g_hi = lam, c, g
+            g_lo = 0.5 * g_lo if kept == -1 else g_lo
+            kept = -1
+    return hi
+
+
+class TestBufferedModulars:
+    """The modulars of a norm share two buffers and check their argument
+    once, with the gated search's bits."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("young", LUXEMBURG_KINDS, ids=lambda y: y.name)
+    def test_fields_bit_for_bit(self, young, field, quad32, pp_map, rng):
+        jac = pp_map.jacobian(quad32.nodes)
+        f = ol.SampledFunction(FIELDS[field](len(quad32), jac, rng), quad32.weights * jac)
+        assert bits(ol.luxemburg_norm(f, young)) == bits(luxemburg_gated(f, young))
+
+    @pytest.mark.parametrize("young", LUXEMBURG_KINDS, ids=lambda y: y.name)
+    def test_kphi_field_256_bit_for_bit(self, young, kphi_field_256):
+        got = ol.luxemburg_norm(kphi_field_256, young)
+        assert bits(got) == bits(luxemburg_gated(kphi_field_256, young))
+
+    def test_an_argument_beyond_double_range_raises(self):
+        # Yinv(1/w_min) overflows, so the lower bracket starts at lambda = 0,
+        # where max |f| / lambda is inf, as the eval gate found before
+        f = ol.SampledFunction(np.array([1.0, 2.0]), np.array([1e-300, 1.0]))
+        young = yf.PowerP(1.0, coef=1e-10)
+        with np.errstate(over="ignore", divide="ignore"):
+            with pytest.raises(DomainError, match="must be finite"):
+                luxemburg_gated(f, young)
+            with pytest.raises(DomainError, match="must be finite"):
+                ol.luxemburg_norm(f, young)
+
+    def test_modular_without_buffers(self, kphi_field_256):
+        f, young = kphi_field_256, yf.LogPow(2.0)
+        absvals = np.abs(f.values)
+        work = ol._modular_work(absvals, absvals.max())
+        for lam in (0.5, 2.0, 7.75):
+            assert bits(ol._modular(young, absvals, f.weights, lam)) == bits(
+                ol._modular(young, absvals, f.weights, lam, work)
+            )
+        with pytest.raises(DomainError):
+            ol._modular(young, absvals, f.weights, 0.0)
+
+    def test_norm_peaks_at_three_node_arrays(self, kphi_field_256, traced_peak):
+        # |f| and the two buffers: 2.00 MiB gated, 1.50 MiB buffered, with
+        # a node array of 0.5 MiB
+        node_mib = kphi_field_256.values.nbytes / 2**20
+        peak = traced_peak(lambda: ol.luxemburg_norm(kphi_field_256, yf.LogPow(2.0)))
+        assert peak <= 3.2 * node_mib
 
 
 # A value of an inverse depends on its own entry alone, so permuting or

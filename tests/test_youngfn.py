@@ -904,3 +904,68 @@ def test_constructor_parameter_errors():
             yf.PowerP(2.0, coef=bad)
         with pytest.raises(ParameterError):
             TableYoung([0.0, 1.0, 2.0], [0.0, 1.0, bad])
+
+
+# ---------------------------------------------------------------------------
+# LogPow's kernels in place and in blocks
+# ---------------------------------------------------------------------------
+
+_KERNEL_ARGS = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e150, 1e300])
+
+
+@pytest.mark.parametrize("eps", [1.0, 1.5, 2.0, 3.0])
+def test_log_pow_eval_into_is_eval_bit_for_bit(eps):
+    # zero, subnormals, the least normal, one, and two values whose M
+    # overflows to inf at the larger eps
+    young = yf.LogPow(eps)
+    out = np.full_like(_KERNEL_ARGS, np.nan)
+    young._eval_into(_KERNEL_ARGS, out)
+    assert np.array_equal(bits(out), bits(young._eval(_KERNEL_ARGS)))
+    if eps == 3.0:
+        assert np.isinf(out[-1])
+
+
+def _newton_inverse_unblocked(young, t):
+    """``LogPow._inverse`` before it ran in blocks: one Newton over every
+    target at once."""
+    eps, E, bend = young.eps, yf._E, yf._U_BEND
+    up = young._eval(np.array(bend)) <= t
+    todo = t > 0
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        u = np.where(up, np.maximum(t / np.log(t + E) ** eps, bend), np.minimum(t, bend))
+        for _ in range(yf._NEWTON_STEPS):
+            if not todo.any():
+                return u
+            log_u = np.log(u + E)
+            g = np.log(t / u / log_u**eps)
+            far = todo & ~np.isfinite(g)
+            if far.any():
+                g[far] = np.log(t[far]) - np.log(u[far]) - eps * np.log(log_u[far])
+            dx = g / (1.0 + eps * (u / (u + E)) / log_u)
+            u = np.where(todo, u * np.exp(dx), u)
+            todo &= np.where(up, dx, -dx) > yf._NEWTON_RTOL
+    raise AssertionError("the reference Newton did not settle")
+
+
+@pytest.fixture(scope="module")
+def jacobian_256():
+    """J on the 256 x 256 rule of the pp c=0.5 k=2 map: eight blocks."""
+    quad = cf.build_disk_quadrature(256, 256)
+    return cf.PerturbedPowerMap(0.5, 2).jacobian(quad.nodes)
+
+
+@pytest.mark.parametrize("eps", [1.0, 2.0])
+def test_log_pow_inverse_in_blocks_is_unblocked_bit_for_bit(jacobian_256, eps):
+    young = yf.LogPow(eps)
+    assert len(jacobian_256) > 2 * yf._INVERSE_BLOCK
+    for t in (jacobian_256, jacobian_256[5:], np.concatenate([[0.0, 1e-300, 1e300], jacobian_256])):
+        assert np.array_equal(bits(young.inverse(t)), bits(_newton_inverse_unblocked(young, t)))
+
+
+def test_log_pow_inverse_peaks_at_one_block(jacobian_256, traced_peak):
+    # its output plus one block's temporaries: 3.19 MiB unblocked, 0.96 MiB
+    # in blocks of 8192 (0.5 MiB of it the output)
+    young = yf.LogPow(2.0)
+    out_mib = jacobian_256.nbytes / 2**20
+    block_mib = yf._INVERSE_BLOCK * 8 / 2**20
+    assert traced_peak(lambda: young.inverse(jacobian_256)) <= out_mib + 8 * block_mib
