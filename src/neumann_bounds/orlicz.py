@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,43 +67,16 @@ def _same_measure(f, g):
         )
 
 
-class _ModularWork(NamedTuple):
-    """What every modular of one norm shares: max |f|, and two buffers of
-    |f|'s shape that take |f|/lambda and Y(|f|/lambda) in turn."""
-
-    fmax: float
-    u: np.ndarray
-    m: np.ndarray
-
-
-def _modular_work(absvals, fmax):
-    return _ModularWork(fmax, np.empty_like(absvals), np.empty_like(absvals))
-
-
-def _modular(young, absvals, weights, lam, work=None):
+def _modular(young, absvals, weights, lam):
     """Integral of Y(|f|/lambda) against the measure (may be inf).
 
-    ``absvals`` is |f|, finite and nonnegative, so |f|/lambda is checked
-    once, at its largest entry fmax/lambda: division by lambda is monotone,
-    so that entry is finite and nonnegative exactly when every entry is,
-    and ``DomainError`` is raised as ``young.eval`` would.  Y(|f|/lambda)
-    is then formed in ``work``'s two buffers through ``young._eval_into``,
-    so a modular allocates no node-sized array; a call without ``work``
-    allocates its own.
+    The weights multiply ``young.eval``'s own output in place, so a
+    modular holds two node-sized arrays: |f|/lambda and Y of it.
     """
-    if work is None:
-        work = _modular_work(absvals, absvals.max(initial=0.0))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        umax = work.fmax / lam
-    if not math.isfinite(umax):
-        raise DomainError(f"u must be finite, got max |f| / lambda = {umax!r}")
-    if umax < 0.0:
-        raise DomainError(f"u must be nonnegative, got max |f| / lambda = {umax!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(absvals, lam, out=work.u)
-        young._eval_into(work.u, work.m)
-        np.multiply(weights, work.m, out=work.m)
-        out = np.sum(work.m)
+        m = np.asarray(young.eval(absvals / lam))
+        m *= weights
+        out = np.sum(m)
     return np.inf if np.isnan(out) else out
 
 
@@ -120,19 +92,17 @@ def luxemburg_norm(f, young):
     a relative 1e-12, or after 200 trials, and returns its upper end, where
     the modular is <= 1: the result never lies below the norm, and for
     continuous strictly increasing Y its modular lies in [1 - 1e-8, 1].
-    Each modular evaluates Y at every node, in two buffers allocated once
-    per norm, and checks its argument once, as the scalar max |f|/lambda
-    (see ``_modular``).
+    Each modular evaluates Y at every node, beside |f| in two node-sized
+    arrays (see ``_modular``).
     """
     absvals = np.abs(f.values)
-    fmax = absvals.max(initial=0.0)
+    fmax = absvals.max() if len(absvals) else 0.0
     if fmax == 0.0:
         return 0.0
     w = f.weights
-    work = _modular_work(absvals, fmax)
 
     def log_modular(lam):
-        m = _modular(young, absvals, w, lam, work)
+        m = _modular(young, absvals, w, lam)
         return math.log(m) if m > 0.0 else -math.inf
 
     # harmonic starting bracket: at hi the modular is <= 1 by construction,

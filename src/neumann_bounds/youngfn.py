@@ -22,10 +22,8 @@ hand the kind a float array of at least one dimension, and return a float
 for a scalar argument and an array of the argument's shape otherwise.  A
 kind implements ``_eval``, ``_log_eval`` (default: the log of ``eval``)
 and ``_inverse`` (default: zero at zero, bisection elsewhere) on that
-array; ``_eval_into(u, out)`` (default: ``_eval``'s values copied into
-``out``) is the ungated kernel of the Luxemburg modular, which checks its
-argument itself.  A kind's constructor rejects parameters out of range,
-non-finite ones included, with ``ParameterError``.  Instances are
+array, and its constructor rejects parameters out of range, non-finite
+ones included, with ``ParameterError``.  Instances are
 immutable after construction; ``NumericComplement`` only fills a cache of
 fixed grids, so its value at v depends on v alone.
 Exponential kinds carry a log-space twin (``log_eval``) because downstream
@@ -205,11 +203,6 @@ class YoungFunction:
     def _eval(self, u):
         raise NotImplementedError
 
-    def _eval_into(self, u, out):
-        """M(u) into ``out``, for a float array u that the caller has
-        already checked: the Luxemburg modular's ungated kernel."""
-        out[...] = self._eval(u)
-
     def _log_eval(self, u):
         # the log of ``eval`` (overflow -> +inf)
         with np.errstate(divide="ignore", over="ignore"):
@@ -328,17 +321,15 @@ class LogPow(YoungFunction):
         self.name = f"log_pow(eps={self.eps:g})"
 
     def _eval(self, u):
+        # u * log(u + e)^eps, formed in place on its one output array:
+        # ``**=`` takes the same scalar power as ``**``, and the product's
+        # order does not move its bits
         with np.errstate(over="ignore"):
-            return u * np.log(u + _E) ** self.eps
-
-    def _eval_into(self, u, out):
-        # ``_eval``'s operations in place; ``**=`` takes the same scalar
-        # power as ``**``, so the bits are ``_eval``'s
-        with np.errstate(over="ignore"):
-            np.add(u, _E, out=out)
+            out = np.add(u, _E, out=np.empty_like(u))
             np.log(out, out=out)
             out **= self.eps
-            np.multiply(u, out, out=out)
+            out *= u
+        return out
 
     def _log_eval(self, u):
         with np.errstate(divide="ignore"):
@@ -612,10 +603,6 @@ class NumericComplement(YoungFunction):
     # attribute as the conjugate and counts YoungFunction.eval separately,
     # so without it every conjugate call would count as both
     eval = YoungFunction.eval
-
-    def _eval_into(self, v, out):
-        # through ``eval``, for the same reason: a modular's conjugate is timed
-        out[...] = self.eval(v)
 
     def _eval(self, v):
         out = np.zeros_like(v)

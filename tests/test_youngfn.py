@@ -907,22 +907,24 @@ def test_constructor_parameter_errors():
 
 
 # ---------------------------------------------------------------------------
-# LogPow's kernels in place and in blocks
+# LogPow's eval in place and its inverse in blocks
 # ---------------------------------------------------------------------------
 
 _KERNEL_ARGS = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e150, 1e300])
 
 
 @pytest.mark.parametrize("eps", [1.0, 1.5, 2.0, 3.0])
-def test_log_pow_eval_into_is_eval_bit_for_bit(eps):
+def test_log_pow_eval_in_place_is_the_product_bit_for_bit(eps):
     # zero, subnormals, the least normal, one, and two values whose M
-    # overflows to inf at the larger eps
+    # overflows to inf at the larger eps, against the allocating product
+    # LogPow._eval was; the 0-d case is the inverse's bend threshold
     young = yf.LogPow(eps)
-    out = np.full_like(_KERNEL_ARGS, np.nan)
-    young._eval_into(_KERNEL_ARGS, out)
-    assert np.array_equal(bits(out), bits(young._eval(_KERNEL_ARGS)))
+    for u in (_KERNEL_ARGS, np.array(yf._U_BEND)):
+        with np.errstate(over="ignore"):
+            product = u * np.log(u + yf._E) ** eps
+        assert np.array_equal(bits(young._eval(u)), bits(product))
     if eps == 3.0:
-        assert np.isinf(out[-1])
+        assert np.isinf(young._eval(_KERNEL_ARGS)[-1])
 
 
 def _newton_inverse_unblocked(young, t):
@@ -964,8 +966,7 @@ def test_log_pow_inverse_in_blocks_is_unblocked_bit_for_bit(jacobian_256, eps):
 
 def test_log_pow_inverse_peaks_at_one_block(jacobian_256, traced_peak):
     # its output plus one block's temporaries: 3.19 MiB unblocked, 0.96 MiB
-    # in blocks of 8192 (0.5 MiB of it the output)
+    # in blocks of 8192 (0.5 MiB of it the output); the bound lies about
+    # halfway, clear of allocator noise
     young = yf.LogPow(2.0)
-    out_mib = jacobian_256.nbytes / 2**20
-    block_mib = yf._INVERSE_BLOCK * 8 / 2**20
-    assert traced_peak(lambda: young.inverse(jacobian_256)) <= out_mib + 8 * block_mib
+    assert traced_peak(lambda: young.inverse(jacobian_256)) <= 2.0
